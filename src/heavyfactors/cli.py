@@ -47,13 +47,7 @@ from .lab import (
     verify_theorem3_empirically,
 )
 from .schemes import local_search_heavy_collection, scheme2_factor
-from .solver import (
-    DEFAULT_SOLVER_CAP,
-    build_heavy_hypergraph,
-    enumerate_all_factors,
-    find_heavy_factor,
-    hypergraph_perfect_matching,
-)
+from .solver import DEFAULT_SOLVER_CAP, enumerate_all_factors, find_heavy_factor
 
 ENV_SOLVER_CAP = "HFL_SOLVER_CAP"
 ENV_RETRY_BUDGET = "HFL_RETRY_BUDGET"
@@ -120,8 +114,9 @@ def _factor_doc(graph, factor: CliqueFactor | None) -> dict:
 
 
 def _cmd_generate(args) -> int:
+    kind = KIND_RANDOM if args.kind == "random" else args.kind
     graph, desc = build(
-        args.kind,
+        kind,
         n=args.n,
         r=args.r,
         t=args.t,
@@ -134,7 +129,7 @@ def _cmd_generate(args) -> int:
     desc_path = args.descriptor or _descriptor_path(args.out)
     _write_text(desc_path, dumps_canonical(desc.to_json()))
     print(
-        f"wrote {args.kind} weighting on n={graph.n} to {args.out} "
+        f"wrote {kind} weighting on n={graph.n} to {args.out} "
         f"(min degree {format_rational(graph.min_weighted_degree())})"
     )
     return 0
@@ -148,20 +143,12 @@ def _cmd_solve(args) -> int:
         cert = find_heavy_factor(graph, params, strict=args.strict)
         factor = cert.factor
         nodes = cert.nodes_explored
-    elif args.method == "hypergraph":
-        hyper = build_heavy_hypergraph(graph, params, strict=args.strict)
-        matching = hypergraph_perfect_matching(hyper, params.r)
-        factor = None if matching is None else CliqueFactor.from_blocks(matching)
-        nodes = None
     else:  # oracle: filter the full partition stream
-        bar = params.heavy_threshold
         factor = None
         nodes = 0
         for blocks in enumerate_all_factors(graph.n, params.r, cap=cap):
             nodes += 1
-            weights = [graph.clique_weight(b) for b in blocks]
-            ok = all((w > bar) if args.strict else (w >= bar) for w in weights)
-            if ok:
+            if all(params.admits(graph.clique_weight(b), args.strict) for b in blocks):
                 factor = CliqueFactor.from_blocks(blocks)
                 break
     doc = {
@@ -304,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=_rational, help="scale all weights after construction")
     p.add_argument("--out", required=True)
     p.add_argument("--descriptor", help="descriptor path (default: <out>.descriptor.json)")
-    p.set_defaults(func=_cmd_generate, kind_map=True)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="exact search for a heavy factor in a graph file")
     p.add_argument("--input", required=True)
@@ -312,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--strict", action="store_true",
                    help="demand block weights strictly above the bar")
-    p.add_argument("--method", choices=["backtrack", "hypergraph", "oracle"],
+    p.add_argument("--method", choices=["backtrack", "oracle"],
                    default="backtrack")
     p.add_argument("--cap", type=int, help="enumeration cap for the oracle method")
     p.add_argument("--out", help="certificate path (default: stdout)")
@@ -380,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kind_map", False) and args.kind == "random":
-        args.kind = KIND_RANDOM
     try:
         return args.func(args)
     except (GraphFormatError, ValueError) as exc:

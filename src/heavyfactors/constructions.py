@@ -241,27 +241,34 @@ def min_degree_conditioned(delta, denominator: int, max_attempts: int = 10000) -
     )
 
 
+def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -> WeightedCompleteGraph:
+    """Every edge uniform on the grid values k/d at or above `per_edge`.
+
+    The caller rejects per_edge > 1 first: for d >= 1 that is exactly when
+    no grid value is left.
+    """
+    lo = -((-per_edge.numerator * d) // per_edge.denominator)  # ceil(per_edge * d)
+    flat = [Fraction(rng.randint(lo, d), d) for _ in range(n * (n - 1) // 2)]
+    return WeightedCompleteGraph.from_flat(n, flat)
+
+
 def random_weighting(n: int, dist: WeightDistribution, seed: int) -> WeightedCompleteGraph:
     """Seeded grid-valued weighting; see WeightDistribution for conditioning."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     rng = random.Random(seed)
-    d = dist.grid_denominator
-    lo = 0
+    per_edge = ZERO
     target = None
     if dist.min_degree is not None:
         target = dist.min_degree * n
         per_edge = target / (n - 1)
-        lo = -((-per_edge.numerator * d) // per_edge.denominator)  # ceil(per_edge * d)
-        if lo > d:
+        if per_edge > 1:
             raise BudgetExceededError(
                 f"min degree {format_rational(dist.min_degree)} * n is unreachable: "
                 f"needs per-edge weight {format_rational(per_edge)} > 1"
             )
-    m = n * (n - 1) // 2
     for _ in range(dist.max_attempts):
-        flat = [Fraction(rng.randint(lo, d), d) for _ in range(m)]
-        graph = WeightedCompleteGraph.from_flat(n, flat)
+        graph = _sample_grid_floor(rng, n, dist.grid_denominator, per_edge)
         if target is None or graph.min_weighted_degree() >= target:
             return graph
     raise BudgetExceededError(

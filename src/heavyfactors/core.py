@@ -41,6 +41,10 @@ class BudgetExceededError(RuntimeError):
     """A retry or resample budget ran out before producing a feasible result."""
 
 
+class CertificationError(RuntimeError):
+    """The exact solver found a factor where a certificate claims none exists."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer string) into a Fraction.
 
@@ -99,12 +103,7 @@ class WeightedCompleteGraph:
                 if not (0 <= i < n and 0 <= j < n) or i == j:
                     raise ValueError(f"invalid vertex pair ({i}, {j}) for n={n}")
                 flat[self._idx(i, j)] = _coerce_weight(w, f"edge ({i}, {j})")
-        self._w = tuple(flat)
-        deg = [ZERO] * n
-        for (i, j), w in zip(self.pairs(), self._w):
-            deg[i] += w
-            deg[j] += w
-        self._deg = tuple(deg)
+        self._store(flat)
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[Fraction]) -> "WeightedCompleteGraph":
@@ -112,13 +111,17 @@ class WeightedCompleteGraph:
         if len(flat) != n * (n - 1) // 2:
             raise ValueError("flat weight vector has wrong length")
         g.n = n
-        g._w = tuple(_coerce_weight(w, "edge") for w in flat)
-        deg = [ZERO] * n
-        for (i, j), w in zip(g.pairs(), g._w):
+        g._store(_coerce_weight(w, "edge") for w in flat)
+        return g
+
+    def _store(self, flat: Iterable[Fraction]) -> None:
+        """Freeze the validated pair weights and derive every vertex degree."""
+        self._w = tuple(flat)
+        deg = [ZERO] * self.n
+        for (i, j), w in zip(self.pairs(), self._w):
             deg[i] += w
             deg[j] += w
-        g._deg = tuple(deg)
-        return g
+        self._deg = tuple(deg)
 
     @classmethod
     def constant(cls, n: int, w) -> "WeightedCompleteGraph":
@@ -286,21 +289,32 @@ class FactorParams:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "heavy_threshold", t * comb(self.r, 2))
 
+    def admits(self, weight: Fraction, strict: bool = False) -> bool:
+        """True when `weight` meets the bar (strict: exceeds it).
 
-def is_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> bool:
-    """True when the r-set's total edge weight is at least t * C(r, 2)."""
+        The one heaviness comparison: block weights, single overweight edges
+        and the oracle all go through here.
+        """
+        if strict:
+            return weight > self.heavy_threshold
+        return weight >= self.heavy_threshold
+
+
+def _block_weight(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> Fraction:
     vs = tuple(vertices)
     if len(vs) != params.r:
         raise ValueError(f"expected {params.r} vertices, got {len(vs)}")
-    return graph.clique_weight(vs) >= params.heavy_threshold
+    return graph.clique_weight(vs)
+
+
+def is_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> bool:
+    """True when the r-set's total edge weight is at least t * C(r, 2)."""
+    return params.admits(_block_weight(graph, vertices, params))
 
 
 def is_strictly_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> bool:
     """True when the r-set's total edge weight exceeds t * C(r, 2)."""
-    vs = tuple(vertices)
-    if len(vs) != params.r:
-        raise ValueError(f"expected {params.r} vertices, got {len(vs)}")
-    return graph.clique_weight(vs) > params.heavy_threshold
+    return params.admits(_block_weight(graph, vertices, params), strict=True)
 
 
 def is_overweight_edge(graph: WeightedCompleteGraph, edge: tuple[int, int], params: FactorParams) -> bool:
@@ -310,7 +324,7 @@ def is_overweight_edge(graph: WeightedCompleteGraph, edge: tuple[int, int], para
     False rather than an error, since callers probe arbitrary parameter boxes.
     """
     i, j = edge
-    return graph.weight(i, j) >= params.heavy_threshold
+    return params.admits(graph.weight(i, j))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .constructions import prop2_construction, prop2_min_degree
+from .constructions import _sample_grid_floor, prop2_construction, prop2_min_degree
 from .core import (
     CapExceededError,
+    CertificationError,
     FactorParams,
     WeightedCompleteGraph,
     format_rational,
@@ -58,6 +59,15 @@ class BoundRecord:
     note: str = ""
 
 
+def _require_exhausted(certificate: SolveCertificate, what: str) -> None:
+    """Raise unless the strict search came back exhausted (a check `python -O` keeps)."""
+    if certificate.factor is not None:
+        raise CertificationError(
+            f"{what} weighting admits a strictly heavy factor "
+            f"{[sorted(b) for b in certificate.factor.blocks]}"
+        )
+
+
 def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
                           solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
     """Scaled two-class weighting as a certified lower-bound record.
@@ -84,7 +94,7 @@ def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
         note = "degenerate: every block is heavy at level 0, nothing to certify"
     elif n <= solver_cap:
         certificate = find_heavy_factor(scaled, FactorParams(r, tt), strict=True)
-        assert certificate.factor is None
+        _require_exhausted(certificate, "prop2 seed")
         certified = True
     else:
         note = f"uncertified: n={n} above solver cap {solver_cap}"
@@ -152,7 +162,7 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     if not improved:
         return seed_record
     certificate = find_heavy_factor(best, params, strict=True)
-    assert certificate.factor is None
+    _require_exhausted(certificate, f"adversarial(seed={seed}) best")
     return BoundRecord(
         r=r, t=tt, n=n, value=best_val, source=f"adversarial(seed={seed})",
         graph=best, certificate=certificate, certified=True,
@@ -213,7 +223,8 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     Edge weights are uniform on the top of the grid, at least
     ceil(D * target / (n-1)) / D, which already guarantees the degree floor;
     an unreachable floor (target / (n-1) > 1) raises, since no weighting in
-    [0, 1] can meet it.
+    [0, 1] can meet it.  The sampler is `random_weighting`'s, fed from this
+    function's own seeded stream.
     """
     tt = Fraction(t)
     if r < 2:
@@ -222,24 +233,22 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
         raise ValueError(f"r={r} does not divide n={n}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if grid_denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     delta = Fraction(1, 2) + tt / 2 + Fraction(margin)
     target = delta * n
     per_edge = target / (n - 1)
-    d = grid_denominator
-    lo = -((-per_edge.numerator * d) // per_edge.denominator)  # ceil
-    if lo > d:
+    if per_edge > 1:
         raise ValueError(
             f"sampling failure: degree target {format_rational(target)} needs "
             f"per-edge weight {format_rational(per_edge)} > 1 at n={n}"
         )
     rng = random.Random(seed)
     params = FactorParams(r, tt)
-    m = n * (n - 1) // 2
     passes = 0
     violations = []
     for trial in range(trials):
-        flat = [Fraction(rng.randint(lo, d), d) for _ in range(m)]
-        graph = WeightedCompleteGraph.from_flat(n, flat)
+        graph = _sample_grid_floor(rng, n, grid_denominator, per_edge)
         assert graph.min_weighted_degree() >= target
         certificate = find_heavy_factor(graph, params, strict=False)
         if certificate.factor is not None:

@@ -34,6 +34,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    is_overweight_edge,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
 from .solver import (
@@ -219,16 +220,11 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
         b_side = [v for v in range(n) if not in_a[v]]
         ok = True
         for v in range(n):
-            into_a = sum(
-                (graph.weight(v, u) for u in a_side if u != v), Fraction(0)
-            )
-            if into_a < ta:
-                ok = False
-                break
             into_b = sum(
                 (graph.weight(v, u) for u in b_side if u != v), Fraction(0)
             )
-            if into_b < tb:
+            # A and B partition the other vertices, so the rest of v's degree goes into A
+            if into_b < tb or graph.weighted_degree(v) - into_b < ta:
                 ok = False
                 break
         if ok:
@@ -283,9 +279,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         if sub is None:
             continue
         cliques = [frozenset(vmap[v] for v in block) for block in sub.blocks]
-        assert all(
-            graph.clique_weight(c) >= t * comb(r - 1, 2) for c in cliques
-        )
+        assert all(sub_params.admits(graph.clique_weight(c)) for c in cliques)
         avg = build_bipartite_average(graph, cliques, b_side)
         match = bipartite_threshold_matching(avg, t)
         if match is None:
@@ -294,7 +288,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
             avg.cliques[i] | {avg.vertices[match[i]]} for i in range(len(cliques))
         ]
         # heavy at r-1 plus an averaged-t partner is heavy at r, with no slack
-        assert all(graph.clique_weight(b) >= params.heavy_threshold for b in blocks)
+        assert all(params.admits(graph.clique_weight(b)) for b in blocks)
         factor = CliqueFactor.from_blocks(blocks)
         factor.validate(n, r)
         return factor
@@ -318,7 +312,6 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     sets = _heavy_sets(graph, params, strict=False)
-    bar = params.heavy_threshold
 
     def block_owc(block) -> int:
         return _block_overweight_count(graph, params, block)
@@ -340,14 +333,14 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
                 continue
             if len(uncovered) >= r:
                 edge = next(
-                    ((a, b) for a, b in combinations(uncovered, 2)
-                     if graph.weight(a, b) >= bar),
+                    (e for e in combinations(uncovered, 2)
+                     if is_overweight_edge(graph, e, params)),
                     None,
                 )
                 if edge is not None:
                     fill = [v for v in uncovered if v not in edge][: r - 2]
                     block = frozenset(edge) | frozenset(fill)
-                    assert graph.clique_weight(block) >= bar
+                    assert params.admits(graph.clique_weight(block))
                     blocks.append(block)
                     continue
             swapped = False
@@ -358,7 +351,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
                 for u in sorted(old):
                     for w in uncovered:
                         candidate = (old - {u}) | {w}
-                        if graph.clique_weight(candidate) < bar:
+                        if not params.admits(graph.clique_weight(candidate)):
                             continue
                         if block_owc(candidate) > old_count:
                             blocks[bi] = candidate

@@ -3,9 +3,10 @@
 Everything here is complete search over exact rationals: a backtracking
 cover search over the heavy r-sets, a brute-force enumerator of all block
 partitions used as its oracle, the per-vertex heavy-clique counting bound,
-the r-uniform hypergraph view (heavy sets become hyperedges, factors become
-perfect matchings), and exhaustive enumeration of maximum heavy collections
-together with the structural checks a maximum must satisfy.
+the Daykin-Haggkvist degree test on the family of heavy r-sets (a factor is
+a perfect matching of that family, so the one cover search decides both
+views), and exhaustive enumeration of maximum heavy collections together
+with the structural checks a maximum must satisfy.
 
 A heavy collection is a family of disjoint heavy r-blocks, compared first by
 size and then by the number of overweight edges lying inside a block.  At a
@@ -38,6 +39,7 @@ from .core import (
     WeightedCompleteGraph,
     format_rational,
     is_heavy,
+    is_overweight_edge,
 )
 
 DEFAULT_SOLVER_CAP = 12
@@ -56,7 +58,6 @@ class SolveCertificate:
     strict: bool
     factor: CliqueFactor | None
     nodes_explored: int
-    method: str = "backtrack"
 
     @property
     def outcome(self) -> str:
@@ -67,7 +68,7 @@ class SolveCertificate:
             "outcome": self.outcome,
             "strict": self.strict,
             "nodes_explored": self.nodes_explored,
-            "method": self.method,
+            "method": "backtrack",
             "r": self.params.r,
             "t": format_rational(self.params.t),
         }
@@ -81,8 +82,8 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     """Stream every partition of {0..n-1} into blocks of size r, exactly once.
 
     Canonical form: each block is a sorted tuple led by the smallest vertex
-    not in any earlier block.  This is the independent oracle the search-based
-    solvers are tested against, so it deliberately shares no code with them.
+    not in any earlier block.  This is the independent oracle the backtracking
+    search is tested against, so it deliberately shares no code with it.
     The count for n, r is (n)! / ((r!)^(n/r) (n/r)!); n above `cap` raises
     instead of silently enumerating forever.
     """
@@ -110,13 +111,18 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
 
 
 def _heavy_sets(graph: WeightedCompleteGraph, params: FactorParams, strict: bool) -> list[tuple]:
-    bar = params.heavy_threshold
-    out = []
-    for vs in combinations(range(graph.n), params.r):
-        w = graph.clique_weight(vs)
-        if (w > bar) if strict else (w >= bar):
-            out.append(vs)
-    return out
+    """Every heavy r-set as a sorted tuple, in lexicographic order."""
+    return [
+        vs for vs in combinations(range(graph.n), params.r)
+        if params.admits(graph.clique_weight(vs), strict)
+    ]
+
+
+def _bitmask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
@@ -126,12 +132,7 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
     vertex follows the (lexicographic) order of `sets`.  Returns the chosen
     sets and the number of nodes explored.
     """
-    masks = []
-    for s in sets:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        masks.append(m)
+    masks = [_bitmask(s) for s in sets]
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for idx, s in enumerate(sets):
         for v in s:
@@ -191,14 +192,11 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    bar = params.heavy_threshold
     others = [u for u in range(graph.n) if u != v]
-    count = 0
-    for rest in combinations(others, params.r - 1):
-        w = graph.clique_weight((v,) + rest)
-        if (w > bar) if strict else (w >= bar):
-            count += 1
-    return count
+    return sum(
+        1 for rest in combinations(others, params.r - 1)
+        if params.admits(graph.clique_weight((v,) + rest), strict)
+    )
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -220,54 +218,23 @@ def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
     return (dd - tt) / (1 - tt) * comb(n - 1, r - 1)
 
 
-@dataclass(frozen=True)
-class HeavyHypergraph:
-    """r-uniform hypergraph whose hyperedges are the heavy r-sets."""
+def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
+                           strict: bool = False) -> bool:
+    """Degree test sufficient for a perfect matching of the heavy r-sets.
 
-    n: int
-    edges: frozenset  # frozenset of frozensets
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def sorted_edges(self) -> list[tuple]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-
-def build_heavy_hypergraph(graph: WeightedCompleteGraph, params: FactorParams,
-                           strict: bool = False) -> HeavyHypergraph:
-    """Hypergraph view: factors of the weighting = perfect matchings here."""
-    sets = _heavy_sets(graph, params, strict)
-    return HeavyHypergraph(n=graph.n, edges=frozenset(frozenset(s) for s in sets))
-
-
-def hypergraph_perfect_matching(hypergraph: HeavyHypergraph, r: int) -> tuple | None:
-    """Perfect matching (disjoint hyperedges covering every vertex) or None."""
-    n = hypergraph.n
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
-    for e in hypergraph.edges:
-        if len(e) != r:
-            raise ValueError(f"hyperedge {sorted(e)} does not have size {r}")
-    sets = hypergraph.sorted_edges()
-    blocks, _nodes = _cover_search(n, sets)
-    if blocks is None:
-        return None
-    return tuple(frozenset(b) for b in blocks)
-
-
-def daykin_haggkvist_check(hypergraph: HeavyHypergraph, r: int) -> bool:
-    """Degree test sufficient for a perfect matching in an r-uniform hypergraph.
-
-    True when every vertex degree is at least (1 - 1/r)(C(n-1, r-1) - 1).
-    Sufficiency holds when r divides n; the test itself is just the degree
-    comparison.
+    True when every vertex lies in at least (1 - 1/r)(C(n-1, r-1) - 1) heavy
+    r-sets, counted in one pass over them.  Sufficiency holds when r divides
+    n; the test itself is just the degree comparison.
     """
-    n = hypergraph.n
+    n, r = graph.n, params.r
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
-    return all(hypergraph.degree(v) >= bound for v in range(n))
+    degree = [0] * n
+    for s in _heavy_sets(graph, params, strict):
+        for v in s:
+            degree[v] += 1
+    return all(d >= bound for d in degree)
 
 
 @dataclass(frozen=True)
@@ -301,8 +268,7 @@ class HeavyCollection:
 
 def _block_overweight_count(graph: WeightedCompleteGraph, params: FactorParams,
                             block) -> int:
-    bar = params.heavy_threshold
-    return sum(1 for a, b in combinations(sorted(block), 2) if graph.weight(a, b) >= bar)
+    return sum(1 for e in combinations(sorted(block), 2) if is_overweight_edge(graph, e, params))
 
 
 def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: FactorParams,
@@ -317,14 +283,8 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     sets = _heavy_sets(graph, params, strict=False)
-    masks = []
-    owc = []
-    for s in sets:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        masks.append(m)
-        owc.append(_block_overweight_count(graph, params, s))
+    masks = [_bitmask(s) for s in sets]
+    owc = [_block_overweight_count(graph, params, s) for s in sets]
 
     best_key = (-1, -1)
     best: list[tuple] = []
@@ -397,7 +357,6 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
     * no L-vertex forms a heavy r-set with r-1 spare vertices.
     """
     n, r = graph.n, params.r
-    bar = params.heavy_threshold
     covered = set()
     for block in collection.blocks:
         if len(block) != r:
@@ -419,7 +378,7 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
         raise ValueError("designated set must consist of uncovered vertices")
 
     def overweight(a: int, b: int) -> bool:
-        return graph.weight(a, b) >= bar
+        return is_overweight_edge(graph, (a, b), params)
 
     violations = []
 

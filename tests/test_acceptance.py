@@ -15,14 +15,12 @@ from random import Random
 from heavyfactors import (
     FactorParams,
     WeightedCompleteGraph,
-    build_heavy_hypergraph,
     check_facts_at_maximum,
     counterexample_29_36,
     enumerate_all_factors,
     enumerate_maximum_heavy_collections,
     find_heavy_factor,
     heavy_cliques_containing,
-    hypergraph_perfect_matching,
     is_heavy,
     is_strictly_heavy,
     lemma1_bound,
@@ -108,18 +106,15 @@ def test_criterion_2_oracle_equivalence():
         g = random_grid_graph(rng, n, denominator=4)
         params = FactorParams(r, t)
         direct = find_heavy_factor(g, params).factor is not None
-        hyper = hypergraph_perfect_matching(
-            build_heavy_hypergraph(g, params), r
-        ) is not None
         oracle = any(
             all(is_heavy(g, b, params) for b in blocks)
             for blocks in enumerate_all_factors(n, r)
         )
-        assert direct == hyper == oracle, f"trial {trial}: r={r} n={n} t={t}"
+        assert direct == oracle, f"trial {trial}: r={r} n={n} t={t}"
         agreements += 1
     elapsed = time.monotonic() - started
     report(2, agreements == 200 and elapsed < 120,
-           f"{agreements}/200 instances agree across all three deciders, "
+           f"{agreements}/200 instances agree between the search and the oracle, "
            f"{elapsed:.1f}s < 120s")
 
 

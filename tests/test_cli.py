@@ -39,10 +39,13 @@ def test_generate_writes_graph_and_descriptor(tmp_path, capsys):
     assert "min degree 6/1" in capsys.readouterr().out
 
 
-def test_generate_is_byte_identical_across_runs(tmp_path):
+def test_generate_is_byte_identical_across_runs(tmp_path, capsys):
     args = ["generate", "--kind", "random", "--n", "8", "--seed", "5", "--grid", "6"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(*args, "--out", str(a)) == 0
+    assert capsys.readouterr().out.startswith(
+        f"wrote random-min-degree weighting on n=8 to {a} (min degree ")
+    assert json.loads((tmp_path / "a.descriptor.json").read_text())["kind"] == "random-min-degree"
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
     different = tmp_path / "c.json"
@@ -120,13 +123,17 @@ def test_solve_strict_exhausts_the_boundary_instance(prop2_file, capsys):
 
 
 def test_solve_methods_agree(scaled_prop2_file, tmp_path):
-    for method in ("backtrack", "hypergraph", "oracle"):
+    for method in ("backtrack", "oracle"):
         code = run_cli("solve", "--input", str(scaled_prop2_file), "--r", "3",
                        "--t", "2/3", "--method", method,
                        "--out", str(tmp_path / f"{method}.json"))
         assert code == 1, method
         doc = json.loads((tmp_path / f"{method}.json").read_text())
         assert doc["outcome"] == "exhausted"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--input", str(scaled_prop2_file), "--r", "3",
+                "--t", "2/3", "--method", "hypergraph")
+    assert exc.value.code == 2
 
 
 def test_solve_oracle_respects_the_cap(prop2_file, capsys):

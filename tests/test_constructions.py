@@ -224,6 +224,16 @@ def test_random_weighting_is_deterministic_per_seed():
     assert a != c
 
 
+def test_random_weighting_draws_are_pinned():
+    """The seeded grid draws themselves, so a change to the stream shows."""
+    g = random_weighting(4, min_degree_conditioned(Fraction(3, 5), 10), seed=2)
+    assert [g.weight(i, j) for i, j in g.pairs()] == [
+        Fraction(4, 5), Fraction(4, 5), Fraction(4, 5), Fraction(9, 10), Fraction(4, 5), Fraction(1)]
+    h = random_weighting(4, uniform_grid(6), seed=2)
+    assert [h.weight(i, j) for i, j in h.pairs()] == [
+        Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3)]
+
+
 def test_random_weighting_respects_the_grid():
     g = random_weighting(10, uniform_grid(1), seed=1)
     assert all(g.weight(i, j) in (0, 1) for i, j in g.pairs())

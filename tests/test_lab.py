@@ -1,12 +1,17 @@
 """Lower-bound records, annealing adversary, degree-sampling trials, scans."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from heavyfactors import (
     CapExceededError,
+    CertificationError,
+    CliqueFactor,
     FactorParams,
+    SolveCertificate,
     adversarial_search,
     conjecture_report_csv,
     evaluate_lower_bounds,
@@ -15,6 +20,7 @@ from heavyfactors import (
     scan_report,
     verify_theorem3_empirically,
 )
+from heavyfactors import lab
 from heavyfactors.lab import CSV_HEADER
 
 
@@ -66,6 +72,48 @@ def test_certified_records_re_verify_from_their_graphs():
         again = find_heavy_factor(rec.graph, FactorParams(r, t), strict=True)
         assert again.factor is None
         assert again == rec.certificate
+
+
+def _factor_certificate(graph, params, strict=False):
+    blocks = [range(i, i + params.r) for i in range(0, graph.n, params.r)]
+    return SolveCertificate(params, strict, CliqueFactor.from_blocks(blocks), 1)
+
+
+def test_a_factor_found_at_certification_raises(monkeypatch):
+    """Both certification points check the certificate, not an assert."""
+    monkeypatch.setattr(lab, "find_heavy_factor", _factor_certificate)
+    with pytest.raises(CertificationError, match="prop2 seed"):
+        evaluate_lower_bounds(3, Fraction(2, 3), 9)
+
+    # every graph is exhausted when first seen and has a factor on the recheck,
+    # so the adversary improves freely and fails at its final certification
+    seen = set()
+
+    def factor_on_recheck(graph, params, strict=False):
+        if graph in seen:
+            return _factor_certificate(graph, params, strict)
+        seen.add(graph)
+        return SolveCertificate(params, strict, None, 1)
+
+    monkeypatch.setattr(lab, "find_heavy_factor", factor_on_recheck)
+    with pytest.raises(CertificationError, match="adversarial"):
+        adversarial_search(3, Fraction(1, 3), 6, seed=0, budget=50)
+
+
+def test_certification_check_survives_optimized_mode():
+    script = (
+        "from fractions import Fraction\n"
+        "from heavyfactors import CertificationError, CliqueFactor, SolveCertificate, lab\n"
+        "lab.find_heavy_factor = lambda g, p, strict=False: SolveCertificate(\n"
+        "    p, strict, CliqueFactor.from_blocks([range(i, i + p.r) for i in range(0, g.n, p.r)]), 1)\n"
+        "try:\n"
+        "    lab.evaluate_lower_bounds(3, Fraction(2, 3), 9)\n"
+        "except CertificationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------ annealing adversary
@@ -143,6 +191,10 @@ def test_degree_sampling_validates_inputs():
         verify_theorem3_empirically(3, Fraction(1, 3), trials=1, n=10, seed=0)
     with pytest.raises(ValueError):
         verify_theorem3_empirically(1, Fraction(1, 3), trials=1, n=10, seed=0)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="grid denominator"):
+            verify_theorem3_empirically(3, Fraction(1, 3), trials=1, n=9, seed=0,
+                                        grid_denominator=grid)
 
 
 def test_trial_report_json_shape():

@@ -209,6 +209,33 @@ def test_partition_shape_and_determinism():
     assert sorted(a1 + b1) == list(range(12))
 
 
+def test_partition_matches_the_two_sided_degree_sums():
+    """Each split equals the one found by summing both sides edge by edge."""
+
+    def reference(g, r, seed, ta, tb, attempts=1000):
+        rng = Random(seed)
+        for _ in range(attempts):
+            a_side = sorted(rng.sample(range(g.n), (r - 1) * g.n // r))
+            b_side = [v for v in range(g.n) if v not in a_side]
+            if all(g.weighted_degree_to(v, [u for u in a_side if u != v]) >= ta
+                   and g.weighted_degree_to(v, [u for u in b_side if u != v]) >= tb
+                   for v in range(g.n)):
+                return tuple(a_side), tuple(b_side)
+        return None
+
+    rng = Random(11)
+    for trial in range(12):
+        n = 6 if trial % 2 else 9
+        g = random_grid_graph(rng, n, denominator=4)
+        ta = Fraction(rng.randint(0, 4 * n), 8) * Fraction(2, 3)
+        tb = Fraction(rng.randint(0, 2 * n), 8) * Fraction(1, 3)
+        try:
+            got = scheme2_partition(g, 3, trial, ta, tb, max_attempts=50)
+        except BudgetExceededError:
+            got = None
+        assert got == reference(g, 3, trial, ta, tb, attempts=50), trial
+
+
 def test_partition_exhausts_its_budget_on_impossible_targets():
     zeros = WeightedCompleteGraph.constant(12, Fraction(0))
     with pytest.raises(BudgetExceededError):

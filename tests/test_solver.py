@@ -1,4 +1,4 @@
-"""Complete search, counting bounds, hypergraph view, maximum collections."""
+"""Complete search, counting bounds, degree test, maximum collections."""
 
 from fractions import Fraction
 from math import comb, factorial
@@ -10,14 +10,12 @@ from heavyfactors import (
     CapExceededError,
     FactorParams,
     WeightedCompleteGraph,
-    build_heavy_hypergraph,
     check_facts_at_maximum,
     daykin_haggkvist_check,
     enumerate_all_factors,
     enumerate_maximum_heavy_collections,
     find_heavy_factor,
     heavy_cliques_containing,
-    hypergraph_perfect_matching,
     is_heavy,
     is_strictly_heavy,
     lemma1_bound,
@@ -72,7 +70,7 @@ def test_find_heavy_factor_on_the_all_ones_graph():
     assert cert.outcome == "factor"
     cert.factor.validate(6, 3)
     assert cert.nodes_explored >= 1
-    assert cert.method == "backtrack"
+    assert cert.to_json()["method"] == "backtrack"
 
 
 def test_find_heavy_factor_exhausts_the_zero_graph():
@@ -211,69 +209,54 @@ def test_counting_floor_holds_on_seeded_weightings():
     assert checked == 40
 
 
-# ------------------------------------------------------------ hypergraph view
+# ------------------------------------------------------------- degree test
 
 
-def test_heavy_hypergraph_boundary_membership():
+def test_heavy_counts_at_the_strict_boundary():
+    """Loose counts take every triple; strict ones drop the all-B triples."""
+    g, desc = prop2_construction(3, Fraction(1, 2), 9)
+    params = FactorParams(r=3, t=Fraction(1, 2))
+    b_side = set(desc.partition["B"])
+    assert len(b_side) == 7
+    loose = [heavy_cliques_containing(g, v, params) for v in range(9)]
+    assert loose == [comb(8, 2)] * 9  # every triple reaches 3/2
+    tight = [heavy_cliques_containing(g, v, params, strict=True) for v in range(9)]
+    assert tight == [comb(8, 2) - comb(6, 2) if v in b_side else comb(8, 2) for v in range(9)]
+    assert sum(tight) == 3 * (comb(9, 3) - comb(7, 3))
+    with pytest.raises(ValueError):
+        heavy_cliques_containing(g, 9, params)
+
+
+def test_daykin_haggkvist_degree_test():
+    ones = WeightedCompleteGraph.constant(6, Fraction(1))
+    assert daykin_haggkvist_check(ones, FactorParams(r=3, t=Fraction(1)))
+    assert not daykin_haggkvist_check(ones, FactorParams(r=3, t=Fraction(1)), strict=True)
+    zeros = WeightedCompleteGraph.constant(6, Fraction(0))
+    assert not daykin_haggkvist_check(zeros, FactorParams(r=3, t=Fraction(1, 2)))
+    with pytest.raises(ValueError):
+        daykin_haggkvist_check(ones, FactorParams(r=7, t=Fraction(1)))
+    # prop2 at n = 9: the strict counts of B vertices fall to 28 - 15 = 13,
+    # under the bound (2/3)(28 - 1) = 18, while the loose counts stay at 28
     g, _ = prop2_construction(3, Fraction(1, 2), 9)
     params = FactorParams(r=3, t=Fraction(1, 2))
-    loose = build_heavy_hypergraph(g, params)
-    assert len(loose.edges) == comb(9, 3)  # every triple reaches 3/2
-    tight = build_heavy_hypergraph(g, params, strict=True)
-    assert len(tight.edges) == comb(9, 3) - comb(7, 3)  # all-B triples drop out
-    assert loose.degree(0) == comb(8, 2)
-
-
-def test_hypergraph_matching_agrees_with_the_direct_search():
-    rng = Random(73)
-    for _ in range(15):
-        g = random_grid_graph(rng, 6, denominator=3)
-        params = FactorParams(r=3, t=Fraction(1, 2))
-        hg = build_heavy_hypergraph(g, params)
-        pm = hypergraph_perfect_matching(hg, 3)
-        cert = find_heavy_factor(g, params)
-        assert (pm is not None) == (cert.factor is not None)
-        if pm is not None:
-            flat = sorted(v for e in pm for v in e)
-            assert flat == list(range(6))
-            assert all(e in hg.edges for e in pm)
-
-
-def test_hypergraph_matching_validates_input():
-    from heavyfactors import HeavyHypergraph
-
-    hg = HeavyHypergraph(n=6, edges=frozenset({frozenset({0, 1})}))
-    with pytest.raises(ValueError):
-        hypergraph_perfect_matching(hg, 3)
-    with pytest.raises(ValueError):
-        hypergraph_perfect_matching(HeavyHypergraph(n=7, edges=frozenset()), 3)
-
-
-def test_degree_test_for_hypergraph_matchings():
-    ones = WeightedCompleteGraph.constant(6, Fraction(1))
-    hg = build_heavy_hypergraph(ones, FactorParams(r=3, t=Fraction(1)))
-    assert daykin_haggkvist_check(hg, 3)
-    zeros = WeightedCompleteGraph.constant(6, Fraction(0))
-    empty = build_heavy_hypergraph(zeros, FactorParams(r=3, t=Fraction(1, 2)))
-    assert not daykin_haggkvist_check(empty, 3)
-    with pytest.raises(ValueError):
-        daykin_haggkvist_check(hg, 7)
+    assert daykin_haggkvist_check(g, params)
+    assert not daykin_haggkvist_check(g, params, strict=True)
 
 
 def test_degree_test_passes_and_delivers_on_dense_samples():
-    """Sampling near the degree premise: check holds and a matching follows.
+    """Sampling near the degree premise: check holds and a factor follows.
 
     Minimum weighted degree at least (1 - (1-t)/r + 1/10) n with n = 9,
     r = 3, t = 1/3 forces every triple heavy, the degree test passes, and
-    divisibility turns it into an actual perfect matching.
+    divisibility turns it into an actual factor.
     """
     t = Fraction(1, 3)
     delta = 1 - (1 - t) / 3 + Fraction(1, 10)
     for seed in range(5):
         g = random_weighting(9, min_degree_conditioned(delta, 90), seed=seed)
-        hg = build_heavy_hypergraph(g, FactorParams(r=3, t=t))
-        assert daykin_haggkvist_check(hg, 3)
-        assert hypergraph_perfect_matching(hg, 3) is not None
+        params = FactorParams(r=3, t=t)
+        assert daykin_haggkvist_check(g, params)
+        assert find_heavy_factor(g, params).factor is not None
 
 
 # ------------------------------------------------------- threshold constants
