@@ -10,8 +10,10 @@ Conventions: rationals on the command line and in files are "num/den" (or a
 bare integer), never decimals; all randomness flows from --seed (default 0);
 outputs are byte-identical across runs of the same invocation.  Exit codes:
 0 success, 1 no factor / nothing found, 2 invalid arguments or input,
-3 cap or budget exhausted.  HFL_SOLVER_CAP and HFL_RETRY_BUDGET override the
-default exact-solver cap and scheme retry budget.
+3 cap or budget exhausted, 4 a certification check failed (the exact solver
+found a factor where a record claims none, or a record's degree is off).
+HFL_SOLVER_CAP and HFL_RETRY_BUDGET override the default exact-solver cap
+and scheme retry budget.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .constructions import (
 from .core import (
     BudgetExceededError,
     CapExceededError,
+    CertificationError,
     CliqueFactor,
     FactorParams,
     GraphFormatError,
@@ -378,6 +381,9 @@ def main(argv=None) -> int:
     except (CapExceededError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

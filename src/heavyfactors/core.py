@@ -42,7 +42,11 @@ class BudgetExceededError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """The exact solver found a factor where a certificate claims none exists."""
+    """A certified result failed its own check.
+
+    Raised when the exact solver finds a factor where a certificate claims
+    none exists, or when a record's degree is not what it was built to have.
+    """
 
 
 def parse_rational(text: str) -> Fraction:

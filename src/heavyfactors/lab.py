@@ -86,7 +86,12 @@ def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
     graph, _desc = prop2_construction(r, tt, n)
     scaled = graph.scale(factor)
     value = scaled.min_weighted_degree()
-    assert value == factor * prop2_min_degree(r, tt, n)
+    expected = factor * prop2_min_degree(r, tt, n)
+    if value != expected:
+        raise CertificationError(
+            f"scaled prop2 weighting has min degree {format_rational(value)}, "
+            f"closed form gives {format_rational(expected)}"
+        )
     certificate = None
     certified = False
     note = ""
@@ -249,14 +254,19 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     violations = []
     for trial in range(trials):
         graph = _sample_grid_floor(rng, n, grid_denominator, per_edge)
-        assert graph.min_weighted_degree() >= target
+        degree = graph.min_weighted_degree()
+        if degree < target:
+            raise CertificationError(
+                f"trial {trial}: sampled min degree {format_rational(degree)} "
+                f"below the target {format_rational(target)}"
+            )
         certificate = find_heavy_factor(graph, params, strict=False)
         if certificate.factor is not None:
             passes += 1
         else:
             violations.append(TrialViolation(
                 trial=trial,
-                min_degree=graph.min_weighted_degree(),
+                min_degree=degree,
                 nodes_explored=certificate.nodes_explored,
             ))
     hard = bool(violations) and n_floor is not None and n >= n_floor

@@ -22,6 +22,12 @@ candidates in lexicographic order.  The scan that picks the anchor doubles as
 the fail-fast prune: any uncovered vertex with no live candidate kills the
 node immediately.  Counts of explored nodes are recorded so certificates can
 say how hard an instance was.
+
+The search from a node reads nothing but the set of covered vertices, so a
+covered set that failed once fails again.  Failed sets are cached by their
+exact bitmask; a revisit adds the node count recorded for that subtree and
+returns at once.  The reported count is therefore the size of the uncached
+search tree, the same number the plain search would have counted.
 """
 
 from __future__ import annotations
@@ -50,8 +56,10 @@ DEFAULT_ENUMERATION_CAP = 10
 class SolveCertificate:
     """Outcome of a complete search: a factor, or a proof of exhaustion.
 
-    `nodes_explored` counts search-tree nodes (root included), so re-running
-    the solver on the same input reproduces the certificate exactly.
+    `nodes_explored` counts the nodes of the uncached search tree (root
+    included): a failed state the search meets again adds the node count of
+    its recorded subtree instead of exploring it.  Re-running the solver on
+    the same input reproduces the certificate exactly.
     """
 
     params: FactorParams
@@ -130,7 +138,9 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
 
     Fewest-live-candidates vertex is branched on; candidate order within a
     vertex follows the (lexicographic) order of `sets`.  Returns the chosen
-    sets and the number of nodes explored.
+    sets and the number of nodes of the uncached search tree.  A covered
+    mask whose subtree failed is cached with that subtree's node count; a
+    later visit adds the count and returns False without searching again.
     """
     masks = [_bitmask(s) for s in sets]
     by_vertex: list[list[int]] = [[] for _ in range(n)]
@@ -140,9 +150,14 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
     full = (1 << n) - 1
     chosen: list[int] = []
     nodes = 0
+    failed: dict[int, int] = {}  # covered mask -> node count of its failed subtree
 
     def search(covered: int) -> bool:
         nonlocal nodes
+        if covered in failed:
+            nodes += failed[covered]
+            return False
+        start = nodes
         nodes += 1
         if covered == full:
             return True
@@ -153,6 +168,7 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
             rem &= rem - 1
             live = [i for i in by_vertex[v] if not masks[i] & covered]
             if not live:
+                failed[covered] = 1
                 return False
             if best_live is None or len(live) < len(best_live):
                 best_live = live
@@ -161,6 +177,7 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
             if search(covered | masks[i]):
                 return True
             chosen.pop()
+        failed[covered] = nodes - start
         return False
 
     found = search(0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heavyfactors import load_graph, prop2_construction
+from heavyfactors import CliqueFactor, SolveCertificate, lab, load_graph, prop2_construction
 from heavyfactors.cli import main
 
 
@@ -237,6 +237,20 @@ def test_estimate_above_cap_is_a_cap_error(capsys):
     code = run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "15",
                    "--budget", "5")
     assert code == 3
+
+
+def test_failed_certification_is_exit_code_4(tmp_path, monkeypatch, capsys):
+    def factor_everywhere(graph, params, strict=False):
+        blocks = [range(i, i + params.r) for i in range(0, graph.n, params.r)]
+        return SolveCertificate(params, strict, CliqueFactor.from_blocks(blocks), 1)
+
+    monkeypatch.setattr(lab, "find_heavy_factor", factor_everywhere)
+    out = tmp_path / "rec.json"
+    code = run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "6", "--out", str(out))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "strictly heavy factor" in err
+    assert not out.exists()
 
 
 def test_scan_reference_csv(tmp_path):

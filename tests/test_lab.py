@@ -12,6 +12,7 @@ from heavyfactors import (
     CliqueFactor,
     FactorParams,
     SolveCertificate,
+    WeightedCompleteGraph,
     adversarial_search,
     conjecture_report_csv,
     evaluate_lower_bounds,
@@ -111,6 +112,35 @@ def test_certification_check_survives_optimized_mode():
         "except CertificationError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_degree_checks_raise_certification_errors(monkeypatch):
+    """The seed's closed form and the sampler's degree floor are explicit checks."""
+    monkeypatch.setattr(lab, "prop2_min_degree", lambda r, t, n: Fraction(0))
+    with pytest.raises(CertificationError, match="closed form"):
+        evaluate_lower_bounds(3, Fraction(2, 3), 9)
+    monkeypatch.setattr(lab, "_sample_grid_floor",
+                        lambda rng, n, d, per_edge: WeightedCompleteGraph.constant(n, Fraction(0)))
+    with pytest.raises(CertificationError, match="below the target"):
+        verify_theorem3_empirically(3, Fraction(1, 3), 1, 12, seed=0)
+
+
+def test_degree_checks_survive_optimized_mode():
+    script = (
+        "from fractions import Fraction\n"
+        "from heavyfactors import CertificationError, WeightedCompleteGraph, lab\n"
+        "lab.prop2_min_degree = lambda r, t, n: Fraction(0)\n"
+        "lab._sample_grid_floor = lambda rng, n, d, e: WeightedCompleteGraph.constant(n, Fraction(0))\n"
+        "for call in (lambda: lab.evaluate_lower_bounds(3, Fraction(2, 3), 9),\n"
+        "             lambda: lab.verify_theorem3_empirically(3, Fraction(1, 3), 1, 12, seed=0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except CertificationError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ from math import comb, factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heavyfactors import (
     CapExceededError,
@@ -16,6 +17,7 @@ from heavyfactors import (
     enumerate_maximum_heavy_collections,
     find_heavy_factor,
     heavy_cliques_containing,
+    hs_sharpness_construction,
     is_heavy,
     is_strictly_heavy,
     lemma1_bound,
@@ -24,7 +26,7 @@ from heavyfactors import (
     random_weighting,
     t_r_threshold,
 )
-from heavyfactors.solver import HeavyCollection
+from heavyfactors.solver import HeavyCollection, _bitmask, _cover_search, _heavy_sets
 
 from conftest import random_grid_graph, sparse_grid_graph
 
@@ -150,6 +152,108 @@ def test_search_agrees_with_the_oracle_on_random_sweeps():
                 assert all(pred(g, b, params) for b in cert.factor.blocks)
             checked += 1
     assert checked == 80
+
+
+# ------------------------------------------------------ failed-state cache
+
+
+def plain_cover_search(n, sets):
+    """The cover search without its failed-state cache, kept as the reference."""
+    masks = [_bitmask(s) for s in sets]
+    by_vertex = [[] for _ in range(n)]
+    for idx, s in enumerate(sets):
+        for v in s:
+            by_vertex[v].append(idx)
+    full = (1 << n) - 1
+    chosen = []
+    nodes = 0
+
+    def search(covered):
+        nonlocal nodes
+        nodes += 1
+        if covered == full:
+            return True
+        best_live = None
+        rem = full & ~covered
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            live = [i for i in by_vertex[v] if not masks[i] & covered]
+            if not live:
+                return False
+            if best_live is None or len(live) < len(best_live):
+                best_live = live
+        for i in best_live:
+            chosen.append(i)
+            if search(covered | masks[i]):
+                return True
+            chosen.pop()
+        return False
+
+    found = search(0)
+    return ([sets[i] for i in chosen] if found else None, nodes)
+
+
+def assert_cache_is_invisible(graph, params, strict):
+    sets = _heavy_sets(graph, params, strict)
+    assert _cover_search(graph.n, sets) == plain_cover_search(graph.n, sets)
+
+
+def scaled_prop2(r, t, n):
+    g, _ = prop2_construction(r, t, n)
+    return g.scale(Fraction(999, 1000))
+
+
+LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(6, 3), (9, 3), (12, 3), (8, 2), (10, 2), (8, 4), (12, 4)]),
+       t=st.sampled_from(LEVELS), sparse=st.booleans(), strict=st.booleans())
+def test_cached_search_matches_the_plain_search_on_grid_graphs(seed, box, t, sparse, strict):
+    n, r = box
+    rng = Random(seed)
+    g = sparse_grid_graph(rng, n, zero_prob=0.3) if sparse else random_grid_graph(rng, n)
+    assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(3, 9), (3, 12), (4, 12), (2, 10)]),
+       t=st.sampled_from(LEVELS[:-1]), lowered=st.integers(0, 6), strict=st.booleans())
+def test_cached_search_matches_the_plain_search_on_lowered_prop2(seed, box, t, lowered, strict):
+    r, n = box
+    rng = Random(seed)
+    g, _ = prop2_construction(r, t, n)
+    for i, j in rng.sample(list(g.pairs()), lowered):
+        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+
+
+@pytest.mark.parametrize("r,t,n", [(3, Fraction(2, 3), 9), (3, Fraction(2, 3), 12), (3, Fraction(1, 2), 15),
+                                   (4, Fraction(2, 3), 12), (2, Fraction(1, 2), 10)])
+def test_cached_search_matches_the_plain_search_on_scaled_prop2(r, t, n):
+    for strict in (False, True):
+        assert_cache_is_invisible(scaled_prop2(r, t, n), FactorParams(r=r, t=t), strict)
+
+
+@pytest.mark.parametrize("r,n", [(3, 9), (3, 12), (3, 15), (4, 12), (2, 8)])
+def test_cached_search_matches_the_plain_search_on_hs_sharpness(r, n):
+    g, _ = hs_sharpness_construction(r, n)
+    for t in (Fraction(1), Fraction(1, 2)):
+        for strict in (False, True):
+            assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+
+
+@pytest.mark.parametrize("graph,params,strict,nodes", [
+    (scaled_prop2(3, Fraction(2, 3), 18), FactorParams(3, Fraction(2, 3)), True, 3_732_341),
+    (scaled_prop2(4, Fraction(2, 3), 16), FactorParams(4, Fraction(2, 3)), True, 231_734),
+    (hs_sharpness_construction(3, 18)[0], FactorParams(3, Fraction(1)), False, 137_431),
+], ids=["prop2-r3-n18-strict", "prop2-r4-n16-strict", "hs-r3-n18"])
+def test_node_counts_of_large_exhaustions_are_pinned(graph, params, strict, nodes):
+    """Counts of the plain search tree, recorded before the cache existed."""
+    cert = find_heavy_factor(graph, params, strict=strict)
+    assert cert.outcome == "exhausted"
+    assert cert.nodes_explored == nodes
 
 
 # --------------------------------------------------------- per-vertex counts
