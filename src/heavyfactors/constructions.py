@@ -12,7 +12,8 @@ Three deterministic families and one seeded sampler:
 * the 36-divisible triangle counterexample: a 29n/36 / 7n/36 split with a
   circulant inside the big side tuned so each small-side vertex lies in too
   few full-weight triangles for the natural 5/9 level to survive;
-* grid-valued random weightings, optionally conditioned on a minimum degree.
+* seeded grid-valued random weightings, optionally conditioned on a minimum
+  degree by drawing every edge from the top of the grid, so one draw meets it.
 
 Each deterministic generator also returns a descriptor that reproduces the
 graph bit-exactly, so files on disk can say where they came from.
@@ -23,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .core import (
     ONE,
     ZERO,
     BudgetExceededError,
+    CertificationError,
     WeightedCompleteGraph,
     format_rational,
     parse_rational,
@@ -204,76 +205,54 @@ def counterexample_29_36(n: int) -> tuple[WeightedCompleteGraph, ConstructionDes
     return graph, desc
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Grid-valued edge distribution, optionally conditioned on a min degree.
-
-    With min_degree=None each weight is uniform on {0, 1/D, ..., 1}.  With a
-    target delta, weights are drawn uniformly from the top of the grid, at or
-    above ceil(D * delta * n / (n - 1)) / D, which already forces every degree
-    to reach delta * n; the rejection loop then merely re-verifies.  Plain
-    uniform rejection is hopeless for the targets this is used with.
-    """
-
-    grid_denominator: int
-    min_degree: Fraction | None = None
-    max_attempts: int = 10000
-
-    def __post_init__(self):
-        if self.grid_denominator < 1:
-            raise ValueError(f"grid denominator must be >= 1, got {self.grid_denominator}")
-        if self.min_degree is not None:
-            md = Fraction(self.min_degree)
-            if md < 0 or md > 1:
-                raise ValueError(f"min degree fraction {md} outside [0, 1]")
-            object.__setattr__(self, "min_degree", md)
-
-
-def uniform_grid(denominator: int) -> WeightDistribution:
-    return WeightDistribution(grid_denominator=denominator)
-
-
-def min_degree_conditioned(delta, denominator: int, max_attempts: int = 10000) -> WeightDistribution:
-    return WeightDistribution(
-        grid_denominator=denominator,
-        min_degree=Fraction(delta),
-        max_attempts=max_attempts,
-    )
-
-
 def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -> WeightedCompleteGraph:
     """Every edge uniform on the grid values k/d at or above `per_edge`.
 
-    The caller rejects per_edge > 1 first: for d >= 1 that is exactly when
-    no grid value is left.
+    Every degree is then at least (n - 1) * per_edge on the one draw; the
+    degree check below keeps that a checked fact (CertificationError).  The
+    caller rejects per_edge > 1 first: for d >= 1 that is exactly when no
+    grid value is left.
     """
     lo = -((-per_edge.numerator * d) // per_edge.denominator)  # ceil(per_edge * d)
     flat = [Fraction(rng.randint(lo, d), d) for _ in range(n * (n - 1) // 2)]
-    return WeightedCompleteGraph.from_flat(n, flat)
+    graph = WeightedCompleteGraph.from_flat(n, flat)
+    target = (n - 1) * per_edge
+    degree = graph.min_weighted_degree()
+    if degree < target:
+        raise CertificationError(
+            f"sampled min degree {format_rational(degree)} "
+            f"below the target {format_rational(target)}"
+        )
+    return graph
 
 
-def random_weighting(n: int, dist: WeightDistribution, seed: int) -> WeightedCompleteGraph:
-    """Seeded grid-valued weighting; see WeightDistribution for conditioning."""
+def random_weighting(n: int, grid_denominator: int, seed: int,
+                     min_degree=None) -> WeightedCompleteGraph:
+    """Seeded weighting with every edge weight on the grid {0, 1/d, ..., 1}.
+
+    d is `grid_denominator`.  With min_degree=None each weight is uniform on
+    the whole grid.  With a target delta, each weight is uniform on the top
+    of the grid, at or above ceil(d * delta * n / (n - 1)) / d, so the one
+    draw already has every degree at least delta * n; plain rejection would
+    be hopeless for the targets this is used with.  A delta * n that needs a
+    per-edge weight above 1 raises BudgetExceededError.
+    """
+    if grid_denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
+    md = None if min_degree is None else Fraction(min_degree)
+    if md is not None and (md < 0 or md > 1):
+        raise ValueError(f"min degree fraction {md} outside [0, 1]")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    rng = random.Random(seed)
     per_edge = ZERO
-    target = None
-    if dist.min_degree is not None:
-        target = dist.min_degree * n
-        per_edge = target / (n - 1)
+    if md is not None:
+        per_edge = md * n / (n - 1)
         if per_edge > 1:
             raise BudgetExceededError(
-                f"min degree {format_rational(dist.min_degree)} * n is unreachable: "
+                f"min degree {format_rational(md)} * n is unreachable: "
                 f"needs per-edge weight {format_rational(per_edge)} > 1"
             )
-    for _ in range(dist.max_attempts):
-        graph = _sample_grid_floor(rng, n, dist.grid_denominator, per_edge)
-        if target is None or graph.min_weighted_degree() >= target:
-            return graph
-    raise BudgetExceededError(
-        f"no sample met min degree after {dist.max_attempts} attempts"
-    )
+    return _sample_grid_floor(random.Random(seed), n, grid_denominator, per_edge)
 
 
 def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None = None,
@@ -296,8 +275,7 @@ def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None =
         if seed is None:
             seed = 0
         md = Fraction(min_degree) if min_degree is not None else None
-        dist = WeightDistribution(grid_denominator=grid_denominator, min_degree=md)
-        graph = random_weighting(n, dist, seed)
+        graph = random_weighting(n, grid_denominator, seed, md)
         desc = ConstructionDescriptor(
             kind=KIND_RANDOM, n=n, seed=seed,
             grid_denominator=grid_denominator, min_degree=md,

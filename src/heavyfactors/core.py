@@ -17,13 +17,11 @@ replaced) are new objects, which keeps certificates trivially re-checkable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -280,7 +278,7 @@ class FactorParams:
 
     r: int
     t: Fraction
-    heavy_threshold: Fraction = None  # type: ignore[assignment]  # derived below
+    heavy_threshold: Fraction = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.r, int) or self.r < 2:

@@ -37,6 +37,10 @@ from .core import (
 from .solver import DEFAULT_SOLVER_CAP, SolveCertificate, find_heavy_factor
 
 DEFAULT_SCALE = Fraction(999, 1000)
+# annealing temperature, geometric from start to end over the budget, in
+# units of min degree / n
+TEMP_START = 0.25
+TEMP_END = 0.005
 
 
 @dataclass(frozen=True)
@@ -110,20 +114,17 @@ def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
 
 
 def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
-                       budget: int = 1000, *, solver_cap: int = DEFAULT_SOLVER_CAP,
-                       temp_start: float = 0.25, temp_end: float = 0.005) -> BoundRecord:
+                       budget: int = 1000, *, solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
     """Simulated annealing over grid weightings, feasibility = strict exhaustion.
 
     Starts from the scaled two-class record and proposes single-edge moves to
     random grid values; a move is even considered only if the strict solver
     still finds no factor, so every state visited is a certified witness.
     The objective is the minimum weighted degree.  With no improvement inside
-    the budget the seed record itself is returned.
+    the budget the seed record itself is returned.  So it is at t=0 and with
+    budget 0, uncertified when n is above the solver cap; only the annealing
+    needs the exact solver, and above the cap it raises CapExceededError.
     """
-    if n > solver_cap:
-        raise CapExceededError(
-            f"adversarial search needs the exact solver: n={n} above cap {solver_cap}"
-        )
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     if budget < 0:
@@ -132,6 +133,10 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     tt = seed_record.t
     if tt == 0 or budget == 0:
         return seed_record
+    if n > solver_cap:
+        raise CapExceededError(
+            f"adversarial search needs the exact solver: n={n} above cap {solver_cap}"
+        )
     params = FactorParams(r, tt)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
@@ -154,7 +159,7 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
             accept = True
         else:
             progress = step / budget
-            temp = temp_start * (temp_end / temp_start) ** progress
+            temp = TEMP_START * (TEMP_END / TEMP_START) ** progress
             gap = float((current_val - candidate_val) / n)
             accept = rng.random() < math.exp(-gap / temp)
         if accept:
@@ -226,8 +231,9 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     """Sample graphs with min degree >= (1/2 + t/2 + margin) n; expect factors.
 
     Edge weights are uniform on the top of the grid, at least
-    ceil(D * target / (n-1)) / D, which already guarantees the degree floor;
-    an unreachable floor (target / (n-1) > 1) raises, since no weighting in
+    ceil(D * target / (n-1)) / D, which already guarantees the degree floor
+    (the sampler checks it and raises CertificationError otherwise); an
+    unreachable floor (target / (n-1) > 1) raises, since no weighting in
     [0, 1] can meet it.  The sampler is `random_weighting`'s, fed from this
     function's own seeded stream.
     """
@@ -254,19 +260,13 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     violations = []
     for trial in range(trials):
         graph = _sample_grid_floor(rng, n, grid_denominator, per_edge)
-        degree = graph.min_weighted_degree()
-        if degree < target:
-            raise CertificationError(
-                f"trial {trial}: sampled min degree {format_rational(degree)} "
-                f"below the target {format_rational(target)}"
-            )
         certificate = find_heavy_factor(graph, params, strict=False)
         if certificate.factor is not None:
             passes += 1
         else:
             violations.append(TrialViolation(
                 trial=trial,
-                min_degree=degree,
+                min_degree=graph.min_weighted_degree(),
                 nodes_explored=certificate.nodes_explored,
             ))
     hard = bool(violations) and n_floor is not None and n >= n_floor

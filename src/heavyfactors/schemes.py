@@ -7,18 +7,19 @@ Three ways to build factors without exhaustive search:
   ((1+t)/2 of n) forces one;
 * a product scheme: contract the blocks of a factor into a quotient weighting
   (pairwise averaged cross weights), factor the quotient, and lift; the lift
-  identity is asserted edge-exactly on every run;
+  identity is checked exactly on every run;
 * a split scheme: randomly split off an n/r-vertex side B with degree targets
   on both sides, factor the other side into (r-1)-blocks recursively, then
   marry blocks to B-vertices through a bipartite graph of averaged weights
   thresholded at t. A clique that is heavy at level t for r-1 vertices plus a
   partner of averaged weight at least t is heavy at level t for r vertices,
-  with no slack; the merge asserts it.
+  with no slack; the merge checks it.
 
 Plus a seeded hill-climb over heavy collections (add a block, add a block
 around an overweight edge, or swap one vertex to raise the within-block
 overweight count), used to probe instances too big for exhaustive
-enumeration.  All random choices flow from one seed.
+enumeration.  All random choices flow from one seed.  A failed check raises
+CertificationError, so the checks hold under `python -O` as well.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from math import comb
 
 from .core import (
     BudgetExceededError,
+    CertificationError,
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
@@ -46,6 +48,12 @@ from .solver import (
 )
 
 
+def _require(ok: bool, what: str) -> None:
+    """Raise CertificationError unless `ok` (a check that `python -O` keeps)."""
+    if not ok:
+        raise CertificationError(what)
+
+
 def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     """Heavy 2-block factor via a perfect matching on the level-t threshold graph."""
     if graph.n % 2 != 0:
@@ -55,7 +63,8 @@ def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     pairs = perfect_matching(graph.n, threshold_graph.edges)
     if pairs is None:
         return None
-    assert all(graph.weight(a, b) >= tt for a, b in pairs)
+    _require(all(graph.weight(a, b) >= tt for a, b in pairs),
+             "matching base case paired an edge below level t")
     return CliqueFactor.from_blocks(pairs)
 
 
@@ -94,7 +103,8 @@ def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> Quotie
     if q_n >= 2:
         # averaged contraction can lose at most (p-1)/p of the degree
         floor = (graph.min_weighted_degree() - (p - 1)) / p
-        assert quotient.min_weighted_degree() >= floor
+        _require(quotient.min_weighted_degree() >= floor,
+                 "quotient min degree fell below (min degree - (p - 1)) / p")
     return QuotientGraph(base=base, graph=quotient)
 
 
@@ -103,7 +113,7 @@ def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
     """Lift a factor of the quotient to (p*q)-blocks of the original graph.
 
     Each lifted block is the union of the base blocks named by one quotient
-    block.  Two exact statements are asserted per block: the weight identity
+    block.  Two exact statements are checked per block: the weight identity
     (internal base weights plus p^2 times the quotient pair weights) and the
     lower bound t_q C(q,2) p^2 + t_p C(p,2) q, where t_p and t_q are the
     minimum average block weights of the base and quotient factors.
@@ -129,8 +139,10 @@ def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
             (quotient.weight(a, b) for a, b in combinations(sorted(qblock), 2)),
             Fraction(0),
         )
-        assert total == internal + p * p * across
-        assert total >= t_q * comb(q, 2) * p * p + t_p * comb(p, 2) * q
+        _require(total == internal + p * p * across,
+                 "lifted block weight differs from the lift identity")
+        _require(total >= t_q * comb(q, 2) * p * p + t_p * comb(p, 2) * q,
+                 "lifted block weight fell below the lift lower bound")
         lifted.append(members)
     factor = CliqueFactor.from_blocks(lifted)
     factor.validate(graph.n, p * q)
@@ -236,13 +248,13 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
 
 def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int,
                    epsilon=Fraction(1, 10), *, retries: int = 16,
-                   partition_attempts: int = 1000,
-                   exact_fallback_cap: int = DEFAULT_SOLVER_CAP) -> CliqueFactor | None:
+                   partition_attempts: int = 1000) -> CliqueFactor | None:
     """Randomized recursive factor search; None after the retry budget.
 
     Splits off B, factors A at size r-1 (recursively, with an exact-search
-    fallback on small sides), then matches blocks to B-vertices at averaged
-    weight >= t.  A returned factor is always verified heavy block by block.
+    fallback on sides of at most DEFAULT_SOLVER_CAP vertices), then matches
+    blocks to B-vertices at averaged weight >= t.  A returned factor is
+    always verified heavy block by block.
     A None is only a failure of this randomized strategy, never a proof that
     no factor exists.
     """
@@ -272,14 +284,14 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         sub = scheme2_factor(
             sub_graph, sub_params, rng.getrandbits(32), eps,
             retries=retries, partition_attempts=partition_attempts,
-            exact_fallback_cap=exact_fallback_cap,
         )
-        if sub is None and sub_graph.n <= exact_fallback_cap:
+        if sub is None and sub_graph.n <= DEFAULT_SOLVER_CAP:
             sub = find_heavy_factor(sub_graph, sub_params, strict=False).factor
         if sub is None:
             continue
         cliques = [frozenset(vmap[v] for v in block) for block in sub.blocks]
-        assert all(sub_params.admits(graph.clique_weight(c)) for c in cliques)
+        _require(all(sub_params.admits(graph.clique_weight(c)) for c in cliques),
+                 f"scheme2 sub-factor has a block below the bar at r={r - 1}")
         avg = build_bipartite_average(graph, cliques, b_side)
         match = bipartite_threshold_matching(avg, t)
         if match is None:
@@ -288,7 +300,8 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
             avg.cliques[i] | {avg.vertices[match[i]]} for i in range(len(cliques))
         ]
         # heavy at r-1 plus an averaged-t partner is heavy at r, with no slack
-        assert all(params.admits(graph.clique_weight(b)) for b in blocks)
+        _require(all(params.admits(graph.clique_weight(b)) for b in blocks),
+                 f"scheme2 merge made a block below the bar at r={r}")
         factor = CliqueFactor.from_blocks(blocks)
         factor.validate(n, r)
         return factor
@@ -340,7 +353,8 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
                 if edge is not None:
                     fill = [v for v in uncovered if v not in edge][: r - 2]
                     block = frozenset(edge) | frozenset(fill)
-                    assert params.admits(graph.clique_weight(block))
+                    _require(params.admits(graph.clique_weight(block)),
+                             "padded overweight-edge block fell below the bar")
                     blocks.append(block)
                     continue
             swapped = False

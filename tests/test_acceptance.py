@@ -25,7 +25,6 @@ from heavyfactors import (
     is_strictly_heavy,
     lemma1_bound,
     matching_base_case,
-    min_degree_conditioned,
     prop2_construction,
     prop2_min_degree,
     random_weighting,
@@ -127,8 +126,7 @@ def test_criterion_3_lemma1_bound():
         if trial % 2 == 0:
             g = random_grid_graph(rng, 12, denominator=4)
         else:
-            g = random_weighting(12, min_degree_conditioned(Fraction(3, 5), 20),
-                                 seed=trial)
+            g = random_weighting(12, 20, seed=trial, min_degree=Fraction(3, 5))
         delta = g.min_weighted_degree() / 12
         for t in levels:
             if delta <= t:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -52,6 +53,18 @@ def test_generate_is_byte_identical_across_runs(tmp_path, capsys):
     assert run_cli("generate", "--kind", "random", "--n", "8", "--seed", "6",
                    "--grid", "6", "--out", str(different)) == 0
     assert a.read_bytes() != different.read_bytes()
+
+
+def test_generate_random_conditioned_bytes_are_pinned(tmp_path, capsys):
+    """sha256 of the README's conditioned example, so any change to the draw shows."""
+    out = tmp_path / "r.json"
+    assert run_cli("generate", "--kind", "random", "--n", "12", "--seed", "7", "--grid", "20",
+                   "--min-degree", "4/5", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bcd5d310b7793d6ea05b5261c41675eed195b9abdc0a12a644258c5574b71ac3")
+    assert hashlib.sha256((tmp_path / "r.descriptor.json").read_bytes()).hexdigest() == (
+        "3a37a490d51dfeaf78a96151412013aa4844dd91f65a7966cc4c077b30972e1c")
+    assert "(min degree 41/4)" in capsys.readouterr().out
 
 
 def test_generate_scaled_counterexample(tmp_path):
@@ -237,6 +250,15 @@ def test_estimate_above_cap_is_a_cap_error(capsys):
     code = run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "15",
                    "--budget", "5")
     assert code == 3
+
+
+def test_estimate_above_cap_without_budget_is_an_uncertified_record(capsys):
+    code = run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "15")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is False and doc["source"] == "prop2"
+    assert doc["note"] == "uncertified: n=15 above solver cap 12"
+    assert doc["certificate"] is None
 
 
 def test_failed_certification_is_exit_code_4(tmp_path, monkeypatch, capsys):

@@ -4,12 +4,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import heavyfactors
 from heavyfactors import (
     BudgetExceededError,
     ConstructionDescriptor,
     FactorParams,
-    WeightedCompleteGraph,
     build,
     counterexample_29_36,
     enumerate_all_factors,
@@ -17,12 +18,10 @@ from heavyfactors import (
     hs_sharpness_parts,
     is_heavy,
     is_strictly_heavy,
-    min_degree_conditioned,
     prop2_construction,
     prop2_min_degree,
     random_weighting,
     rebuild,
-    uniform_grid,
 )
 from heavyfactors.constructions import KIND_COUNTEREXAMPLE, KIND_HS, KIND_PROP2, KIND_RANDOM
 
@@ -216,34 +215,32 @@ def test_counterexample_rejects_non_divisible_sizes(n):
 
 
 def test_random_weighting_is_deterministic_per_seed():
-    dist = uniform_grid(4)
-    a = random_weighting(8, dist, seed=5)
-    b = random_weighting(8, dist, seed=5)
-    c = random_weighting(8, dist, seed=6)
+    a = random_weighting(8, 4, seed=5)
+    b = random_weighting(8, 4, seed=5)
+    c = random_weighting(8, 4, seed=6)
     assert a == b
     assert a != c
 
 
 def test_random_weighting_draws_are_pinned():
     """The seeded grid draws themselves, so a change to the stream shows."""
-    g = random_weighting(4, min_degree_conditioned(Fraction(3, 5), 10), seed=2)
+    g = random_weighting(4, 10, seed=2, min_degree=Fraction(3, 5))
     assert [g.weight(i, j) for i, j in g.pairs()] == [
         Fraction(4, 5), Fraction(4, 5), Fraction(4, 5), Fraction(9, 10), Fraction(4, 5), Fraction(1)]
-    h = random_weighting(4, uniform_grid(6), seed=2)
+    h = random_weighting(4, 6, seed=2)
     assert [h.weight(i, j) for i, j in h.pairs()] == [
         Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1, 3)]
 
 
 def test_random_weighting_respects_the_grid():
-    g = random_weighting(10, uniform_grid(1), seed=1)
+    g = random_weighting(10, 1, seed=1)
     assert all(g.weight(i, j) in (0, 1) for i, j in g.pairs())
-    h = random_weighting(10, uniform_grid(6), seed=1)
+    h = random_weighting(10, 6, seed=1)
     assert all((6 * h.weight(i, j)).denominator == 1 for i, j in h.pairs())
 
 
 def test_min_degree_conditioned_sampler_meets_the_target():
-    dist = min_degree_conditioned(Fraction(4, 5), 10)
-    g = random_weighting(12, dist, seed=3)
+    g = random_weighting(12, 10, seed=3, min_degree=Fraction(4, 5))
     assert g.min_weighted_degree() >= Fraction(4, 5) * 12
     # the sampler draws from the top of the grid rather than rejecting forever
     assert all(g.weight(i, j) >= Fraction(9, 10) for i, j in g.pairs())
@@ -251,14 +248,39 @@ def test_min_degree_conditioned_sampler_meets_the_target():
 
 def test_min_degree_conditioned_rejects_unreachable_targets():
     with pytest.raises(BudgetExceededError):
-        random_weighting(6, min_degree_conditioned(Fraction(1), 4), seed=0)
+        random_weighting(6, 4, seed=0, min_degree=Fraction(1))
 
 
 def test_weight_distribution_validates_its_fields():
-    with pytest.raises(ValueError):
-        uniform_grid(0)
-    with pytest.raises(ValueError):
-        min_degree_conditioned(Fraction(3, 2), 4)
+    with pytest.raises(ValueError, match="grid denominator"):
+        random_weighting(6, 0, seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        random_weighting(6, 4, seed=0, min_degree=Fraction(3, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 16),
+    d=st.integers(1, 24),
+    k=st.integers(0, 12),
+    q=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_one_conditioned_draw_meets_the_min_degree(n, d, k, q, seed):
+    """The top-of-grid draw needs no second try: the fact the sampler relies on."""
+    md = min(Fraction(k, q), 1) * Fraction(n - 1, n)  # reachable: md * n <= n - 1
+    g = random_weighting(n, d, seed=seed, min_degree=md)
+    assert g.min_weighted_degree() >= md * n
+    per_edge = md * n / (n - 1)
+    assert all(g.weight(i, j) >= per_edge for i, j in g.pairs())
+
+
+def test_package_exports_resolve_and_the_sampler_config_is_gone():
+    names = heavyfactors.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(heavyfactors, name) for name in names)
+    for gone in ("WeightDistribution", "uniform_grid", "min_degree_conditioned"):
+        assert gone not in names and not hasattr(heavyfactors, gone)
 
 
 # ------------------------------------------------- descriptors and rebuild

@@ -12,7 +12,6 @@ from heavyfactors import (
     CliqueFactor,
     FactorParams,
     SolveCertificate,
-    WeightedCompleteGraph,
     adversarial_search,
     conjecture_report_csv,
     evaluate_lower_bounds,
@@ -22,6 +21,7 @@ from heavyfactors import (
     verify_theorem3_empirically,
 )
 from heavyfactors import lab
+from heavyfactors.constructions import _sample_grid_floor
 from heavyfactors.lab import CSV_HEADER
 
 
@@ -117,25 +117,33 @@ def test_certification_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
+class ZeroRng:
+    """A stub stream that draws 0 from every range, ignoring the grid floor."""
+
+    def randint(self, lo, hi):
+        return 0
+
+
 def test_degree_checks_raise_certification_errors(monkeypatch):
     """The seed's closed form and the sampler's degree floor are explicit checks."""
     monkeypatch.setattr(lab, "prop2_min_degree", lambda r, t, n: Fraction(0))
     with pytest.raises(CertificationError, match="closed form"):
         evaluate_lower_bounds(3, Fraction(2, 3), 9)
-    monkeypatch.setattr(lab, "_sample_grid_floor",
-                        lambda rng, n, d, per_edge: WeightedCompleteGraph.constant(n, Fraction(0)))
     with pytest.raises(CertificationError, match="below the target"):
-        verify_theorem3_empirically(3, Fraction(1, 3), 1, 12, seed=0)
+        _sample_grid_floor(ZeroRng(), 12, 20, Fraction(1, 2))
 
 
 def test_degree_checks_survive_optimized_mode():
     script = (
         "from fractions import Fraction\n"
-        "from heavyfactors import CertificationError, WeightedCompleteGraph, lab\n"
+        "from heavyfactors import CertificationError, lab\n"
+        "from heavyfactors.constructions import _sample_grid_floor\n"
+        "class ZeroRng:\n"
+        "    def randint(self, lo, hi):\n"
+        "        return 0\n"
         "lab.prop2_min_degree = lambda r, t, n: Fraction(0)\n"
-        "lab._sample_grid_floor = lambda rng, n, d, e: WeightedCompleteGraph.constant(n, Fraction(0))\n"
         "for call in (lambda: lab.evaluate_lower_bounds(3, Fraction(2, 3), 9),\n"
-        "             lambda: lab.verify_theorem3_empirically(3, Fraction(1, 3), 1, 12, seed=0)):\n"
+        "             lambda: _sample_grid_floor(ZeroRng(), 12, 20, Fraction(1, 2))):\n"
         "    try:\n"
         "        call()\n"
         "    except CertificationError:\n"

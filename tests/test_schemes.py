@@ -1,6 +1,9 @@
 """Base case, quotient lifting, randomized split scheme, local search."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 from random import Random
 
@@ -8,8 +11,10 @@ import pytest
 
 from heavyfactors import (
     BudgetExceededError,
+    CertificationError,
     CliqueFactor,
     FactorParams,
+    QuotientGraph,
     WeightedCompleteGraph,
     bipartite_threshold_matching,
     build_bipartite_average,
@@ -24,6 +29,7 @@ from heavyfactors import (
     scheme2_factor,
     scheme2_partition,
 )
+from heavyfactors import schemes
 
 from conftest import random_grid_graph
 
@@ -299,6 +305,63 @@ def test_scheme2_validates_divisibility_and_epsilon():
         scheme2_factor(g, FactorParams(r=5, t=Fraction(1, 2)), seed=0)
     with pytest.raises(ValueError):
         scheme2_factor(g, FactorParams(r=3, t=Fraction(1, 2)), seed=0, epsilon=Fraction(-1, 10))
+
+
+# Two edges at vertex 11 lowered to 1/5: the triple {0, 1, 11} weighs 7/5,
+# under the bar 3/2 at r = 3, t = 1/2, yet scheme2 still splits and factors it.
+LIGHT_TRIPLE_GRAPH = (WeightedCompleteGraph.constant(12, Fraction(1))
+                      .with_weight(0, 11, Fraction(1, 5)).with_weight(1, 11, Fraction(1, 5)))
+
+
+def worst_threshold_matching(avg, t):
+    """A perfect matching that ignores t: the one whose lightest pair is lightest."""
+    k = len(avg.cliques)
+    return min(permutations(range(k)),
+               key=lambda m: min(avg.weights[i][m[i]] for i in range(k)))
+
+
+def test_scheme_checks_raise_certification_errors(monkeypatch):
+    """Each checked scheme invariant raises once the step it guards is broken."""
+    params = FactorParams(r=3, t=Fraction(1, 2))
+    factor = scheme2_factor(LIGHT_TRIPLE_GRAPH, params, seed=0)
+    assert factor is not None and all(is_heavy(LIGHT_TRIPLE_GRAPH, b, params) for b in factor.blocks)
+    monkeypatch.setattr(schemes, "bipartite_threshold_matching", worst_threshold_matching)
+    with pytest.raises(CertificationError, match="merge"):
+        scheme2_factor(LIGHT_TRIPLE_GRAPH, params, seed=0)
+
+    light_pair = WeightedCompleteGraph.constant(4, Fraction(1)).with_weight(0, 1, Fraction(0))
+    monkeypatch.setattr(schemes, "perfect_matching", lambda n, edges: [(0, 1), (2, 3)])
+    with pytest.raises(CertificationError, match="base case"):
+        matching_base_case(light_pair, Fraction(1))
+
+    g = WeightedCompleteGraph.constant(8, Fraction(1))
+    base = CliqueFactor.from_blocks([[0, 1], [2, 3], [4, 5], [6, 7]])
+    zero_quotient = QuotientGraph(base=base, graph=WeightedCompleteGraph.constant(4, Fraction(0)))
+    monkeypatch.setattr(schemes, "scheme1_quotient", lambda graph, b: zero_quotient)
+    with pytest.raises(CertificationError, match="lift identity"):
+        scheme1_lift(g, base, CliqueFactor.from_blocks([[0, 1], [2, 3]]))
+
+
+def test_scheme_checks_survive_optimized_mode():
+    script = (
+        "from fractions import Fraction\n"
+        "from itertools import permutations\n"
+        "from heavyfactors import CertificationError, FactorParams, WeightedCompleteGraph, schemes\n"
+        "g = (WeightedCompleteGraph.constant(12, Fraction(1))\n"
+        "     .with_weight(0, 11, Fraction(1, 5)).with_weight(1, 11, Fraction(1, 5)))\n"
+        "def worst(avg, t):\n"
+        "    k = len(avg.cliques)\n"
+        "    return min(permutations(range(k)),\n"
+        "               key=lambda m: min(avg.weights[i][m[i]] for i in range(k)))\n"
+        "schemes.bipartite_threshold_matching = worst\n"
+        "try:\n"
+        "    schemes.scheme2_factor(g, FactorParams(3, Fraction(1, 2)), seed=0)\n"
+        "except CertificationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------- local search

@@ -21,7 +21,6 @@ from heavyfactors import (
     is_heavy,
     is_strictly_heavy,
     lemma1_bound,
-    min_degree_conditioned,
     prop2_construction,
     random_weighting,
     t_r_threshold,
@@ -303,7 +302,7 @@ def test_counting_floor_holds_on_seeded_weightings():
     checked = 0
     for seed in range(40):
         n = 8 if seed % 2 else 9
-        g = random_weighting(n, min_degree_conditioned(Fraction(3, 5), 40), seed=seed)
+        g = random_weighting(n, 40, seed=seed, min_degree=Fraction(3, 5))
         delta = g.min_weighted_degree() / n
         assert delta > t
         floor = lemma1_bound(delta, t, 3, n)
@@ -357,7 +356,7 @@ def test_degree_test_passes_and_delivers_on_dense_samples():
     t = Fraction(1, 3)
     delta = 1 - (1 - t) / 3 + Fraction(1, 10)
     for seed in range(5):
-        g = random_weighting(9, min_degree_conditioned(delta, 90), seed=seed)
+        g = random_weighting(9, 90, seed=seed, min_degree=delta)
         params = FactorParams(r=3, t=t)
         assert daykin_haggkvist_check(g, params)
         assert find_heavy_factor(g, params).factor is not None
