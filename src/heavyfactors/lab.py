@@ -236,6 +236,12 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     unreachable floor (target / (n-1) > 1) raises, since no weighting in
     [0, 1] can meet it.  The sampler is `random_weighting`'s, fed from this
     function's own seeded stream.
+
+    With margin > 0 every sampled edge weighs more than t: the per-edge floor
+    (1/2 + t/2 + margin) n / (n-1) exceeds t for every t <= 1.  Every r-set
+    is then heavy, so every partition is a factor, the search finds one on
+    its first descent and `violations` is always empty.  The report checks
+    the sampler and the solver's feasible path, not the degree threshold.
     """
     tt = Fraction(t)
     if r < 2:
@@ -309,6 +315,8 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
     non-monotone trend in r (for fixed t the normalized bound should not
     grow) and any cell whose normalized bound reaches the conjectured line.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     rs = sorted(set(int(r) for r in r_values))
     ts = sorted(set(Fraction(t) for t in t_values))
     if not rs or not ts:

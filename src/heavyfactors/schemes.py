@@ -43,7 +43,7 @@ from .solver import (
     DEFAULT_SOLVER_CAP,
     HeavyCollection,
     _block_overweight_count,
-    _heavy_sets,
+    _heavy_family,
     find_heavy_factor,
 )
 
@@ -256,11 +256,13 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     blocks to B-vertices at averaged weight >= t.  A returned factor is
     always verified heavy block by block.
     A None is only a failure of this randomized strategy, never a proof that
-    no factor exists.
+    no factor exists.  A negative retry budget is rejected, not read as zero.
     """
     n, r, t = graph.n, params.r, params.t
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
+    if retries < 0:
+        raise ValueError(f"retries must be nonnegative, got {retries}")
     if r == 2:
         return matching_base_case(graph, t)
     eps = Fraction(epsilon)
@@ -324,7 +326,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     n, r = graph.n, params.r
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    sets = _heavy_sets(graph, params, strict=False)
+    sets, _ = _heavy_family(graph, params, strict=False)
 
     def block_owc(block) -> int:
         return _block_overweight_count(graph, params, block)

@@ -16,6 +16,14 @@ and returns witnesses for anything that fails.  A failure on a genuine
 maximum means a strictly better collection exists, so it is always a bug
 witness, never an expected outcome.
 
+The heavy r-sets of an instance are listed once per call, in integers: every
+weight and the bar t * C(r, 2) are put over one common denominator, and the
+r-sets are walked in lexicographic order, each prefix carrying its integer
+weight and a gain row (the weight from the prefix to every later vertex), so
+adding a vertex costs one addition and one comparison.  Each set comes with
+its bitmask, built from its prefix's mask.  Fractions stay at the edges:
+input graphs, certificates and block weights.
+
 The backtracking search anchors the uncovered vertex with the fewest live
 candidate blocks (ties to the smallest index) and tries that vertex's
 candidates in lexicographic order.  The scan that picks the anchor doubles as
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterator
 
 from .core import (
@@ -118,23 +126,49 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     return gen(tuple(range(n)))
 
 
-def _heavy_sets(graph: WeightedCompleteGraph, params: FactorParams, strict: bool) -> list[tuple]:
-    """Every heavy r-set as a sorted tuple, in lexicographic order."""
-    return [
-        vs for vs in combinations(range(graph.n), params.r)
-        if params.admits(graph.clique_weight(vs), strict)
-    ]
+def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
+                  strict: bool) -> tuple[list[tuple], list[int]]:
+    """Every heavy r-set as a sorted tuple, in lexicographic order, with its bitmask.
+
+    Weights and the bar are scaled by the lcm of their denominators, so each
+    comparison is between integers and decides exactly what
+    `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
+    r - 2 vertices carries its weight and its gain row (`gain[v]` is the
+    prefix's weight to v); adding a vertex a and then v costs one sum each.
+    """
+    n, r = graph.n, params.r
+    pairs = list(graph.pairs())
+    weights = [graph.weight(i, j) for i, j in pairs]
+    bar = params.heavy_threshold
+    scale = lcm(bar.denominator, *{w.denominator for w in weights})
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), w in zip(pairs, weights):
+        rows[i][j] = rows[j][i] = w.numerator * (scale // w.denominator)
+    # integer sums: exceeding the bar is the same as reaching it plus one
+    need = bar.numerator * (scale // bar.denominator) + (1 if strict else 0)
+    sets: list[tuple] = []
+    masks: list[int] = []
+    for prefix in combinations(range(n - 2), r - 2):
+        total = sum(rows[u][v] for u, v in combinations(prefix, 2))
+        gain = [0] * n
+        mask = 0
+        for u in prefix:
+            gain = [g + w for g, w in zip(gain, rows[u])]
+            mask |= 1 << u
+        for a in range(prefix[-1] + 1 if prefix else 0, n - 1):
+            row = rows[a]
+            short = need - total - gain[a]
+            hits = [v for v in range(a + 1, n) if gain[v] + row[v] >= short]
+            if hits:
+                head = prefix + (a,)
+                head_mask = mask | 1 << a
+                sets.extend([head + (v,) for v in hits])
+                masks.extend([head_mask | 1 << v for v in hits])
+    return sets, masks
 
 
-def _bitmask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
-    """Exact cover of {0..n-1} by disjoint sets drawn from `sets`.
+def _cover_search(n: int, sets: list[tuple], masks: list[int]) -> tuple[list[tuple] | None, int]:
+    """Exact cover of {0..n-1} by disjoint sets drawn from `sets` (bitmasks `masks`).
 
     Fewest-live-candidates vertex is branched on; candidate order within a
     vertex follows the (lexicographic) order of `sets`.  Returns the chosen
@@ -142,7 +176,6 @@ def _cover_search(n: int, sets: list[tuple]) -> tuple[list[tuple] | None, int]:
     mask whose subtree failed is cached with that subtree's node count; a
     later visit adds the count and returns False without searching again.
     """
-    masks = [_bitmask(s) for s in sets]
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for idx, s in enumerate(sets):
         for v in s:
@@ -194,8 +227,7 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     n, r = graph.n, params.r
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
-    sets = _heavy_sets(graph, params, strict)
-    blocks, nodes = _cover_search(n, sets)
+    blocks, nodes = _cover_search(n, *_heavy_family(graph, params, strict))
     factor = None
     if blocks is not None:
         factor = CliqueFactor.from_blocks(blocks)
@@ -209,11 +241,9 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    others = [u for u in range(graph.n) if u != v]
-    return sum(
-        1 for rest in combinations(others, params.r - 1)
-        if params.admits(graph.clique_weight((v,) + rest), strict)
-    )
+    _, masks = _heavy_family(graph, params, strict)
+    bit = 1 << v
+    return sum(1 for m in masks if m & bit)
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -248,7 +278,8 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
     degree = [0] * n
-    for s in _heavy_sets(graph, params, strict):
+    sets, _ = _heavy_family(graph, params, strict)
+    for s in sets:
         for v in s:
             degree[v] += 1
     return all(d >= bound for d in degree)
@@ -299,8 +330,7 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     n = graph.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    sets = _heavy_sets(graph, params, strict=False)
-    masks = [_bitmask(s) for s in sets]
+    sets, masks = _heavy_family(graph, params, strict=False)
     owc = [_block_overweight_count(graph, params, s) for s in sets]
 
     best_key = (-1, -1)

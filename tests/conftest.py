@@ -6,10 +6,20 @@ an exact rational with a small denominator.  Samplers take an explicit
 reproducible.
 """
 
+import os
 from fractions import Fraction
 from random import Random
 
+import heavyfactors
 from heavyfactors import WeightedCompleteGraph
+
+# Tests that start `python -m heavyfactors.cli` or `python -O -c ...` must
+# import the same package as the suite, whether it is installed or found
+# through pytest's `pythonpath` setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(os.path.abspath(heavyfactors.__file__))),
+    os.environ.get("PYTHONPATH"),
+]))
 
 
 def random_grid_graph(rng: Random, n: int, denominator: int = 4) -> WeightedCompleteGraph:

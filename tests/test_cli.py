@@ -215,6 +215,20 @@ def test_scheme2_none_found_exit_code(tmp_path, monkeypatch, capsys):
     assert doc["outcome"] == "none-found" and doc["retries"] == 2
 
 
+def test_scheme2_negative_retries_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    graph_path = tmp_path / "ones.json"
+    graph_path.write_text(json.dumps({"n": 6, "edges": [[i, j, "1"] for i in range(6)
+                                                         for j in range(i + 1, 6)]}))
+    argv = ["scheme2", "--input", str(graph_path), "--r", "3", "--t", "1/2"]
+    assert run_cli(*argv, "--retries", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: retries must be nonnegative, got -1\n"
+    monkeypatch.setenv("HFL_RETRY_BUDGET", "-1")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: retries must be nonnegative, got -1\n"
+
+
 def test_localsearch_command(tmp_path, capsys):
     graph_path = tmp_path / "g.json"
     run_cli("generate", "--kind", "random", "--n", "9", "--grid", "4",
@@ -304,6 +318,15 @@ def test_scan_flags_go_to_stderr(tmp_path, capsys):
     assert out.read_text().splitlines() == [
         "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"
     ]
+
+
+def test_scan_negative_budget_is_a_usage_error(capsys):
+    assert run_cli("estimate", "--r", "3", "--t", "1/2", "--n", "12", "--budget", "-1") == 2
+    estimate_err = capsys.readouterr().err
+    assert run_cli("scan", "--r", "3", "--t", "1/2", "--n", "12", "--budget", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == estimate_err == "error: budget must be nonnegative, got -1\n"
 
 
 # -------------------------------------------------------------------- verify

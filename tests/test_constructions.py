@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import comb
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from heavyfactors import (
     ConstructionDescriptor,
     FactorParams,
     build,
+    dumps_canonical,
     counterexample_29_36,
     enumerate_all_factors,
     hs_sharpness_construction,
@@ -309,6 +312,41 @@ def test_rebuild_reproduces_each_kind_bit_exactly(kwargs):
     graph, desc = build(**kwargs)
     assert rebuild(desc) == graph
     assert rebuild(ConstructionDescriptor.from_json(desc.to_json())) == graph
+
+
+GRID_FRACTIONS = st.builds(lambda k, q: Fraction(min(k, q), q), st.integers(0, 12), st.integers(1, 12))
+
+
+@st.composite
+def build_arguments(draw):
+    """Valid `build` keywords for every construction kind, with or without a scale."""
+    kind = draw(st.sampled_from([KIND_PROP2, KIND_HS, KIND_COUNTEREXAMPLE, KIND_RANDOM]))
+    if kind == KIND_COUNTEREXAMPLE:
+        kwargs = dict(n=36)
+    elif kind == KIND_RANDOM:
+        n = draw(st.integers(2, 12))
+        md = draw(st.one_of(st.none(), GRID_FRACTIONS.map(lambda f: f * Fraction(n - 1, n))))
+        kwargs = dict(n=n, seed=draw(st.integers(0, 2 ** 32)),
+                      grid_denominator=draw(st.integers(1, 20)), min_degree=md)
+    else:
+        r = draw(st.integers(2, 5))
+        kwargs = dict(n=r * draw(st.integers(2, 4)), r=r)
+        if kind == KIND_PROP2:
+            kwargs["t"] = draw(GRID_FRACTIONS)
+    kwargs["scale"] = draw(st.one_of(st.none(), GRID_FRACTIONS))
+    return kind, kwargs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arguments=build_arguments())
+def test_descriptor_json_round_trip_rebuilds_every_kind(arguments):
+    kind, kwargs = arguments
+    graph, desc = build(kind, **kwargs)
+    doc = json.loads(dumps_canonical(desc.to_json()))
+    again = ConstructionDescriptor.from_json(doc)
+    assert again == desc
+    assert again.to_json() == doc
+    assert rebuild(again) == graph
 
 
 def test_build_validates_kind_and_required_fields():

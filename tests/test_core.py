@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heavyfactors import (
     CliqueFactor,
@@ -62,6 +63,31 @@ def test_rational_round_trip_is_exact():
     for _ in range(200):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         assert parse_rational(format_rational(x)) == x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.fractions())
+def test_format_then_parse_is_the_identity(x):
+    text = format_rational(x)
+    assert text == f"{x.numerator}/{x.denominator}"
+    assert parse_rational(text) == x
+    assert parse_rational(str(x.numerator)) == x.numerator
+
+
+RATIONAL_ALPHABET = st.sampled_from("0123456789/-+ .eE_x")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(), st.text(RATIONAL_ALPHABET, max_size=12)))
+def test_parse_rational_returns_a_fraction_or_raises_value_error(text):
+    """Any text parses to a Fraction or raises ValueError; decimals never parse."""
+    try:
+        x = parse_rational(text)
+    except ValueError:
+        return
+    assert isinstance(x, Fraction)
+    assert not any(c in text for c in ".eE")
+    assert parse_rational(format_rational(x)) == x
 
 
 # ------------------------------------------------------------- graph values
@@ -303,6 +329,44 @@ def test_graph_json_round_trip_lists_every_pair():
     doc = graph_to_json(g)
     assert len(doc["edges"]) == 15
     assert graph_from_json(doc) == g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 10), denominator=st.integers(1, 13))
+def test_graph_json_round_trip_on_grid_graphs(seed, n, denominator):
+    g = random_grid_graph(Random(seed), n, denominator=denominator)
+    doc = graph_to_json(g)
+    assert graph_from_json(doc) == g
+    assert graph_from_json(json.loads(dumps_canonical(doc))) == g
+    assert graph_to_json(graph_from_json(doc)) == doc
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.text(max_size=6),
+                         st.sampled_from(["1/2", "2/3", "1", "0/1", "3/2", "1/0", "0.5", "-1/4"]))
+EDGE_ENTRIES = st.one_of(
+    st.tuples(st.integers(-1, 7), st.integers(-1, 7), JSON_SCALARS).map(list),
+    st.lists(JSON_SCALARS, max_size=4),
+    JSON_SCALARS,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=st.one_of(
+    st.fixed_dictionaries({"n": st.one_of(st.integers(-1, 7), JSON_SCALARS)},
+                          optional={"edges": st.one_of(st.lists(EDGE_ENTRIES, max_size=8), JSON_SCALARS)}),
+    st.lists(JSON_SCALARS, max_size=3),
+    JSON_SCALARS,
+))
+def test_graph_from_json_parses_or_names_the_fault(doc):
+    """Fuzzed documents either load or raise GraphFormatError, nothing else."""
+    try:
+        g = graph_from_json(doc)
+    except GraphFormatError:
+        return
+    assert g.n == doc["n"]
+    assert graph_from_json(graph_to_json(g)) == g
+    for i, j, text in doc.get("edges", []):
+        assert g.weight(i, j) == parse_rational(text)
 
 
 def test_graph_json_reads_sparse_documents():

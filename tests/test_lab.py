@@ -304,5 +304,13 @@ def test_scan_validates_the_grid():
         scan_report([3], [], 12, seed=0)
 
 
+def test_scan_rejects_a_negative_budget_like_the_adversary():
+    with pytest.raises(ValueError) as adversary:
+        adversarial_search(3, Fraction(1, 2), 12, seed=0, budget=-1)
+    with pytest.raises(ValueError) as scan:
+        scan_report([3], [Fraction(1, 2)], 12, seed=0, budget=-1)
+    assert str(scan.value) == str(adversary.value) == "budget must be nonnegative, got -1"
+
+
 def test_csv_header_is_pinned():
     assert CSV_HEADER == "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"

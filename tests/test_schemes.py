@@ -307,6 +307,13 @@ def test_scheme2_validates_divisibility_and_epsilon():
         scheme2_factor(g, FactorParams(r=3, t=Fraction(1, 2)), seed=0, epsilon=Fraction(-1, 10))
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_scheme2_rejects_a_negative_retry_budget(r):
+    g = WeightedCompleteGraph.constant(12, Fraction(1))
+    with pytest.raises(ValueError, match="retries must be nonnegative, got -1"):
+        scheme2_factor(g, FactorParams(r=r, t=Fraction(1, 2)), seed=0, retries=-1)
+
+
 # Two edges at vertex 11 lowered to 1/5: the triple {0, 1, 11} weighs 7/5,
 # under the bar 3/2 at r = 3, t = 1/2, yet scheme2 still splits and factors it.
 LIGHT_TRIPLE_GRAPH = (WeightedCompleteGraph.constant(12, Fraction(1))

@@ -1,6 +1,7 @@
 """Complete search, counting bounds, degree test, maximum collections."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 from random import Random
 
@@ -25,7 +26,7 @@ from heavyfactors import (
     random_weighting,
     t_r_threshold,
 )
-from heavyfactors.solver import HeavyCollection, _bitmask, _cover_search, _heavy_sets
+from heavyfactors.solver import HeavyCollection, _cover_search, _heavy_family
 
 from conftest import random_grid_graph, sparse_grid_graph
 
@@ -153,12 +154,27 @@ def test_search_agrees_with_the_oracle_on_random_sweeps():
     assert checked == 80
 
 
-# ------------------------------------------------------ failed-state cache
+# ------------------------------------------- reference heavy sets and search
+
+
+def bitmask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def plain_heavy_sets(graph, params, strict):
+    """The Fraction heavy-set comprehension, kept as the reference."""
+    return [
+        vs for vs in combinations(range(graph.n), params.r)
+        if params.admits(graph.clique_weight(vs), strict)
+    ]
 
 
 def plain_cover_search(n, sets):
     """The cover search without its failed-state cache, kept as the reference."""
-    masks = [_bitmask(s) for s in sets]
+    masks = [bitmask(s) for s in sets]
     by_vertex = [[] for _ in range(n)]
     for idx, s in enumerate(sets):
         for v in s:
@@ -194,8 +210,8 @@ def plain_cover_search(n, sets):
 
 
 def assert_cache_is_invisible(graph, params, strict):
-    sets = _heavy_sets(graph, params, strict)
-    assert _cover_search(graph.n, sets) == plain_cover_search(graph.n, sets)
+    sets, masks = _heavy_family(graph, params, strict)
+    assert _cover_search(graph.n, sets, masks) == plain_cover_search(graph.n, sets)
 
 
 def scaled_prop2(r, t, n):
@@ -204,6 +220,75 @@ def scaled_prop2(r, t, n):
 
 
 LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+# ----------------------------------------------------------- heavy-set build
+
+
+def assert_family_is_the_plain_one(graph, params):
+    """Same sets in the same order as the Fraction build, each with its own mask."""
+    for strict in (False, True):
+        sets, masks = _heavy_family(graph, params, strict)
+        assert sets == plain_heavy_sets(graph, params, strict)
+        assert masks == [bitmask(s) for s in sets]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12), r=st.integers(2, 5),
+       t=st.sampled_from([Fraction(0), Fraction(1, 5)] + LEVELS), sparse=st.booleans(),
+       denominator=st.sampled_from([1, 3, 4, 7, 12]))
+def test_heavy_family_matches_the_plain_build_on_grid_graphs(seed, n, r, t, sparse, denominator):
+    rng = Random(seed)
+    if sparse:
+        g = sparse_grid_graph(rng, n, denominator=denominator, zero_prob=0.3)
+    else:
+        g = random_grid_graph(rng, n, denominator=denominator)
+    assert_family_is_the_plain_one(g, FactorParams(r=r, t=t))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(3, 9), (3, 12), (4, 12), (5, 10), (2, 10)]),
+       t=st.sampled_from(LEVELS[:-1]), lowered=st.integers(0, 6))
+def test_heavy_family_matches_the_plain_build_on_lowered_prop2(seed, box, t, lowered):
+    r, n = box
+    rng = Random(seed)
+    g, _ = prop2_construction(r, t, n)
+    for i, j in rng.sample(list(g.pairs()), lowered):
+        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    assert_family_is_the_plain_one(g, FactorParams(r=r, t=t))
+
+
+@pytest.mark.parametrize("r,t,n", [(3, Fraction(2, 3), 15), (5, Fraction(2, 3), 15), (3, Fraction(2, 3), 12),
+                                   (4, Fraction(2, 3), 12), (5, Fraction(2, 3), 10), (3, Fraction(1, 4), 9),
+                                   (2, Fraction(1, 2), 10)])
+def test_heavy_family_matches_the_plain_build_on_scaled_prop2(r, t, n):
+    assert_family_is_the_plain_one(scaled_prop2(r, t, n), FactorParams(r=r, t=t))
+
+
+@pytest.mark.parametrize("r,t,nudge", [(4, Fraction(2, 3), Fraction(1, 30)), (5, Fraction(2, 3), Fraction(1, 30)),
+                                       (3, Fraction(1, 4), Fraction(1, 1000))])
+def test_heavy_family_at_the_bar(r, t, nudge):
+    """Every set of the constant-t graph weighs the bar exactly; one nudged edge decides.
+
+    The bar t * C(r, 2) is 4 for (4, 2/3), and 20/3 and 3/4 for the other two.
+    """
+    n = 8
+    params = FactorParams(r=r, t=t)
+    flat = WeightedCompleteGraph.constant(n, t)
+    assert _heavy_family(flat, params, False)[0] == list(combinations(range(n), r))
+    assert _heavy_family(flat, params, True) == ([], [])
+    through_edge = comb(n - 2, r - 2)
+    raised = flat.with_weight(0, 1, t + nudge)
+    lowered = flat.with_weight(0, 1, t - nudge)
+    assert len(_heavy_family(raised, params, False)[0]) == comb(n, r)
+    assert len(_heavy_family(raised, params, True)[0]) == through_edge
+    assert len(_heavy_family(lowered, params, False)[0]) == comb(n, r) - through_edge
+    assert _heavy_family(lowered, params, True) == ([], [])
+    for g in (flat, raised, lowered):
+        assert_family_is_the_plain_one(g, params)
+
+
+# ------------------------------------------------------ failed-state cache
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
