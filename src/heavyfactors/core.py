@@ -1,14 +1,15 @@
 """Exact-rational weighted complete graphs and the heaviness vocabulary.
 
 An edge weighting of the complete graph K_n assigns every unordered pair a
-weight in [0, 1].  Everything here is exact: weights, degrees, and clique
-weights are `fractions.Fraction` values and the heavy / overweight predicates
-compare them with no floating point anywhere.  For clique size r and level t,
-an r-set is heavy when its total edge weight reaches t * C(r, 2); the strict
-variant demands strictly more.  The boundary matters: the two families of
-weightings that pin the extremal threshold differ exactly in whether ties
-count, so both predicates are first-class and every caller says which one it
-means.
+weight in [0, 1].  Everything here is exact: a graph holds its weights as
+integers over one common denominator, its accessors return weights, degrees
+and clique weights as `fractions.Fraction` values, and the heavy / overweight
+predicates compare them with no floating point anywhere.  For clique size r
+and level t, an r-set is heavy when its total edge weight reaches
+t * C(r, 2); the strict variant demands strictly more.  The boundary
+matters: the two families of weightings that pin the extremal threshold
+differ exactly in whether ties count, so both predicates are first-class and
+every caller says which one it means.
 
 Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -87,88 +88,102 @@ def _coerce_weight(w, where: str) -> Fraction:
 class WeightedCompleteGraph:
     """Complete graph on vertices 0..n-1 with symmetric rational edge weights.
 
-    Weights are stored once per unordered pair; `weight(i, j)` accepts either
-    orientation.  Vertex degrees and the total weight are computed eagerly so
-    repeated min-degree queries (the adversarial search does thousands) stay
-    cheap.
+    Held once, in lowest terms: `rows[i][j]` (diagonal 0) and `degrees[v]` are
+    the integer numerators of w(i, j) and of v's degree over one denominator
+    `den`, so equal weightings are equal values with equal hashes.  Accessors
+    sum integers and return one Fraction; every builder goes through `_freeze`.
     """
 
-    __slots__ = ("n", "_w", "_deg")
+    __slots__ = ("n", "rows", "den", "degrees")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], Fraction] | None = None):
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
-        self.n = n
-        flat = [ZERO] * (n * (n - 1) // 2)
-        if weights:
-            for (i, j), w in weights.items():
-                if not (0 <= i < n and 0 <= j < n) or i == j:
-                    raise ValueError(f"invalid vertex pair ({i}, {j}) for n={n}")
-                flat[self._idx(i, j)] = _coerce_weight(w, f"edge ({i}, {j})")
-        self._store(flat)
+        exact = {}
+        for (i, j), w in (weights or {}).items():
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"invalid vertex pair ({i}, {j}) for n={n}")
+            exact[i, j] = _coerce_weight(w, f"edge ({i}, {j})")
+        den = lcm(*{w.denominator for w in exact.values()})
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), w in exact.items():
+            rows[i][j] = rows[j][i] = w.numerator * (den // w.denominator)
+        self._freeze(n, rows, den)
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[Fraction]) -> "WeightedCompleteGraph":
-        g = cls.__new__(cls)
+        """Graph from one weight per pair, pairs in `pairs()` order."""
         if len(flat) != n * (n - 1) // 2:
             raise ValueError("flat weight vector has wrong length")
-        g.n = n
-        g._store(_coerce_weight(w, "edge") for w in flat)
+        return cls(n, dict(zip(combinations(range(n), 2), flat)))
+
+    @classmethod
+    def _from_rows(cls, n: int, rows, den: int) -> "WeightedCompleteGraph":
+        g = cls.__new__(cls)
+        g._freeze(n, rows, den)
         return g
 
-    def _store(self, flat: Iterable[Fraction]) -> None:
-        """Freeze the validated pair weights and derive every vertex degree."""
-        self._w = tuple(flat)
-        deg = [ZERO] * self.n
-        for (i, j), w in zip(self.pairs(), self._w):
-            deg[i] += w
-            deg[j] += w
-        self._deg = tuple(deg)
+    def _freeze(self, n: int, rows, den: int) -> None:
+        """The one constructor: reduce rows/den to lowest terms, derive the degrees."""
+        g = gcd(den, *(x for row in rows for x in row))
+        if g > 1:
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+        self.n = n
+        self.den = den
+        self.rows = tuple(map(tuple, rows))
+        self.degrees = tuple(map(sum, self.rows))
 
     @classmethod
     def constant(cls, n: int, w) -> "WeightedCompleteGraph":
         ww = _coerce_weight(w, "constant weight")
         return cls.from_flat(n, [ww] * (n * (n - 1) // 2))
 
-    def _idx(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All unordered pairs (i, j) with i < j in lexicographic order."""
         return combinations(range(self.n), 2)
 
-    def weight(self, i: int, j: int) -> Fraction:
+    def _check_pair(self, i: int, j: int) -> None:
         if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
             raise ValueError(f"invalid vertex pair ({i}, {j}) for n={self.n}")
-        return self._w[self._idx(i, j)]
+
+    def least_numerator(self, x, strict: bool = False) -> int:
+        """Least integer k with k / den >= x (strict: > x): the bar for sums of `rows`."""
+        f = Fraction(x)
+        if strict:
+            return f.numerator * self.den // f.denominator + 1
+        return -(-f.numerator * self.den // f.denominator)
+
+    def weight(self, i: int, j: int) -> Fraction:
+        self._check_pair(i, j)
+        return Fraction(self.rows[i][j], self.den)
 
     def weighted_degree(self, v: int) -> Fraction:
         """Sum of the weights of all n-1 edges at v."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self._deg[v]
+        return Fraction(self.degrees[v], self.den)
 
     def min_weighted_degree(self) -> Fraction:
         if self.n < 2:
             raise ValueError("min weighted degree needs at least two vertices")
-        return min(self._deg)
+        return Fraction(min(self.degrees), self.den)
 
     def weighted_degree_to(self, v: int, targets: Iterable[int]) -> Fraction:
         """Sum of weights from v into the vertex set `targets` (v excluded)."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        total = ZERO
+        total = 0
         seen = set()
         for u in targets:
             if u == v:
                 raise ValueError(f"target set contains the source vertex {v}")
             if u in seen:
                 raise ValueError(f"duplicate target vertex {u}")
+            self._check_pair(v, u)
             seen.add(u)
-            total += self.weight(v, u)
-        return total
+            total += self.rows[v][u]
+        return Fraction(total, self.den)
 
     def clique_weight(self, vertices: Iterable[int]) -> Fraction:
         """Total edge weight inside the vertex set (needs at least 2 vertices)."""
@@ -177,35 +192,34 @@ class WeightedCompleteGraph:
             raise ValueError("clique weight needs at least two vertices")
         if len(set(vs)) != len(vs):
             raise ValueError("clique vertex set contains duplicates")
-        total = ZERO
-        for a, b in combinations(vs, 2):
-            total += self.weight(a, b)
-        return total
+        self._check_pair(vs[0], vs[-1])
+        return Fraction(sum(self.rows[a][b] for a, b in combinations(vs, 2)), self.den)
 
     def total_weight(self) -> Fraction:
-        return sum(self._w, ZERO)
+        return Fraction(sum(self.degrees) // 2, self.den)
 
     def scale(self, factor) -> "WeightedCompleteGraph":
         """Multiply every weight by `factor` in [0, 1]; exact, no rounding."""
         f = Fraction(factor)
         if f < 0 or f > 1:
             raise ValueError(f"scale factor {f} outside [0, 1]")
-        return WeightedCompleteGraph.from_flat(self.n, [w * f for w in self._w])
+        rows = [[x * f.numerator for x in row] for row in self.rows]
+        return WeightedCompleteGraph._from_rows(self.n, rows, self.den * f.denominator)
 
     def with_weight(self, i: int, j: int, w) -> "WeightedCompleteGraph":
         """New graph equal to this one except for the single edge (i, j)."""
-        idx = self._idx(i, j)
-        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"invalid vertex pair ({i}, {j}) for n={self.n}")
-        flat = list(self._w)
-        flat[idx] = _coerce_weight(w, f"edge ({i}, {j})")
-        return WeightedCompleteGraph.from_flat(self.n, flat)
+        self._check_pair(i, j)
+        ww = _coerce_weight(w, f"edge ({i}, {j})")
+        den = lcm(self.den, ww.denominator)
+        rows = [[x * (den // self.den) for x in row] for row in self.rows]
+        rows[i][j] = rows[j][i] = ww.numerator * (den // ww.denominator)
+        return WeightedCompleteGraph._from_rows(self.n, rows, den)
 
     def threshold_subgraph(self, s) -> "ThresholdGraph":
         """Unweighted graph keeping exactly the edges of weight >= s."""
-        thr = Fraction(s)
-        edges = tuple(p for p, w in zip(self.pairs(), self._w) if w >= thr)
-        return ThresholdGraph(self.n, thr, edges)
+        cut = self.least_numerator(s)
+        edges = tuple((i, j) for i, j in self.pairs() if self.rows[i][j] >= cut)
+        return ThresholdGraph(self.n, s, edges)
 
     def induced(self, vertices: Iterable[int]) -> tuple["WeightedCompleteGraph", tuple[int, ...]]:
         """Induced sub-weighting plus the sorted vertex map back to this graph."""
@@ -214,18 +228,19 @@ class WeightedCompleteGraph:
             raise ValueError("induced vertex set must be nonempty and duplicate-free")
         if vs[0] < 0 or vs[-1] >= self.n:
             raise ValueError("induced vertex set out of range")
-        flat = [self._w[self._idx(a, b)] for a, b in combinations(vs, 2)]
-        return WeightedCompleteGraph.from_flat(len(vs), flat), vs
+        rows = [[self.rows[a][b] for b in vs] for a in vs]
+        return WeightedCompleteGraph._from_rows(len(vs), rows, self.den), vs
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeightedCompleteGraph)
             and self.n == other.n
-            and self._w == other._w
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._w))
+        return hash((self.n, self.den, self.rows))
 
     def __repr__(self) -> str:
         return f"WeightedCompleteGraph(n={self.n})"

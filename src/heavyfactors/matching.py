@@ -126,20 +126,23 @@ def bipartite_maximum_matching(n_left: int, n_right: int,
         raise ValueError("adjacency must list neighbors for every left vertex")
     match_left = [-1] * n_left
     match_right = [-1] * n_right
-
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if not 0 <= v < n_right:
-                raise ValueError(f"right vertex {v} out of range")
-            if visited[v]:
-                continue
-            visited[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], visited):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        return False
-
     for u in range(n_left):
-        try_augment(u, [False] * n_right)
+        _try_augment(u, adjacency, match_left, match_right, [False] * n_right)
     return match_left
+
+
+def _try_augment(u: int, adjacency: Sequence[Iterable[int]], match_left: list[int],
+                 match_right: list[int], visited: list[bool]) -> bool:
+    """Kuhn's augmenting-path step from left vertex u; flips the path when found."""
+    for v in adjacency[u]:
+        if not 0 <= v < len(match_right):
+            raise ValueError(f"right vertex {v} out of range")
+        if visited[v]:
+            continue
+        visited[v] = True
+        if match_right[v] == -1 or _try_augment(match_right[v], adjacency, match_left,
+                                                 match_right, visited):
+            match_left[u] = v
+            match_right[v] = u
+            return True
+    return False

@@ -94,11 +94,8 @@ def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> Quotie
     weights = {}
     for a in range(q_n):
         for b in range(a + 1, q_n):
-            cross = sum(
-                (graph.weight(u, v) for u in blocks[a] for v in blocks[b]),
-                Fraction(0),
-            )
-            weights[(a, b)] = cross / (p * p)
+            cross = sum(graph.rows[u][v] for u in blocks[a] for v in blocks[b])
+            weights[(a, b)] = Fraction(cross, p * p * graph.den)
     quotient = WeightedCompleteGraph(q_n, weights)
     if q_n >= 2:
         # averaged contraction can lose at most (p-1)/p of the degree
@@ -135,10 +132,7 @@ def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
         members = frozenset().union(*(blocks[i] for i in qblock))
         total = graph.clique_weight(members)
         internal = sum((graph.clique_weight(blocks[i]) for i in qblock), Fraction(0))
-        across = sum(
-            (quotient.weight(a, b) for a, b in combinations(sorted(qblock), 2)),
-            Fraction(0),
-        )
+        across = quotient.clique_weight(qblock)
         _require(total == internal + p * p * across,
                  "lifted block weight differs from the lift identity")
         _require(total >= t_q * comb(q, 2) * p * p + t_p * comb(p, 2) * q,
@@ -179,12 +173,11 @@ def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
         taken |= c
     if taken & set(vertices):
         raise ValueError("right-side vertices must avoid the cliques")
-    rows = []
-    for c in cliques:
-        rows.append(tuple(
-            sum((graph.weight(u, v) for u in c), Fraction(0)) / p for v in vertices
-        ))
-    return BipartiteAverageGraph(cliques=cliques, vertices=vertices, weights=tuple(rows))
+    averages = tuple(
+        tuple(Fraction(sum(graph.rows[u][v] for u in c), p * graph.den) for v in vertices)
+        for c in cliques
+    )
+    return BipartiteAverageGraph(cliques=cliques, vertices=vertices, weights=averages)
 
 
 def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
@@ -220,26 +213,21 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
         raise ValueError(f"need r >= 2, got r={r}")
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
-    ta = Fraction(target_a)
-    tb = Fraction(target_b)
+    need_a = graph.least_numerator(target_a)
+    need_b = graph.least_numerator(target_b)
+    rows, degrees = graph.rows, graph.degrees
     size_a = (r - 1) * n // r
     rng = random.Random(seed)
     for _ in range(max_attempts):
         a_side = sorted(rng.sample(range(n), size_a))
-        in_a = [False] * n
-        for v in a_side:
-            in_a[v] = True
-        b_side = [v for v in range(n) if not in_a[v]]
-        ok = True
+        b_side = sorted(set(range(n)).difference(a_side))
         for v in range(n):
-            into_b = sum(
-                (graph.weight(v, u) for u in b_side if u != v), Fraction(0)
-            )
+            row = rows[v]
+            into_b = sum([row[u] for u in b_side])
             # A and B partition the other vertices, so the rest of v's degree goes into A
-            if into_b < tb or graph.weighted_degree(v) - into_b < ta:
-                ok = False
+            if into_b < need_b or degrees[v] - into_b < need_a:
                 break
-        if ok:
+        else:
             return tuple(a_side), tuple(b_side)
     raise BudgetExceededError(
         f"no split met the degree targets after {max_attempts} attempts"
@@ -256,18 +244,18 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     blocks to B-vertices at averaged weight >= t.  A returned factor is
     always verified heavy block by block.
     A None is only a failure of this randomized strategy, never a proof that
-    no factor exists.  A negative retry budget is rejected, not read as zero.
+    no factor exists.  A negative retry budget or epsilon is rejected at any r.
     """
     n, r, t = graph.n, params.r, params.t
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
     if retries < 0:
         raise ValueError(f"retries must be nonnegative, got {retries}")
-    if r == 2:
-        return matching_base_case(graph, t)
     eps = Fraction(epsilon)
     if eps < 0:
         raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if r == 2:
+        return matching_base_case(graph, t)
     delta_prime = (1 + t) / 2
     target_a = (delta_prime + eps / 2) * Fraction(r - 1, r) * n
     target_b = delta_prime * Fraction(n, r)

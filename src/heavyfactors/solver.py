@@ -16,12 +16,12 @@ and returns witnesses for anything that fails.  A failure on a genuine
 maximum means a strictly better collection exists, so it is always a bug
 witness, never an expected outcome.
 
-The heavy r-sets of an instance are listed once per call, in integers: every
-weight and the bar t * C(r, 2) are put over one common denominator, and the
-r-sets are walked in lexicographic order, each prefix carrying its integer
-weight and a gain row (the weight from the prefix to every later vertex), so
-adding a vertex costs one addition and one comparison.  Each set comes with
-its bitmask, built from its prefix's mask.  Fractions stay at the edges:
+The heavy r-sets of an instance are listed once per call, in integers: the
+graph's integer weight rows are summed against the bar t * C(r, 2) put over
+the graph's denominator, and the r-sets are walked in lexicographic order,
+each prefix carrying its integer weight and a gain row (the weight from the
+prefix to every later vertex), so adding a vertex costs one addition and one
+comparison.  Each set comes with its bitmask, built from its prefix's mask.  Fractions stay at the edges:
 input graphs, certificates and block weights.
 
 The backtracking search anchors the uncovered vertex with the fewest live
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterator
 
 from .core import (
@@ -109,43 +109,35 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
         raise ValueError(f"r={r} does not divide n={n}")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
+    return _partitions(tuple(range(n)), r)
 
-    def gen(remaining: tuple) -> Iterator[tuple]:
-        if not remaining:
-            yield ()
-            return
-        anchor = remaining[0]
-        pool = remaining[1:]
-        for rest in combinations(pool, r - 1):
-            block = (anchor,) + rest
-            taken = set(rest)
-            tail = tuple(v for v in pool if v not in taken)
-            for rest_blocks in gen(tail):
-                yield (block,) + rest_blocks
 
-    return gen(tuple(range(n)))
+def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
+    if not remaining:
+        yield ()
+        return
+    anchor = remaining[0]
+    pool = remaining[1:]
+    for rest in combinations(pool, r - 1):
+        block = (anchor,) + rest
+        tail = tuple(v for v in pool if v not in rest)
+        for rest_blocks in _partitions(tail, r):
+            yield (block,) + rest_blocks
 
 
 def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
                   strict: bool) -> tuple[list[tuple], list[int]]:
     """Every heavy r-set as a sorted tuple, in lexicographic order, with its bitmask.
 
-    Weights and the bar are scaled by the lcm of their denominators, so each
-    comparison is between integers and decides exactly what
+    Sums of the graph's integer rows meet the bar put over its denominator, so
+    each comparison is between integers and decides exactly what
     `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
     r - 2 vertices carries its weight and its gain row (`gain[v]` is the
     prefix's weight to v); adding a vertex a and then v costs one sum each.
     """
     n, r = graph.n, params.r
-    pairs = list(graph.pairs())
-    weights = [graph.weight(i, j) for i, j in pairs]
-    bar = params.heavy_threshold
-    scale = lcm(bar.denominator, *{w.denominator for w in weights})
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), w in zip(pairs, weights):
-        rows[i][j] = rows[j][i] = w.numerator * (scale // w.denominator)
-    # integer sums: exceeding the bar is the same as reaching it plus one
-    need = bar.numerator * (scale // bar.denominator) + (1 if strict else 0)
+    rows = graph.rows
+    need = graph.least_numerator(params.heavy_threshold, strict)
     sets: list[tuple] = []
     masks: list[int] = []
     for prefix in combinations(range(n - 2), r - 2):
@@ -180,41 +172,39 @@ def _cover_search(n: int, sets: list[tuple], masks: list[int]) -> tuple[list[tup
     for idx, s in enumerate(sets):
         for v in s:
             by_vertex[v].append(idx)
-    full = (1 << n) - 1
     chosen: list[int] = []
-    nodes = 0
-    failed: dict[int, int] = {}  # covered mask -> node count of its failed subtree
-
-    def search(covered: int) -> bool:
-        nonlocal nodes
-        if covered in failed:
-            nodes += failed[covered]
-            return False
-        start = nodes
-        nodes += 1
-        if covered == full:
-            return True
-        best_live = None
-        rem = full & ~covered
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            live = [i for i in by_vertex[v] if not masks[i] & covered]
-            if not live:
-                failed[covered] = 1
-                return False
-            if best_live is None or len(live) < len(best_live):
-                best_live = live
-        for i in best_live:
-            chosen.append(i)
-            if search(covered | masks[i]):
-                return True
-            chosen.pop()
-        failed[covered] = nodes - start
-        return False
-
-    found = search(0)
+    found, nodes = _search(0, (1 << n) - 1, by_vertex, masks, chosen, {})
     return ([sets[i] for i in chosen] if found else None, nodes)
+
+
+def _search(covered: int, full: int, by_vertex: list[list[int]], masks: list[int],
+            chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
+    """One search node: (cover found, node count of its uncached subtree)."""
+    if covered in failed:
+        return False, failed[covered]
+    if covered == full:
+        return True, 1
+    best_live = None
+    rem = full & ~covered
+    while rem:
+        v = (rem & -rem).bit_length() - 1
+        rem &= rem - 1
+        live = [i for i in by_vertex[v] if not masks[i] & covered]
+        if not live:
+            failed[covered] = 1
+            return False, 1
+        if best_live is None or len(live) < len(best_live):
+            best_live = live
+    nodes = 1
+    for i in best_live:
+        chosen.append(i)
+        found, sub = _search(covered | masks[i], full, by_vertex, masks, chosen, failed)
+        nodes += sub
+        if found:
+            return True, nodes
+        chosen.pop()
+    failed[covered] = nodes
+    return False, nodes
 
 
 def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
@@ -332,31 +322,30 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     sets, masks = _heavy_family(graph, params, strict=False)
     owc = [_block_overweight_count(graph, params, s) for s in sets]
-
-    best_key = (-1, -1)
-    best: list[tuple] = []
-
-    def rec(start: int, covered: int, size: int, weight_hits: int, chosen: tuple) -> None:
-        nonlocal best_key, best
-        key = (size, weight_hits)
-        if key > best_key:
-            best_key = key
-            best = [chosen]
-        elif key == best_key:
-            best.append(chosen)
-        for idx in range(start, len(sets)):
-            if masks[idx] & covered:
-                continue
-            rec(idx + 1, covered | masks[idx], size + 1, weight_hits + owc[idx],
-                chosen + (idx,))
-
-    rec(0, 0, 0, 0, ())
+    best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
     out = [
         HeavyCollection.from_blocks([sets[i] for i in chosen], best_key[1])
         for chosen in best
     ]
     out.sort(key=lambda c: tuple(sorted(b) for b in c.blocks))
     return out
+
+
+def _maximum_collections(start: int, covered: int, key: tuple[int, int], chosen: tuple,
+                         masks: list[int], owc: list[int]) -> tuple[tuple[int, int], list[tuple]]:
+    """The best (size, overweight count) key from here on, and every index tuple attaining it."""
+    best_key, best = key, [chosen]
+    for idx in range(start, len(masks)):
+        if masks[idx] & covered:
+            continue
+        sub_key, sub = _maximum_collections(idx + 1, covered | masks[idx],
+                                            (key[0] + 1, key[1] + owc[idx]),
+                                            chosen + (idx,), masks, owc)
+        if sub_key > best_key:
+            best_key, best = sub_key, sub
+        elif sub_key == best_key:
+            best.extend(sub)
+    return best_key, best
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ reproducible.
 
 import os
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import heavyfactors
@@ -22,13 +23,25 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
 ]))
 
 
+def pair_table(n: int, flat) -> dict:
+    """{(i, j): weight} for i < j from one weight per pair in lexicographic order.
+
+    The plain Fraction table the references in the tests sum, independent of
+    how the graph under test stores its weights.
+    """
+    return dict(zip(combinations(range(n), 2), flat))
+
+
+def random_grid_weights(rng: Random, n: int, denominator: int = 4) -> list[Fraction]:
+    """Uniform i.i.d. weights from {0/D, 1/D, ..., D/D}, one per pair."""
+    return [Fraction(rng.randint(0, denominator), denominator) for _ in range(n * (n - 1) // 2)]
+
+
 def random_grid_graph(rng: Random, n: int, denominator: int = 4) -> WeightedCompleteGraph:
-    """Uniform i.i.d. weights from {0/D, 1/D, ..., D/D}."""
-    flat = [Fraction(rng.randint(0, denominator), denominator) for _ in range(n * (n - 1) // 2)]
-    return WeightedCompleteGraph.from_flat(n, flat)
+    return WeightedCompleteGraph.from_flat(n, random_grid_weights(rng, n, denominator))
 
 
-def sparse_grid_graph(rng: Random, n: int, denominator: int = 12, zero_prob: float = 0.9) -> WeightedCompleteGraph:
+def sparse_grid_weights(rng: Random, n: int, denominator: int = 12, zero_prob: float = 0.9) -> list[Fraction]:
     """Mostly-zero weights; nonzero entries land on the /D grid.
 
     Useful for exercising small heavy families: with most edges at 0 the
@@ -41,4 +54,8 @@ def sparse_grid_graph(rng: Random, n: int, denominator: int = 12, zero_prob: flo
             flat.append(Fraction(0))
         else:
             flat.append(Fraction(rng.randint(1, denominator), denominator))
-    return WeightedCompleteGraph.from_flat(n, flat)
+    return flat
+
+
+def sparse_grid_graph(rng: Random, n: int, denominator: int = 12, zero_prob: float = 0.9) -> WeightedCompleteGraph:
+    return WeightedCompleteGraph.from_flat(n, sparse_grid_weights(rng, n, denominator, zero_prob))

@@ -229,6 +229,18 @@ def test_scheme2_negative_retries_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == "error: retries must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("r", ["2", "3"])
+def test_scheme2_negative_epsilon_is_a_usage_error(tmp_path, capsys, r):
+    graph_path = tmp_path / "ones.json"
+    graph_path.write_text(json.dumps({"n": 6, "edges": [[i, j, "1"] for i in range(6)
+                                                         for j in range(i + 1, 6)]}))
+    assert run_cli("scheme2", "--input", str(graph_path), "--r", r, "--t", "1/2",
+                   "--epsilon=-1/10") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon must be nonnegative, got -1/10\n"
+
+
 def test_localsearch_command(tmp_path, capsys):
     graph_path = tmp_path / "g.json"
     run_cli("generate", "--kind", "random", "--n", "9", "--grid", "4",
@@ -365,3 +377,41 @@ def test_module_entry_point_runs_in_a_clean_interpreter(tmp_path):
 def test_missing_subcommand_is_a_usage_error():
     proc = run_subprocess()
     assert proc.returncode == 2
+
+
+# ------------------------------------------------------------ pinned outputs
+
+PINNED_INPUTS = {
+    "p2s.json": ["--kind", "prop2", "--n", "12", "--r", "3", "--t", "2/3", "--scale", "999/1000"],
+    "dense.json": ["--kind", "random", "--n", "12", "--seed", "4", "--grid", "20", "--min-degree", "4/5"],
+    "rnd.json": ["--kind", "random", "--n", "12", "--seed", "1", "--grid", "7"],
+}
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (["solve", "--input", "p2s.json", "--r", "3", "--t", "2/3", "--strict"], 1,
+     "b634ed157cf90c3e9a9fd9db84d1654520e469eaa5e641eada13a4e77654413b"),
+    (["solve", "--input", "dense.json", "--r", "3", "--t", "1/2"], 0,
+     "a97884e33f3b7222a9acad8ab9bd445a5bffa1768ad6c7e22f9dbf28e61f9822"),
+    (["scheme2", "--input", "dense.json", "--r", "3", "--t", "1/3", "--seed", "0"], 0,
+     "860068683ef550d045a64da8b49096dd225a44213f51354ebe8ab350f470eb91"),
+    (["scheme2", "--input", "rnd.json", "--r", "3", "--t", "1/2", "--seed", "0", "--retries", "3"], 1,
+     "6024b6b37236e639ef02664771400f5cba3c6233345845b7a5fe9219a12ab871"),
+    (["localsearch", "--input", "rnd.json", "--r", "3", "--t", "1/3", "--seed", "1"], 0,
+     "189e8cbc44d435e9ae3242f5465715ae9f172fb46d4ea869ad415984d5134060"),
+    (["estimate", "--r", "3", "--t", "1/3", "--n", "6", "--grid", "3", "--budget", "300"], 0,
+     "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
+    (["scan", "--r", "3", "--t", "1/3,1/2", "--n", "6", "--grid", "3", "--budget", "50"], 0,
+     "8b457114bdccdb51dc9c14f81f16e101cb5464733ffe4daa6bff13e40ace1aac"),
+    (["verify", "--r", "3", "--t", "1/3", "--n", "12", "--trials", "4", "--seed", "1"], 0,
+     "ac74983380ce3ee3ac8faa45fb062b3849d440b587bd6ab6a9e355c13df823eb"),
+], ids=["solve-strict-prop2-exhausted", "solve-feasible", "scheme2-factor", "scheme2-none-found",
+        "localsearch", "estimate-adversarial", "scan-adversarial", "verify"])
+def test_command_stdout_is_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
+    """sha256 of each document as first recorded, node counts and factors included."""
+    monkeypatch.chdir(tmp_path)
+    for name, args in PINNED_INPUTS.items():
+        assert run_cli("generate", *args, "--out", name) == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

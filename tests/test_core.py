@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from random import Random
 
 import pytest
@@ -24,7 +26,7 @@ from heavyfactors import (
     save_graph,
 )
 
-from conftest import random_grid_graph
+from conftest import pair_table, random_grid_graph
 
 
 # ---------------------------------------------------------------- rationals
@@ -212,6 +214,92 @@ def test_induced_subgraph_preserves_weights():
         g.induced([1, 1])
     with pytest.raises(ValueError):
         g.induced([7, 8])
+
+
+# ------------------------------------------ integer rows vs a Fraction table
+
+GRID_DENOMINATORS = [1, 2, 3, 4, 6, 7, 12]
+
+
+@st.composite
+def grid_weights(draw):
+    d = draw(st.sampled_from(GRID_DENOMINATORS))
+    return Fraction(draw(st.integers(0, d)), d)
+
+
+def table_weight(table, i, j):
+    return table[min(i, j), max(i, j)]
+
+
+def assert_matches_table(g, n, table, subsets):
+    """Every accessor of `g` against sums over the plain Fraction `table`."""
+    assert g.n == n
+    assert g.den == lcm(1, *(w.denominator for w in table.values()))
+    assert g == WeightedCompleteGraph(n, table) and hash(g) == hash(WeightedCompleteGraph(n, table))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert g.weight(i, j) == table_weight(table, i, j)
+        others = [u for u in range(n) if u != i]
+        assert g.weighted_degree(i) == sum((table_weight(table, i, u) for u in others), Fraction(0))
+    if n >= 2:
+        assert g.min_weighted_degree() == min(g.weighted_degree(v) for v in range(n))
+    assert g.total_weight() == sum(table.values(), Fraction(0))
+    for vs in subsets:
+        vs = [v for v in vs if v < n]
+        if len(vs) >= 2:
+            assert g.clique_weight(vs) == sum(
+                (table[p] for p in combinations(sorted(vs), 2)), Fraction(0))
+        for v in range(n):
+            targets = [u for u in vs if u != v]
+            assert g.weighted_degree_to(v, targets) == sum(
+                (table_weight(table, v, u) for u in targets), Fraction(0))
+    for s in {Fraction(0), Fraction(1, 2), Fraction(5, 7), Fraction(1), *table.values()}:
+        assert g.threshold_subgraph(s).edges == tuple(p for p in table if table[p] >= s)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 7),
+       factor=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(6, 7), Fraction(999, 1000), Fraction(1)]))
+def test_integer_rows_match_a_plain_fraction_table(data, n, factor):
+    pairs = list(combinations(range(n), 2))
+    flat = data.draw(st.lists(grid_weights(), min_size=len(pairs), max_size=len(pairs)))
+    subsets = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
+    table = pair_table(n, flat)
+    g = WeightedCompleteGraph.from_flat(n, flat)
+    assert_matches_table(g, n, table, subsets)
+
+    scaled = {p: w * factor for p, w in table.items()}
+    assert_matches_table(g.scale(factor), n, scaled, subsets)
+
+    # every move equals the graph built from its weights, whether the move
+    # raises the common denominator, keeps it, or drops its last use
+    for _ in range(data.draw(st.integers(0, 6)) if pairs else 0):
+        i, j = data.draw(st.sampled_from(pairs))
+        table[i, j] = data.draw(grid_weights())
+        g = g.with_weight(j, i, table[i, j])
+        assert g == WeightedCompleteGraph.from_flat(n, [table[p] for p in pairs])
+        assert_matches_table(g, n, table, subsets)
+
+    vs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    sub, vmap = g.induced(vs)
+    assert vmap == tuple(vs)
+    sub_table = {(a, b): table[vs[a], vs[b]] for a, b in combinations(range(len(vs)), 2)}
+    assert_matches_table(sub, len(vs), sub_table, subsets)
+
+
+def test_with_weight_raises_and_lowers_the_common_denominator():
+    halves = WeightedCompleteGraph.constant(4, Fraction(1, 2))
+    sevenths = halves.with_weight(0, 1, Fraction(3, 7))
+    assert sevenths.den == 14
+    thirds = sevenths.with_weight(1, 0, Fraction(1, 3))  # replaces the only /7 edge
+    assert thirds.den == 6
+    direct = WeightedCompleteGraph(4, {(i, j): Fraction(1, 3) if (i, j) == (0, 1) else Fraction(1, 2)
+                                       for i, j in combinations(range(4), 2)})
+    assert thirds == direct and hash(thirds) == hash(direct)
+    assert sevenths.with_weight(0, 1, Fraction(1, 2)) == halves
+    assert halves.with_weight(2, 3, Fraction(0)).with_weight(2, 3, Fraction(1, 2)) == halves
+    assert WeightedCompleteGraph.constant(4, Fraction(0)).den == 1
 
 
 # -------------------------------------------------------- threshold graphs

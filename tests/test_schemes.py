@@ -31,7 +31,7 @@ from heavyfactors import (
 )
 from heavyfactors import schemes
 
-from conftest import random_grid_graph
+from conftest import pair_table, random_grid_graph, random_grid_weights
 
 
 # ----------------------------------------------------------- pair base case
@@ -218,28 +218,51 @@ def test_partition_shape_and_determinism():
 def test_partition_matches_the_two_sided_degree_sums():
     """Each split equals the one found by summing both sides edge by edge."""
 
-    def reference(g, r, seed, ta, tb, attempts=1000):
+    def reference(n, table, r, seed, ta, tb, attempts=1000):
+        def into(v, side):
+            return sum((table[min(u, v), max(u, v)] for u in side if u != v), Fraction(0))
+
         rng = Random(seed)
         for _ in range(attempts):
-            a_side = sorted(rng.sample(range(g.n), (r - 1) * g.n // r))
-            b_side = [v for v in range(g.n) if v not in a_side]
-            if all(g.weighted_degree_to(v, [u for u in a_side if u != v]) >= ta
-                   and g.weighted_degree_to(v, [u for u in b_side if u != v]) >= tb
-                   for v in range(g.n)):
+            a_side = sorted(rng.sample(range(n), (r - 1) * n // r))
+            b_side = [v for v in range(n) if v not in a_side]
+            if all(into(v, a_side) >= ta and into(v, b_side) >= tb for v in range(n)):
                 return tuple(a_side), tuple(b_side)
         return None
 
     rng = Random(11)
     for trial in range(12):
         n = 6 if trial % 2 else 9
-        g = random_grid_graph(rng, n, denominator=4)
+        flat = random_grid_weights(rng, n, denominator=4)
+        g = WeightedCompleteGraph.from_flat(n, flat)
         ta = Fraction(rng.randint(0, 4 * n), 8) * Fraction(2, 3)
         tb = Fraction(rng.randint(0, 2 * n), 8) * Fraction(1, 3)
         try:
             got = scheme2_partition(g, 3, trial, ta, tb, max_attempts=50)
         except BudgetExceededError:
             got = None
-        assert got == reference(g, 3, trial, ta, tb, attempts=50), trial
+        assert got == reference(n, pair_table(n, flat), 3, trial, ta, tb, attempts=50), trial
+
+
+@pytest.mark.parametrize("draw,r,seed,ta,tb,split", [
+    ((1, 12, 12, 20), 3, 7, Fraction(27, 5), Fraction(12, 5),
+     ((0, 1, 3, 6, 7, 8, 10, 11), (2, 4, 5, 9))),
+    ((2, 9, 2, 7), 3, 11, Fraction(19, 7), Fraction(8, 7), ((0, 1, 2, 4, 7, 8), (3, 5, 6))),
+    ((3, 24, 6, 12), 4, 3, Fraction(35, 3), Fraction(43, 12),
+     ((0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 22, 23), (4, 12, 14, 17, 19, 21))),
+])
+def test_partition_splits_are_pinned(draw, r, seed, ta, tb, split):
+    """Splits as first recorded; each takes between 2 and 100 attempts.
+
+    `draw` is (rng seed, n, low, d): every weight is uniform on low/d..d/d.
+    """
+    graph_seed, n, low, d = draw
+    rng = Random(graph_seed)
+    g = WeightedCompleteGraph.from_flat(
+        n, [Fraction(rng.randint(low, d), d) for _ in range(n * (n - 1) // 2)])
+    assert scheme2_partition(g, r, seed, ta, tb) == split
+    with pytest.raises(BudgetExceededError):
+        scheme2_partition(g, r, seed, ta, tb, max_attempts=1)
 
 
 def test_partition_exhausts_its_budget_on_impossible_targets():
@@ -312,6 +335,14 @@ def test_scheme2_rejects_a_negative_retry_budget(r):
     g = WeightedCompleteGraph.constant(12, Fraction(1))
     with pytest.raises(ValueError, match="retries must be nonnegative, got -1"):
         scheme2_factor(g, FactorParams(r=r, t=Fraction(1, 2)), seed=0, retries=-1)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_scheme2_rejects_a_negative_epsilon(r):
+    """Checked before the r = 2 base case, so every r rejects it alike."""
+    g = WeightedCompleteGraph.constant(12, Fraction(1))
+    with pytest.raises(ValueError, match="epsilon must be nonnegative, got -1/10"):
+        scheme2_factor(g, FactorParams(r=r, t=Fraction(1, 2)), seed=0, epsilon=Fraction(-1, 10))
 
 
 # Two edges at vertex 11 lowered to 1/5: the triple {0, 1, 11} weighs 7/5,

@@ -1,5 +1,6 @@
 """Complete search, counting bounds, degree test, maximum collections."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -12,6 +13,7 @@ from heavyfactors import (
     CapExceededError,
     FactorParams,
     WeightedCompleteGraph,
+    bipartite_maximum_matching,
     check_facts_at_maximum,
     daykin_haggkvist_check,
     enumerate_all_factors,
@@ -28,7 +30,13 @@ from heavyfactors import (
 )
 from heavyfactors.solver import HeavyCollection, _cover_search, _heavy_family
 
-from conftest import random_grid_graph, sparse_grid_graph
+from conftest import (
+    pair_table,
+    random_grid_graph,
+    random_grid_weights,
+    sparse_grid_graph,
+    sparse_grid_weights,
+)
 
 
 def partition_count(n, r):
@@ -164,12 +172,18 @@ def bitmask(vertices):
     return mask
 
 
-def plain_heavy_sets(graph, params, strict):
-    """The Fraction heavy-set comprehension, kept as the reference."""
+def plain_heavy_sets(n, table, params, strict):
+    """The Fraction heavy-set comprehension over the test's own weights, kept as the reference."""
     return [
-        vs for vs in combinations(range(graph.n), params.r)
-        if params.admits(graph.clique_weight(vs), strict)
+        vs for vs in combinations(range(n), params.r)
+        if params.admits(sum((table[p] for p in combinations(vs, 2)), Fraction(0)), strict)
     ]
+
+
+def prop2_table(r, t, n):
+    """The two-class weighting, written out here: 1 at the first n/r - 1 vertices, t elsewhere."""
+    k = n // r
+    return {(i, j): Fraction(1) if i < k - 1 else t for i, j in combinations(range(n), 2)}
 
 
 def plain_cover_search(n, sets):
@@ -225,11 +239,11 @@ LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
 # ----------------------------------------------------------- heavy-set build
 
 
-def assert_family_is_the_plain_one(graph, params):
-    """Same sets in the same order as the Fraction build, each with its own mask."""
+def assert_family_is_the_plain_one(graph, table, params):
+    """Same sets in the same order as the Fraction build on `table`, each with its own mask."""
     for strict in (False, True):
         sets, masks = _heavy_family(graph, params, strict)
-        assert sets == plain_heavy_sets(graph, params, strict)
+        assert sets == plain_heavy_sets(graph.n, table, params, strict)
         assert masks == [bitmask(s) for s in sets]
 
 
@@ -240,10 +254,11 @@ def assert_family_is_the_plain_one(graph, params):
 def test_heavy_family_matches_the_plain_build_on_grid_graphs(seed, n, r, t, sparse, denominator):
     rng = Random(seed)
     if sparse:
-        g = sparse_grid_graph(rng, n, denominator=denominator, zero_prob=0.3)
+        flat = sparse_grid_weights(rng, n, denominator=denominator, zero_prob=0.3)
     else:
-        g = random_grid_graph(rng, n, denominator=denominator)
-    assert_family_is_the_plain_one(g, FactorParams(r=r, t=t))
+        flat = random_grid_weights(rng, n, denominator=denominator)
+    g = WeightedCompleteGraph.from_flat(n, flat)
+    assert_family_is_the_plain_one(g, pair_table(n, flat), FactorParams(r=r, t=t))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -253,16 +268,19 @@ def test_heavy_family_matches_the_plain_build_on_lowered_prop2(seed, box, t, low
     r, n = box
     rng = Random(seed)
     g, _ = prop2_construction(r, t, n)
+    table = prop2_table(r, t, n)
     for i, j in rng.sample(list(g.pairs()), lowered):
-        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
-    assert_family_is_the_plain_one(g, FactorParams(r=r, t=t))
+        table[i, j] *= Fraction(rng.randint(0, 9), 10)
+        g = g.with_weight(i, j, table[i, j])
+    assert_family_is_the_plain_one(g, table, FactorParams(r=r, t=t))
 
 
 @pytest.mark.parametrize("r,t,n", [(3, Fraction(2, 3), 15), (5, Fraction(2, 3), 15), (3, Fraction(2, 3), 12),
                                    (4, Fraction(2, 3), 12), (5, Fraction(2, 3), 10), (3, Fraction(1, 4), 9),
                                    (2, Fraction(1, 2), 10)])
 def test_heavy_family_matches_the_plain_build_on_scaled_prop2(r, t, n):
-    assert_family_is_the_plain_one(scaled_prop2(r, t, n), FactorParams(r=r, t=t))
+    table = {p: w * Fraction(999, 1000) for p, w in prop2_table(r, t, n).items()}
+    assert_family_is_the_plain_one(scaled_prop2(r, t, n), table, FactorParams(r=r, t=t))
 
 
 @pytest.mark.parametrize("r,t,nudge", [(4, Fraction(2, 3), Fraction(1, 30)), (5, Fraction(2, 3), Fraction(1, 30)),
@@ -284,8 +302,9 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     assert len(_heavy_family(raised, params, True)[0]) == through_edge
     assert len(_heavy_family(lowered, params, False)[0]) == comb(n, r) - through_edge
     assert _heavy_family(lowered, params, True) == ([], [])
-    for g in (flat, raised, lowered):
-        assert_family_is_the_plain_one(g, params)
+    table = {p: t for p in combinations(range(n), 2)}
+    for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
+        assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
 
 
 # ------------------------------------------------------ failed-state cache
@@ -338,6 +357,33 @@ def test_node_counts_of_large_exhaustions_are_pinned(graph, params, strict, node
     cert = find_heavy_factor(graph, params, strict=strict)
     assert cert.outcome == "exhausted"
     assert cert.nodes_explored == nodes
+
+
+# ------------------------------------------------------------ memory release
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    """Each search frees what it allocated on return, with the cyclic GC off.
+
+    A self-recursive closure is a reference cycle: it and everything it holds
+    (masks, failed states, candidate lists) would stay alive until the GC ran.
+    """
+    params = FactorParams(3, Fraction(2, 3))
+    calls = {
+        "cover search": lambda: find_heavy_factor(scaled_prop2(3, Fraction(2, 3), 9), params, strict=True),
+        "augmenting path": lambda: bipartite_maximum_matching(3, 3, [[0, 1], [0], [2]]),
+        "maximum collections": lambda: enumerate_maximum_heavy_collections(
+            WeightedCompleteGraph.constant(6, Fraction(1)), params),
+        "partition stream": lambda: list(enumerate_all_factors(6, 3)),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------- per-vertex counts
