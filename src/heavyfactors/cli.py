@@ -13,12 +13,13 @@ outputs are byte-identical across runs of the same invocation.  Exit codes:
 3 cap or budget exhausted, 4 a certification check failed (the exact solver
 found a factor where a record claims none, or a record's degree is off).
 HFL_SOLVER_CAP and HFL_RETRY_BUDGET override the default exact-solver cap
-and scheme retry budget.
+and scheme retry budget; a flag (--cap, --solver-cap, --retries) overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .core import (
     CertificationError,
     CliqueFactor,
     FactorParams,
-    GraphFormatError,
     dumps_canonical,
     format_rational,
     load_graph,
@@ -49,22 +49,27 @@ from .lab import (
     scan_report,
     verify_theorem3_empirically,
 )
-from .schemes import local_search_heavy_collection, scheme2_factor
+from .schemes import DEFAULT_RETRY_BUDGET, local_search_heavy_collection, scheme2_factor
 from .solver import DEFAULT_SOLVER_CAP, enumerate_all_factors, find_heavy_factor
 
 ENV_SOLVER_CAP = "HFL_SOLVER_CAP"
 ENV_RETRY_BUDGET = "HFL_RETRY_BUDGET"
-DEFAULT_RETRY_BUDGET = 16
+# exception type -> exit code, first match wins (GraphFormatError is a ValueError)
+EXIT_CODES = {ValueError: 2, OSError: 2, CapExceededError: 3, BudgetExceededError: 3,
+              CertificationError: 4}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
+def _setting(flag: int | None, env: str, default: int) -> int:
+    """The one rule for a tunable: the flag if given, else the variable `env`, else `default`."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env, "")
+    if raw == "":
         return default
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
 
 
 def _rational(text: str) -> Fraction:
@@ -93,10 +98,9 @@ def _rational_list(text: str) -> list[Fraction]:
     return out
 
 
-def _descriptor_path(out: str) -> str:
-    if out.endswith(".json"):
-        return out[: -len(".json")] + ".descriptor.json"
-    return out + ".descriptor.json"
+def _sidecar_path(out: str, kind: str) -> str:
+    """`out` with its final ".json" suffix, if any, replaced by ".<kind>.json"."""
+    return out.removesuffix(".json") + f".{kind}.json"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -129,7 +133,7 @@ def _cmd_generate(args) -> int:
         scale=args.scale,
     )
     save_graph(args.out, graph)
-    desc_path = args.descriptor or _descriptor_path(args.out)
+    desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
     _write_text(desc_path, dumps_canonical(desc.to_json()))
     print(
         f"wrote {kind} weighting on n={graph.n} to {args.out} "
@@ -141,7 +145,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
-    cap = args.cap if args.cap is not None else _env_int(ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
+    cap = _setting(args.cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     if args.method == "backtrack":
         cert = find_heavy_factor(graph, params, strict=args.strict)
         factor = cert.factor
@@ -171,9 +175,7 @@ def _cmd_solve(args) -> int:
 def _cmd_scheme2(args) -> int:
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
-    retries = args.retries if args.retries is not None else _env_int(
-        ENV_RETRY_BUDGET, DEFAULT_RETRY_BUDGET
-    )
+    retries = _setting(args.retries, ENV_RETRY_BUDGET, DEFAULT_RETRY_BUDGET)
     factor = scheme2_factor(
         graph, params, args.seed, args.epsilon, retries=retries,
     )
@@ -215,18 +217,14 @@ def _cmd_localsearch(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cap = args.solver_cap if args.solver_cap is not None else _env_int(
-        ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP
-    )
+    cap = _setting(args.solver_cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     record = adversarial_search(
         args.r, args.t, args.n, args.seed, args.grid, args.budget,
         solver_cap=cap,
     )
     weighting_path = args.weighting_out
     if weighting_path is None and args.out is not None:
-        weighting_path = _descriptor_path(args.out).replace(
-            ".descriptor.json", ".weighting.json"
-        )
+        weighting_path = _sidecar_path(args.out, "weighting")
     if weighting_path is not None:
         save_graph(weighting_path, record.graph)
     doc = {
@@ -245,9 +243,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cap = args.solver_cap if args.solver_cap is not None else _env_int(
-        ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP
-    )
+    cap = _setting(args.solver_cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     report = scan_report(
         args.r, args.t, args.n, args.seed, budget=args.budget,
         grid_denominator=args.grid, solver_cap=cap,
@@ -271,7 +267,9 @@ def _cmd_verify(args) -> int:
     return 0 if not report.violations else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hfl` parser, built on first use and then shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="hfl",
         description="Heavy clique factors in edge-weighted complete graphs: "
@@ -368,22 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CapExceededError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

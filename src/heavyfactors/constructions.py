@@ -31,6 +31,7 @@ from .core import (
     BudgetExceededError,
     CertificationError,
     WeightedCompleteGraph,
+    _exact,
     format_rational,
     parse_rational,
 )
@@ -103,7 +104,7 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
         raise ValueError(f"r={r} does not divide n={n}")
     if n <= r:
         raise ValueError(f"need n > r so the clique side is nonempty, got n={n}, r={r}")
-    tt = Fraction(t)
+    tt = _exact(t, "t")
     if tt < 0 or tt > 1:
         raise ValueError(f"level t={tt} outside [0, 1]")
     k = n // r
@@ -124,7 +125,7 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
 def prop2_min_degree(r: int, t, n: int) -> Fraction:
     """Closed form min{n - 1, k - 1 + t (n - k)} for the two-class weighting."""
     k = n // r
-    return min(Fraction(n - 1), Fraction(k - 1) + Fraction(t) * (n - k))
+    return min(Fraction(n - 1), Fraction(k - 1) + _exact(t, "t") * (n - k))
 
 
 def hs_sharpness_parts(r: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -239,7 +240,7 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
     """
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    md = None if min_degree is None else Fraction(min_degree)
+    md = None if min_degree is None else _exact(min_degree, "min degree")
     if md is not None and (md < 0 or md > 1):
         raise ValueError(f"min degree fraction {md} outside [0, 1]")
     if n < 2:
@@ -274,7 +275,7 @@ def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None =
             raise ValueError("random weighting needs a grid denominator")
         if seed is None:
             seed = 0
-        md = Fraction(min_degree) if min_degree is not None else None
+        md = None if min_degree is None else _exact(min_degree, "min degree")
         graph = random_weighting(n, grid_denominator, seed, md)
         desc = ConstructionDescriptor(
             kind=KIND_RANDOM, n=n, seed=seed,
@@ -283,7 +284,7 @@ def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None =
     else:
         raise ValueError(f"unknown construction kind {kind!r}")
     if scale is not None:
-        f = Fraction(scale)
+        f = _exact(scale, "scale factor")
         graph = graph.scale(f)
         desc = ConstructionDescriptor(
             kind=desc.kind, n=desc.n, r=desc.r, t=desc.t, seed=desc.seed,

@@ -76,10 +76,15 @@ def format_rational(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _exact(value, what: str) -> Fraction:
+    """`value` as a Fraction; the one float check of every public entry taking a rational."""
+    if isinstance(value, float):
+        raise ValueError(f"{what} must be an exact rational, not a float")
+    return Fraction(value)
+
+
 def _coerce_weight(w, where: str) -> Fraction:
-    if isinstance(w, float):
-        raise ValueError(f"{where}: float weights are not accepted, use Fraction")
-    f = Fraction(w)
+    f = _exact(w, where)
     if f < 0 or f > 1:
         raise ValueError(f"{where}: weight {f} outside [0, 1]")
     return f
@@ -103,6 +108,10 @@ class WeightedCompleteGraph:
         for (i, j), w in (weights or {}).items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid vertex pair ({i}, {j}) for n={n}")
+            if i > j:
+                i, j = j, i
+            if (i, j) in exact:
+                raise ValueError(f"pair ({i}, {j}) given twice")
             exact[i, j] = _coerce_weight(w, f"edge ({i}, {j})")
         den = lcm(*{w.denominator for w in exact.values()})
         rows = [[0] * n for _ in range(n)]
@@ -149,7 +158,7 @@ class WeightedCompleteGraph:
 
     def least_numerator(self, x, strict: bool = False) -> int:
         """Least integer k with k / den >= x (strict: > x): the bar for sums of `rows`."""
-        f = Fraction(x)
+        f = _exact(x, "bar")
         if strict:
             return f.numerator * self.den // f.denominator + 1
         return -(-f.numerator * self.den // f.denominator)
@@ -200,7 +209,7 @@ class WeightedCompleteGraph:
 
     def scale(self, factor) -> "WeightedCompleteGraph":
         """Multiply every weight by `factor` in [0, 1]; exact, no rounding."""
-        f = Fraction(factor)
+        f = _exact(factor, "scale factor")
         if f < 0 or f > 1:
             raise ValueError(f"scale factor {f} outside [0, 1]")
         rows = [[x * f.numerator for x in row] for row in self.rows]
@@ -253,7 +262,7 @@ class ThresholdGraph:
 
     def __init__(self, n: int, threshold: Fraction, edges: Iterable[tuple[int, int]]):
         self.n = n
-        self.threshold = Fraction(threshold)
+        self.threshold = _exact(threshold, "threshold")
         canon = []
         adj = [set() for _ in range(n)]
         for i, j in edges:
@@ -298,9 +307,7 @@ class FactorParams:
     def __post_init__(self):
         if not isinstance(self.r, int) or self.r < 2:
             raise ValueError(f"clique size r must be an integer >= 2, got {self.r!r}")
-        if isinstance(self.t, float):
-            raise ValueError("t must be an exact rational, not a float")
-        t = Fraction(self.t)
+        t = _exact(self.t, "t")
         if t < 0 or t > 1:
             raise ValueError(f"level t={t} outside [0, 1]")
         object.__setattr__(self, "t", t)

@@ -32,6 +32,7 @@ from .core import (
     CertificationError,
     FactorParams,
     WeightedCompleteGraph,
+    _exact,
     format_rational,
 )
 from .solver import DEFAULT_SOLVER_CAP, SolveCertificate, find_heavy_factor
@@ -72,9 +73,9 @@ def _require_exhausted(certificate: SolveCertificate, what: str) -> None:
         )
 
 
-def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
+def evaluate_lower_bounds(r: int, t, n: int, *,
                           solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
-    """Scaled two-class weighting as a certified lower-bound record.
+    """Two-class weighting scaled by DEFAULT_SCALE as a certified lower-bound record.
 
     Scaling by a factor strictly below 1 pushes the boundary blocks (those at
     exactly the bar) strictly under it, which is what the strict certificate
@@ -83,14 +84,11 @@ def evaluate_lower_bounds(r: int, t, n: int, *, scale_factor=DEFAULT_SCALE,
     uncertified with a note; at t=0 no weighting can certify anything (every
     block is heavy at level 0) and the record is flagged degenerate.
     """
-    tt = Fraction(t)
-    factor = Fraction(scale_factor)
-    if not 0 < factor < 1:
-        raise ValueError(f"scale factor must sit strictly inside (0, 1), got {factor}")
+    tt = _exact(t, "t")
     graph, _desc = prop2_construction(r, tt, n)
-    scaled = graph.scale(factor)
+    scaled = graph.scale(DEFAULT_SCALE)
     value = scaled.min_weighted_degree()
-    expected = factor * prop2_min_degree(r, tt, n)
+    expected = DEFAULT_SCALE * prop2_min_degree(r, tt, n)
     if value != expected:
         raise CertificationError(
             f"scaled prop2 weighting has min degree {format_rational(value)}, "
@@ -192,8 +190,9 @@ class TrialReport:
 
     A violation is a sampled graph meeting the degree floor with no heavy
     factor.  At small n that is a counterexample *candidate* for a finite-n
-    strengthening, not a disproof of anything asymptotic; `hard_failure` only
-    turns on at or above the caller's n floor.
+    strengthening, not a disproof of anything asymptotic.  `to_json` still
+    writes a constant `"hard_failure": false` key, so verify documents keep
+    their bytes.
     """
 
     r: int
@@ -203,7 +202,6 @@ class TrialReport:
     degree_target: Fraction
     passes: int
     violations: tuple
-    hard_failure: bool
 
     def to_json(self) -> dict:
         return {
@@ -221,13 +219,12 @@ class TrialReport:
                 }
                 for v in self.violations
             ],
-            "hard_failure": self.hard_failure,
+            "hard_failure": False,
         }
 
 
 def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
-                                margin=Fraction(1, 10), grid_denominator: int = 20,
-                                n_floor: int | None = None) -> TrialReport:
+                                margin=Fraction(1, 10), grid_denominator: int = 20) -> TrialReport:
     """Sample graphs with min degree >= (1/2 + t/2 + margin) n; expect factors.
 
     Edge weights are uniform on the top of the grid, at least
@@ -242,8 +239,10 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     is then heavy, so every partition is a factor, the search finds one on
     its first descent and `violations` is always empty.  The report checks
     the sampler and the solver's feasible path, not the degree threshold.
+    A violation, were one found, is only a finite-n counterexample candidate;
+    the report carries no verdict beyond the list.
     """
-    tt = Fraction(t)
+    tt = _exact(t, "t")
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     if n % r != 0:
@@ -252,7 +251,7 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
         raise ValueError(f"need at least one trial, got {trials}")
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    delta = Fraction(1, 2) + tt / 2 + Fraction(margin)
+    delta = Fraction(1, 2) + tt / 2 + _exact(margin, "margin")
     target = delta * n
     per_edge = target / (n - 1)
     if per_edge > 1:
@@ -275,10 +274,9 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
                 min_degree=graph.min_weighted_degree(),
                 nodes_explored=certificate.nodes_explored,
             ))
-    hard = bool(violations) and n_floor is not None and n >= n_floor
     return TrialReport(
         r=r, t=tt, n=n, trials=trials, degree_target=target,
-        passes=passes, violations=tuple(violations), hard_failure=hard,
+        passes=passes, violations=tuple(violations),
     )
 
 
@@ -318,7 +316,7 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     rs = sorted(set(int(r) for r in r_values))
-    ts = sorted(set(Fraction(t) for t in t_values))
+    ts = sorted(set(_exact(t, "t") for t in t_values))
     if not rs or not ts:
         raise ValueError("need at least one r and one t")
     cells = []
@@ -339,10 +337,10 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
             else:
                 adv = base
             index += 1
-            conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * Fraction(t)
-            upper = Fraction(1, 2) + Fraction(t) / 2
+            conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t
+            upper = Fraction(1, 2) + t / 2
             cells.append(ScanCell(
-                r=r, t=Fraction(t), n=n,
+                r=r, t=t, n=n,
                 prop2_value=base.value,
                 adversarial_value=adv.value,
                 conjecture=conjecture,

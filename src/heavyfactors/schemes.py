@@ -36,6 +36,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    _exact,
     is_overweight_edge,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
@@ -46,6 +47,10 @@ from .solver import (
     _heavy_family,
     find_heavy_factor,
 )
+
+# scheme2 budgets: random splits per `scheme2_partition` call, split retries per recursion level
+SPLIT_ATTEMPTS = 1000
+DEFAULT_RETRY_BUDGET = 16
 
 
 def _require(ok: bool, what: str) -> None:
@@ -58,7 +63,7 @@ def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     """Heavy 2-block factor via a perfect matching on the level-t threshold graph."""
     if graph.n % 2 != 0:
         raise ValueError(f"need an even vertex count, got n={graph.n}")
-    tt = Fraction(t)
+    tt = _exact(t, "t")
     threshold_graph = graph.threshold_subgraph(tt)
     pairs = perfect_matching(graph.n, threshold_graph.edges)
     if pairs is None:
@@ -190,7 +195,7 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
         raise ValueError(
             f"need equal sides, got {k} cliques and {len(avg.vertices)} vertices"
         )
-    tt = Fraction(t)
+    tt = _exact(t, "t")
     adjacency = [
         [j for j in range(k) if avg.weights[i][j] >= tt] for i in range(k)
     ]
@@ -201,12 +206,11 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
 
 
 def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
-                      target_a, target_b,
-                      max_attempts: int = 1000) -> tuple[tuple, tuple]:
+                      target_a, target_b) -> tuple[tuple, tuple]:
     """Random split into |A| = (r-1)n/r and |B| = n/r meeting degree targets.
 
     Every vertex (on either side) must send weighted degree at least target_a
-    into A and target_b into B.  Resampling past `max_attempts` raises.
+    into A and target_b into B.  Resampling past SPLIT_ATTEMPTS raises.
     """
     n = graph.n
     if r < 2:
@@ -218,7 +222,7 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
     rows, degrees = graph.rows, graph.degrees
     size_a = (r - 1) * n // r
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(SPLIT_ATTEMPTS):
         a_side = sorted(rng.sample(range(n), size_a))
         b_side = sorted(set(range(n)).difference(a_side))
         for v in range(n):
@@ -230,13 +234,13 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
         else:
             return tuple(a_side), tuple(b_side)
     raise BudgetExceededError(
-        f"no split met the degree targets after {max_attempts} attempts"
+        f"no split met the degree targets after {SPLIT_ATTEMPTS} attempts"
     )
 
 
 def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int,
-                   epsilon=Fraction(1, 10), *, retries: int = 16,
-                   partition_attempts: int = 1000) -> CliqueFactor | None:
+                   epsilon=Fraction(1, 10), *,
+                   retries: int = DEFAULT_RETRY_BUDGET) -> CliqueFactor | None:
     """Randomized recursive factor search; None after the retry budget.
 
     Splits off B, factors A at size r-1 (recursively, with an exact-search
@@ -251,7 +255,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         raise ValueError(f"r={r} does not divide n={n}")
     if retries < 0:
         raise ValueError(f"retries must be nonnegative, got {retries}")
-    eps = Fraction(epsilon)
+    eps = _exact(epsilon, "epsilon")
     if eps < 0:
         raise ValueError(f"epsilon must be nonnegative, got {eps}")
     if r == 2:
@@ -263,18 +267,12 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     for _ in range(retries):
         split_seed = rng.getrandbits(32)
         try:
-            a_side, b_side = scheme2_partition(
-                graph, r, split_seed, target_a, target_b,
-                max_attempts=partition_attempts,
-            )
+            a_side, b_side = scheme2_partition(graph, r, split_seed, target_a, target_b)
         except BudgetExceededError:
             continue
         sub_graph, vmap = graph.induced(a_side)
         sub_params = FactorParams(r - 1, t)
-        sub = scheme2_factor(
-            sub_graph, sub_params, rng.getrandbits(32), eps,
-            retries=retries, partition_attempts=partition_attempts,
-        )
+        sub = scheme2_factor(sub_graph, sub_params, rng.getrandbits(32), eps, retries=retries)
         if sub is None and sub_graph.n <= DEFAULT_SOLVER_CAP:
             sub = find_heavy_factor(sub_graph, sub_params, strict=False).factor
         if sub is None:

@@ -51,6 +51,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    _exact,
     format_rational,
     is_heavy,
     is_overweight_edge,
@@ -246,8 +247,8 @@ def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
         raise ValueError(f"the counting bound needs r >= 3, got r={r}")
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    dd = Fraction(delta)
-    tt = Fraction(t)
+    dd = _exact(delta, "delta")
+    tt = _exact(t, "t")
     if not 0 <= dd <= 1:
         raise ValueError(f"delta={dd} outside [0, 1]")
     if not 0 <= tt < 1:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -272,6 +273,23 @@ def test_estimate_writes_record_and_weighting(tmp_path):
     assert g.min_weighted_degree() == Fraction(3663, 1000)
 
 
+def test_sidecar_paths_replace_only_the_final_suffix(tmp_path, capsys):
+    """A ".descriptor.json" earlier in the path is a directory name, left alone."""
+    nested = tmp_path / "a.descriptor.json.d"
+    nested.mkdir()
+    out = nested / "rec.json"
+    assert run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "6", "--out", str(out)) == 0
+    weighting = nested / "rec.weighting.json"
+    assert json.loads(out.read_text())["weighting_path"] == str(weighting)
+    assert load_graph(weighting).n == 6
+    assert run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "6",
+                   "--out", str(nested / "rec")) == 0
+    assert load_graph(weighting).n == 6
+    assert run_cli("generate", "--kind", "hs-sharpness", "--n", "6", "--r", "3",
+                   "--out", str(nested / "g.json")) == 0
+    assert json.loads((nested / "g.descriptor.json").read_text())["kind"] == "hs-sharpness"
+
+
 def test_estimate_above_cap_is_a_cap_error(capsys):
     code = run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "15",
                    "--budget", "5")
@@ -372,6 +390,26 @@ def test_module_entry_point_runs_in_a_clean_interpreter(tmp_path):
     proc2 = run_subprocess("solve", "--input", str(out), "--r", "3", "--t", "1/1")
     assert proc2.returncode == 1
     assert json.loads(proc2.stdout)["outcome"] == "exhausted"
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    """The parser and its seven subparsers are built at most once; later calls reuse them."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    per_call = []
+    for name in ("a.json", "b.json"):
+        before = len(built)
+        assert run_cli("generate", "--kind", "hs-sharpness", "--n", "6", "--r", "3",
+                       "--out", str(tmp_path / name)) == 0
+        per_call.append(len(built) - before)
+    assert per_call[0] in (0, 8) and per_call[1] == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heavyfactors as hf
 from heavyfactors import (
     CliqueFactor,
     FactorParams,
@@ -122,6 +123,11 @@ def test_constructor_rejects_floats_and_out_of_range_weights():
         WeightedCompleteGraph(3, {(0, 1): Fraction(-1, 2)})
     with pytest.raises(ValueError):
         WeightedCompleteGraph(0)
+
+
+def test_constructor_rejects_a_pair_given_twice():
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) given twice"):
+        WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1)})
 
 
 def test_degree_sum_identity_on_random_graphs():
@@ -367,6 +373,40 @@ def test_factor_params_reject_bad_boxes(r, t):
 def test_factor_params_reject_float_levels():
     with pytest.raises(ValueError):
         FactorParams(r=3, t=0.5)
+
+
+ONES = WeightedCompleteGraph.constant(6, Fraction(1))
+HALF = FactorParams(3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ONES.scale(0.1),
+    lambda: ONES.threshold_subgraph(0.3),
+    lambda: ONES.least_numerator(0.5),
+    lambda: hf.ThresholdGraph(6, 0.5, []),
+    lambda: hf.prop2_construction(3, 0.5, 9),
+    lambda: hf.prop2_min_degree(3, 0.5, 9),
+    lambda: hf.random_weighting(6, 4, 0, min_degree=0.5),
+    lambda: hf.build("random-min-degree", n=6, grid_denominator=4, min_degree=0.5),
+    lambda: hf.build("prop2", n=9, r=3, t=Fraction(1, 2), scale=0.5),
+    lambda: hf.evaluate_lower_bounds(3, 2 / 3, 9),
+    lambda: hf.scan_report([3], [0.5], 6, 0),
+    lambda: hf.verify_theorem3_empirically(3, Fraction(1, 3), 1, 9, 0, margin=0.1),
+    lambda: hf.scheme2_factor(ONES, HALF, 0, epsilon=0.1),
+    lambda: hf.scheme2_partition(ONES, 3, 0, 0.5, 0),
+    lambda: hf.matching_base_case(ONES, 0.5),
+    lambda: hf.bipartite_threshold_matching(
+        hf.build_bipartite_average(ONES, [(0, 1)], [2]), 0.5),
+    lambda: hf.lemma1_bound(0.9, 0.5, 3, 9),
+], ids=["scale", "threshold_subgraph", "least_numerator", "ThresholdGraph",
+        "prop2_construction", "prop2_min_degree", "random_weighting", "build-min_degree",
+        "build-scale", "evaluate_lower_bounds", "scan_report", "verify-margin",
+        "scheme2_factor-epsilon", "scheme2_partition", "matching_base_case",
+        "bipartite_threshold_matching", "lemma1_bound"])
+def test_every_rational_entry_refuses_floats(call):
+    """A float would round every boundary; each entry refuses it through one check."""
+    with pytest.raises(ValueError, match="must be an exact rational, not a float"):
+        call()
 
 
 def test_heavy_boundary_separates_the_two_predicates():

@@ -215,7 +215,7 @@ def test_partition_shape_and_determinism():
     assert sorted(a1 + b1) == list(range(12))
 
 
-def test_partition_matches_the_two_sided_degree_sums():
+def test_partition_matches_the_two_sided_degree_sums(monkeypatch):
     """Each split equals the one found by summing both sides edge by edge."""
 
     def reference(n, table, r, seed, ta, tb, attempts=1000):
@@ -230,6 +230,7 @@ def test_partition_matches_the_two_sided_degree_sums():
                 return tuple(a_side), tuple(b_side)
         return None
 
+    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 50)
     rng = Random(11)
     for trial in range(12):
         n = 6 if trial % 2 else 9
@@ -238,7 +239,7 @@ def test_partition_matches_the_two_sided_degree_sums():
         ta = Fraction(rng.randint(0, 4 * n), 8) * Fraction(2, 3)
         tb = Fraction(rng.randint(0, 2 * n), 8) * Fraction(1, 3)
         try:
-            got = scheme2_partition(g, 3, trial, ta, tb, max_attempts=50)
+            got = scheme2_partition(g, 3, trial, ta, tb)
         except BudgetExceededError:
             got = None
         assert got == reference(n, pair_table(n, flat), 3, trial, ta, tb, attempts=50), trial
@@ -251,7 +252,7 @@ def test_partition_matches_the_two_sided_degree_sums():
     ((3, 24, 6, 12), 4, 3, Fraction(35, 3), Fraction(43, 12),
      ((0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 18, 20, 22, 23), (4, 12, 14, 17, 19, 21))),
 ])
-def test_partition_splits_are_pinned(draw, r, seed, ta, tb, split):
+def test_partition_splits_are_pinned(monkeypatch, draw, r, seed, ta, tb, split):
     """Splits as first recorded; each takes between 2 and 100 attempts.
 
     `draw` is (rng seed, n, low, d): every weight is uniform on low/d..d/d.
@@ -261,14 +262,16 @@ def test_partition_splits_are_pinned(draw, r, seed, ta, tb, split):
     g = WeightedCompleteGraph.from_flat(
         n, [Fraction(rng.randint(low, d), d) for _ in range(n * (n - 1) // 2)])
     assert scheme2_partition(g, r, seed, ta, tb) == split
+    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 1)
     with pytest.raises(BudgetExceededError):
-        scheme2_partition(g, r, seed, ta, tb, max_attempts=1)
+        scheme2_partition(g, r, seed, ta, tb)
 
 
-def test_partition_exhausts_its_budget_on_impossible_targets():
+def test_partition_exhausts_its_budget_on_impossible_targets(monkeypatch):
     zeros = WeightedCompleteGraph.constant(12, Fraction(0))
-    with pytest.raises(BudgetExceededError):
-        scheme2_partition(zeros, 3, seed=0, target_a=1, target_b=0, max_attempts=20)
+    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 20)
+    with pytest.raises(BudgetExceededError, match="after 20 attempts"):
+        scheme2_partition(zeros, 3, seed=0, target_a=1, target_b=0)
     with pytest.raises(ValueError):
         scheme2_partition(zeros, 5, seed=0, target_a=0, target_b=0)
 
@@ -289,10 +292,11 @@ def test_scheme2_r2_delegates_to_the_base_case():
     factor.validate(6, 2)
 
 
-def test_scheme2_returns_none_when_the_split_cannot_exist():
+def test_scheme2_returns_none_when_the_split_cannot_exist(monkeypatch):
     zeros = WeightedCompleteGraph.constant(12, Fraction(0))
     params = FactorParams(r=3, t=Fraction(1, 2))
-    out = scheme2_factor(zeros, params, seed=0, retries=2, partition_attempts=30)
+    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 30)
+    out = scheme2_factor(zeros, params, seed=0, retries=2)
     assert out is None
 
 
