@@ -145,12 +145,14 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
-    cap = _setting(args.cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     if args.method == "backtrack":
+        if args.cap is not None:
+            raise ValueError("--cap applies only to --method oracle")
         cert = find_heavy_factor(graph, params, strict=args.strict)
         factor = cert.factor
         nodes = cert.nodes_explored
     else:  # oracle: filter the full partition stream
+        cap = _setting(args.cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
         factor = None
         nodes = 0
         for blocks in enumerate_all_factors(graph.n, params.r, cap=cap):

@@ -72,7 +72,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value) -> str:
     """Serialize a rational as "num/den", denominator always printed."""
-    f = Fraction(value)
+    f = _exact(value, "value")
     return f"{f.numerator}/{f.denominator}"
 
 

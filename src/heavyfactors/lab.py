@@ -315,7 +315,11 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    rs = sorted(set(int(r) for r in r_values))
+    rs = list(r_values)
+    for r in rs:
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ValueError(f"r must be an exact integer, not a {type(r).__name__}")
+    rs = sorted(set(rs))
     ts = sorted(set(_exact(t, "t") for t in t_values))
     if not rs or not ts:
         raise ValueError("need at least one r and one t")

@@ -15,11 +15,11 @@ Three ways to build factors without exhaustive search:
   partner of averaged weight at least t is heavy at level t for r vertices,
   with no slack; the merge checks it.
 
-Plus a seeded hill-climb over heavy collections (add a block, add a block
-around an overweight edge, or swap one vertex to raise the within-block
-overweight count), used to probe instances too big for exhaustive
-enumeration.  All random choices flow from one seed.  A failed check raises
-CertificationError, so the checks hold under `python -O` as well.
+Plus a seeded hill-climb over heavy collections (add a block, or swap one
+vertex to raise the within-block overweight count), used to probe instances
+too big for exhaustive enumeration.  All random choices flow from one seed.
+A failed check raises CertificationError, so the checks hold under
+`python -O` as well.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .core import (
@@ -37,7 +36,6 @@ from .core import (
     FactorParams,
     WeightedCompleteGraph,
     _exact,
-    is_overweight_edge,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
 from .solver import (
@@ -45,6 +43,7 @@ from .solver import (
     HeavyCollection,
     _block_overweight_count,
     _heavy_family,
+    _vertices,
     find_heavy_factor,
 )
 
@@ -301,18 +300,17 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     """Seeded hill-climb maximizing (size, within-block overweight edges).
 
     Moves, tried in order until none applies: add the first fully uncovered
-    heavy block; add a block built around the first uncovered overweight edge
-    padded with the smallest uncovered vertices; swap one block vertex for an
-    uncovered vertex when the block stays heavy and its internal overweight
-    count strictly rises.  Both objectives are bounded and every move raises
-    the pair lexicographically, so each climb terminates.  Restart 0 climbs
-    from the empty collection; later restarts climb from a greedy pass over a
-    shuffled block order, and the best (ties to earliest) wins.
+    heavy block; swap one block vertex for an uncovered vertex when the block
+    stays heavy and its internal overweight count strictly rises.  Both
+    objectives are bounded and every move raises the pair lexicographically,
+    so each climb terminates.  Restart 0 climbs from the empty collection;
+    later restarts climb from a greedy pass over a shuffled block order, and
+    the best (ties to earliest) wins.
     """
-    n, r = graph.n, params.r
+    n = graph.n
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    sets, _ = _heavy_family(graph, params, strict=False)
+    masks = _heavy_family(graph, params, strict=False)
 
     def block_owc(block) -> int:
         return _block_overweight_count(graph, params, block)
@@ -323,28 +321,11 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
             for b in blocks:
                 covered |= b
             uncovered = [v for v in range(n) if v not in covered]
-            uncset = set(uncovered)
-            added = False
-            for s in sets:
-                if all(v in uncset for v in s):
-                    blocks.append(frozenset(s))
-                    added = True
-                    break
-            if added:
+            free = sum(1 << v for v in uncovered)
+            fit = next((m for m in masks if m & free == m), None)
+            if fit is not None:
+                blocks.append(frozenset(_vertices(fit)))
                 continue
-            if len(uncovered) >= r:
-                edge = next(
-                    (e for e in combinations(uncovered, 2)
-                     if is_overweight_edge(graph, e, params)),
-                    None,
-                )
-                if edge is not None:
-                    fill = [v for v in uncovered if v not in edge][: r - 2]
-                    block = frozenset(edge) | frozenset(fill)
-                    _require(params.admits(graph.clique_weight(block)),
-                             "padded overweight-edge block fell below the bar")
-                    blocks.append(block)
-                    continue
             swapped = False
             order = sorted(range(len(blocks)), key=lambda i: sorted(blocks[i]))
             for bi in order:
@@ -376,14 +357,14 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
         if restart == 0:
             start: list = []
         else:
-            shuffled = list(sets)
+            shuffled = list(masks)
             rng.shuffle(shuffled)
             start = []
-            taken: set = set()
-            for s in shuffled:
-                if not taken & set(s):
-                    start.append(frozenset(s))
-                    taken |= set(s)
+            taken = 0
+            for m in shuffled:
+                if not taken & m:
+                    start.append(frozenset(_vertices(m)))
+                    taken |= m
         blocks = climb(start)
         key = objective(blocks)
         if key > best_key:

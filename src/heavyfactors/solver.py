@@ -21,8 +21,10 @@ graph's integer weight rows are summed against the bar t * C(r, 2) put over
 the graph's denominator, and the r-sets are walked in lexicographic order,
 each prefix carrying its integer weight and a gain row (the weight from the
 prefix to every later vertex), so adding a vertex costs one addition and one
-comparison.  Each set comes with its bitmask, built from its prefix's mask.  Fractions stay at the edges:
-input graphs, certificates and block weights.
+comparison.  Each set is held once, as the bitmask of its vertices, built
+from its prefix's mask; sorted vertex tuples are decoded only where a block
+leaves the solver.  Fractions stay at the edges: input graphs, certificates
+and block weights.
 
 The backtracking search anchors the uncovered vertex with the fewest live
 candidate blocks (ties to the smallest index) and tries that vertex's
@@ -127,19 +129,19 @@ def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
 
 
 def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
-                  strict: bool) -> tuple[list[tuple], list[int]]:
-    """Every heavy r-set as a sorted tuple, in lexicographic order, with its bitmask.
+                  strict: bool) -> list[int]:
+    """The bitmask of every heavy r-set, in the lexicographic order of the sets.
 
     Sums of the graph's integer rows meet the bar put over its denominator, so
     each comparison is between integers and decides exactly what
     `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
-    r - 2 vertices carries its weight and its gain row (`gain[v]` is the
-    prefix's weight to v); adding a vertex a and then v costs one sum each.
+    r - 2 vertices carries its weight, its gain row (`gain[v]` is the
+    prefix's weight to v) and its mask; adding a vertex a and then v costs
+    one sum each.
     """
     n, r = graph.n, params.r
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
-    sets: list[tuple] = []
     masks: list[int] = []
     for prefix in combinations(range(n - 2), r - 2):
         total = sum(rows[u][v] for u, v in combinations(prefix, 2))
@@ -151,34 +153,43 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
         for a in range(prefix[-1] + 1 if prefix else 0, n - 1):
             row = rows[a]
             short = need - total - gain[a]
-            hits = [v for v in range(a + 1, n) if gain[v] + row[v] >= short]
-            if hits:
-                head = prefix + (a,)
-                head_mask = mask | 1 << a
-                sets.extend([head + (v,) for v in hits])
-                masks.extend([head_mask | 1 << v for v in hits])
-    return sets, masks
+            head = mask | 1 << a
+            masks.extend([head | 1 << v for v in range(a + 1, n) if gain[v] + row[v] >= short])
+    return masks
 
 
-def _cover_search(n: int, sets: list[tuple], masks: list[int]) -> tuple[list[tuple] | None, int]:
-    """Exact cover of {0..n-1} by disjoint sets drawn from `sets` (bitmasks `masks`).
+def _vertices(mask: int) -> tuple:
+    """The vertices of `mask` as a sorted tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _cover_search(n: int, masks: list[int]) -> tuple[list[int] | None, int]:
+    """Exact cover of {0..n-1} by disjoint sets drawn from the bitmasks `masks`.
 
     Fewest-live-candidates vertex is branched on; candidate order within a
-    vertex follows the (lexicographic) order of `sets`.  Returns the chosen
-    sets and the number of nodes of the uncached search tree.  A covered
+    vertex follows the (lexicographic) order of `masks`.  Returns the chosen
+    masks and the number of nodes of the uncached search tree.  A covered
     mask whose subtree failed is cached with that subtree's node count; a
     later visit adds the count and returns False without searching again.
     """
     by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for idx, s in enumerate(sets):
-        for v in s:
-            by_vertex[v].append(idx)
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_vertex[low.bit_length() - 1].append(m)
+            rest ^= low
     chosen: list[int] = []
-    found, nodes = _search(0, (1 << n) - 1, by_vertex, masks, chosen, {})
-    return ([sets[i] for i in chosen] if found else None, nodes)
+    found, nodes = _search(0, (1 << n) - 1, by_vertex, chosen, {})
+    return (chosen if found else None, nodes)
 
 
-def _search(covered: int, full: int, by_vertex: list[list[int]], masks: list[int],
+def _search(covered: int, full: int, by_vertex: list[list[int]],
             chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
     """One search node: (cover found, node count of its uncached subtree)."""
     if covered in failed:
@@ -190,16 +201,16 @@ def _search(covered: int, full: int, by_vertex: list[list[int]], masks: list[int
     while rem:
         v = (rem & -rem).bit_length() - 1
         rem &= rem - 1
-        live = [i for i in by_vertex[v] if not masks[i] & covered]
+        live = [m for m in by_vertex[v] if not m & covered]
         if not live:
             failed[covered] = 1
             return False, 1
         if best_live is None or len(live) < len(best_live):
             best_live = live
     nodes = 1
-    for i in best_live:
-        chosen.append(i)
-        found, sub = _search(covered | masks[i], full, by_vertex, masks, chosen, failed)
+    for m in best_live:
+        chosen.append(m)
+        found, sub = _search(covered | m, full, by_vertex, chosen, failed)
         nodes += sub
         if found:
             return True, nodes
@@ -218,10 +229,10 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     n, r = graph.n, params.r
     if n % r != 0:
         raise ValueError(f"r={r} does not divide n={n}")
-    blocks, nodes = _cover_search(n, *_heavy_family(graph, params, strict))
+    chosen, nodes = _cover_search(n, _heavy_family(graph, params, strict))
     factor = None
-    if blocks is not None:
-        factor = CliqueFactor.from_blocks(blocks)
+    if chosen is not None:
+        factor = CliqueFactor.from_blocks([_vertices(m) for m in chosen])
         factor.validate(n, r)
     return SolveCertificate(params=params, strict=strict, factor=factor,
                             nodes_explored=nodes)
@@ -232,9 +243,7 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    _, masks = _heavy_family(graph, params, strict)
-    bit = 1 << v
-    return sum(1 for m in masks if m & bit)
+    return sum(m >> v & 1 for m in _heavy_family(graph, params, strict))
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -261,19 +270,15 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
     """Degree test sufficient for a perfect matching of the heavy r-sets.
 
     True when every vertex lies in at least (1 - 1/r)(C(n-1, r-1) - 1) heavy
-    r-sets, counted in one pass over them.  Sufficiency holds when r divides
-    n; the test itself is just the degree comparison.
+    r-sets, counted off their bitmasks.  Sufficiency holds when r divides n;
+    the test itself is just the degree comparison.
     """
     n, r = graph.n, params.r
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
-    degree = [0] * n
-    sets, _ = _heavy_family(graph, params, strict)
-    for s in sets:
-        for v in s:
-            degree[v] += 1
-    return all(d >= bound for d in degree)
+    masks = _heavy_family(graph, params, strict)
+    return all(sum(m >> v & 1 for m in masks) >= bound for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -321,11 +326,11 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     n = graph.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    sets, masks = _heavy_family(graph, params, strict=False)
-    owc = [_block_overweight_count(graph, params, s) for s in sets]
+    masks = _heavy_family(graph, params, strict=False)
+    owc = [_block_overweight_count(graph, params, _vertices(m)) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
     out = [
-        HeavyCollection.from_blocks([sets[i] for i in chosen], best_key[1])
+        HeavyCollection.from_blocks([_vertices(masks[i]) for i in chosen], best_key[1])
         for chosen in best
     ]
     out.sort(key=lambda c: tuple(sorted(b) for b in c.blocks))

@@ -169,6 +169,22 @@ def test_solver_cap_env_knob(prop2_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, capsys, monkeypatch):
+    """The cap bounds only the oracle's enumeration: backtrack refuses --cap and ignores the variable."""
+    argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--strict"]
+    assert run_cli(*argv, "--cap", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap applies only to --method oracle\n"
+    assert run_cli(*argv) == 1
+    expected = capsys.readouterr()
+    monkeypatch.setenv("HFL_SOLVER_CAP", "x")
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == expected
+    assert run_cli(*argv, "--method", "oracle") == 2
+    assert capsys.readouterr().err == "error: HFL_SOLVER_CAP must be an integer, got 'x'\n"
+
+
 def test_solve_rejects_malformed_graph_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "edges": [[0, 1, "0.5"]]}')

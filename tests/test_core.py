@@ -398,14 +398,19 @@ HALF = FactorParams(3, Fraction(1, 2))
     lambda: hf.bipartite_threshold_matching(
         hf.build_bipartite_average(ONES, [(0, 1)], [2]), 0.5),
     lambda: hf.lemma1_bound(0.9, 0.5, 3, 9),
+    lambda: hf.format_rational(0.1),
+    lambda: hf.scan_report([3.7], [Fraction(1, 2)], 9, 0),
 ], ids=["scale", "threshold_subgraph", "least_numerator", "ThresholdGraph",
         "prop2_construction", "prop2_min_degree", "random_weighting", "build-min_degree",
         "build-scale", "evaluate_lower_bounds", "scan_report", "verify-margin",
         "scheme2_factor-epsilon", "scheme2_partition", "matching_base_case",
-        "bipartite_threshold_matching", "lemma1_bound"])
+        "bipartite_threshold_matching", "lemma1_bound", "format_rational", "scan_report-r"])
 def test_every_rational_entry_refuses_floats(call):
-    """A float would round every boundary; each entry refuses it through one check."""
-    with pytest.raises(ValueError, match="must be an exact rational, not a float"):
+    """A float would round every boundary; each entry refuses it through one check.
+
+    An r is an integer, so scan_report names it an exact integer instead.
+    """
+    with pytest.raises(ValueError, match="must be an exact (rational|integer), not a float"):
         call()
 
 

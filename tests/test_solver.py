@@ -28,7 +28,7 @@ from heavyfactors import (
     random_weighting,
     t_r_threshold,
 )
-from heavyfactors.solver import HeavyCollection, _cover_search, _heavy_family
+from heavyfactors.solver import HeavyCollection, _cover_search, _heavy_family, _vertices
 
 from conftest import (
     pair_table,
@@ -224,8 +224,17 @@ def plain_cover_search(n, sets):
 
 
 def assert_cache_is_invisible(graph, params, strict):
-    sets, masks = _heavy_family(graph, params, strict)
-    assert _cover_search(graph.n, sets, masks) == plain_cover_search(graph.n, sets)
+    """Same blocks and node count as the plain search, each mask decoded both ways."""
+    n = graph.n
+
+    def members(mask):
+        return tuple(v for v in range(n) if mask >> v & 1)
+
+    masks = _heavy_family(graph, params, strict)
+    chosen, nodes = _cover_search(n, masks)
+    assert all(_vertices(m) == members(m) for m in masks)
+    blocks = None if chosen is None else [members(m) for m in chosen]
+    assert (blocks, nodes) == plain_cover_search(n, [members(m) for m in masks])
 
 
 def scaled_prop2(r, t, n):
@@ -240,11 +249,10 @@ LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
 
 
 def assert_family_is_the_plain_one(graph, table, params):
-    """Same sets in the same order as the Fraction build on `table`, each with its own mask."""
+    """The masks of the Fraction build's sets on `table`, in the same order."""
     for strict in (False, True):
-        sets, masks = _heavy_family(graph, params, strict)
-        assert sets == plain_heavy_sets(graph.n, table, params, strict)
-        assert masks == [bitmask(s) for s in sets]
+        plain = plain_heavy_sets(graph.n, table, params, strict)
+        assert _heavy_family(graph, params, strict) == [bitmask(s) for s in plain]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -293,15 +301,15 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     n = 8
     params = FactorParams(r=r, t=t)
     flat = WeightedCompleteGraph.constant(n, t)
-    assert _heavy_family(flat, params, False)[0] == list(combinations(range(n), r))
-    assert _heavy_family(flat, params, True) == ([], [])
+    assert _heavy_family(flat, params, False) == [bitmask(s) for s in combinations(range(n), r)]
+    assert _heavy_family(flat, params, True) == []
     through_edge = comb(n - 2, r - 2)
     raised = flat.with_weight(0, 1, t + nudge)
     lowered = flat.with_weight(0, 1, t - nudge)
-    assert len(_heavy_family(raised, params, False)[0]) == comb(n, r)
-    assert len(_heavy_family(raised, params, True)[0]) == through_edge
-    assert len(_heavy_family(lowered, params, False)[0]) == comb(n, r) - through_edge
-    assert _heavy_family(lowered, params, True) == ([], [])
+    assert len(_heavy_family(raised, params, False)) == comb(n, r)
+    assert len(_heavy_family(raised, params, True)) == through_edge
+    assert len(_heavy_family(lowered, params, False)) == comb(n, r) - through_edge
+    assert _heavy_family(lowered, params, True) == []
     table = {p: t for p in combinations(range(n), 2)}
     for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
         assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
