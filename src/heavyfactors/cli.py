@@ -49,8 +49,13 @@ from .lab import (
     scan_report,
     verify_theorem3_empirically,
 )
-from .schemes import DEFAULT_RETRY_BUDGET, local_search_heavy_collection, scheme2_factor
-from .solver import DEFAULT_SOLVER_CAP, enumerate_all_factors, find_heavy_factor
+from .schemes import DEFAULT_RETRY_BUDGET, scheme2_factor
+from .solver import (
+    DEFAULT_SOLVER_CAP,
+    enumerate_all_factors,
+    find_heavy_factor,
+    local_search_heavy_collection,
+)
 
 ENV_SOLVER_CAP = "HFL_SOLVER_CAP"
 ENV_RETRY_BUDGET = "HFL_RETRY_BUDGET"
@@ -87,15 +92,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        if part.strip() == "":
-            continue
-        try:
-            out.append(parse_rational(part))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return out
+    return [_rational(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _sidecar_path(out: str, kind: str) -> str:

@@ -22,7 +22,7 @@ graph bit-exactly, so files on disk can say where they came from.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import (
@@ -214,7 +214,7 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     caller rejects per_edge > 1 first: for d >= 1 that is exactly when no
     grid value is left.
     """
-    lo = -((-per_edge.numerator * d) // per_edge.denominator)  # ceil(per_edge * d)
+    lo = max(0, -((-per_edge.numerator * d) // per_edge.denominator))  # ceil(per_edge * d), at least 0
     flat = [Fraction(rng.randint(lo, d), d) for _ in range(n * (n - 1) // 2)]
     graph = WeightedCompleteGraph.from_flat(n, flat)
     target = (n - 1) * per_edge
@@ -286,11 +286,7 @@ def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None =
     if scale is not None:
         f = _exact(scale, "scale factor")
         graph = graph.scale(f)
-        desc = ConstructionDescriptor(
-            kind=desc.kind, n=desc.n, r=desc.r, t=desc.t, seed=desc.seed,
-            scale=f, grid_denominator=desc.grid_denominator,
-            min_degree=desc.min_degree, partition=desc.partition,
-        )
+        desc = replace(desc, scale=f)
     return graph, desc
 
 

@@ -1,4 +1,4 @@
-"""Constructive routes to heavy factors: recursion, lifting, local search.
+"""Constructive routes to heavy factors: recursion and lifting.
 
 Three ways to build factors without exhaustive search:
 
@@ -15,11 +15,8 @@ Three ways to build factors without exhaustive search:
   partner of averaged weight at least t is heavy at level t for r vertices,
   with no slack; the merge checks it.
 
-Plus a seeded hill-climb over heavy collections (add a block, or swap one
-vertex to raise the within-block overweight count), used to probe instances
-too big for exhaustive enumeration.  All random choices flow from one seed.
-A failed check raises CertificationError, so the checks hold under
-`python -O` as well.
+All random choices flow from one seed.  A failed check raises
+CertificationError, so the checks hold under `python -O` as well.
 """
 
 from __future__ import annotations
@@ -38,14 +35,7 @@ from .core import (
     _exact,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
-from .solver import (
-    DEFAULT_SOLVER_CAP,
-    HeavyCollection,
-    _block_overweight_count,
-    _heavy_family,
-    _vertices,
-    find_heavy_factor,
-)
+from .solver import DEFAULT_SOLVER_CAP, find_heavy_factor
 
 # scheme2 budgets: random splits per `scheme2_partition` call, split retries per recursion level
 SPLIT_ATTEMPTS = 1000
@@ -293,81 +283,3 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         factor.validate(n, r)
         return factor
     return None
-
-
-def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorParams,
-                                  seed: int, restarts: int = 4) -> HeavyCollection:
-    """Seeded hill-climb maximizing (size, within-block overweight edges).
-
-    Moves, tried in order until none applies: add the first fully uncovered
-    heavy block; swap one block vertex for an uncovered vertex when the block
-    stays heavy and its internal overweight count strictly rises.  Both
-    objectives are bounded and every move raises the pair lexicographically,
-    so each climb terminates.  Restart 0 climbs from the empty collection;
-    later restarts climb from a greedy pass over a shuffled block order, and
-    the best (ties to earliest) wins.
-    """
-    n = graph.n
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    masks = _heavy_family(graph, params, strict=False)
-
-    def block_owc(block) -> int:
-        return _block_overweight_count(graph, params, block)
-
-    def climb(blocks: list) -> list:
-        while True:
-            covered = set()
-            for b in blocks:
-                covered |= b
-            uncovered = [v for v in range(n) if v not in covered]
-            free = sum(1 << v for v in uncovered)
-            fit = next((m for m in masks if m & free == m), None)
-            if fit is not None:
-                blocks.append(frozenset(_vertices(fit)))
-                continue
-            swapped = False
-            order = sorted(range(len(blocks)), key=lambda i: sorted(blocks[i]))
-            for bi in order:
-                old = blocks[bi]
-                old_count = block_owc(old)
-                for u in sorted(old):
-                    for w in uncovered:
-                        candidate = (old - {u}) | {w}
-                        if not params.admits(graph.clique_weight(candidate)):
-                            continue
-                        if block_owc(candidate) > old_count:
-                            blocks[bi] = candidate
-                            swapped = True
-                            break
-                    if swapped:
-                        break
-                if swapped:
-                    break
-            if not swapped:
-                return blocks
-
-    def objective(blocks) -> tuple:
-        return (len(blocks), sum(block_owc(b) for b in blocks))
-
-    rng = random.Random(seed)
-    best_blocks: list = []
-    best_key = (-1, -1)
-    for restart in range(restarts):
-        if restart == 0:
-            start: list = []
-        else:
-            shuffled = list(masks)
-            rng.shuffle(shuffled)
-            start = []
-            taken = 0
-            for m in shuffled:
-                if not taken & m:
-                    start.append(frozenset(_vertices(m)))
-                    taken |= m
-        blocks = climb(start)
-        key = objective(blocks)
-        if key > best_key:
-            best_key = key
-            best_blocks = blocks
-    return HeavyCollection.from_blocks(best_blocks, best_key[1])

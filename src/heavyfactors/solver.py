@@ -14,7 +14,16 @@ maximum of that order an exchange argument pins down a lot of structure
 around any r uncovered vertices; `check_facts_at_maximum` verifies all of it
 and returns witnesses for anything that fails.  A failure on a genuine
 maximum means a strictly better collection exists, so it is always a bug
-witness, never an expected outcome.
+witness, never an expected outcome.  Overweight edges are read off one
+integer relation, a mask per vertex of its overweight neighbours; the
+structure checks keep the Fraction predicates, so they stay independent of
+the enumerator whose output they check.
+
+Beside the exhaustive enumerator sits a seeded hill-climb over heavy
+collections (add a block, or swap one vertex to raise the within-block
+overweight count), used to probe instances too big for exhaustive
+enumeration.  It climbs on the same masks; all random choices flow from one
+seed.
 
 The heavy r-sets of an instance are listed once per call, in integers: the
 graph's integer weight rows are summed against the bar t * C(r, 2) put over
@@ -42,6 +51,7 @@ search tree, the same number the plain search would have counted.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -310,9 +320,20 @@ class HeavyCollection:
         return len(self.blocks)
 
 
-def _block_overweight_count(graph: WeightedCompleteGraph, params: FactorParams,
-                            block) -> int:
-    return sum(1 for e in combinations(sorted(block), 2) if is_overweight_edge(graph, e, params))
+def _overweight_rows(graph: WeightedCompleteGraph, params: FactorParams) -> list[int]:
+    """Per vertex v, the mask of the u != v whose edge to v is overweight.
+
+    An edge is overweight when its integer weight meets the bar t * C(r, 2)
+    put over the graph's denominator, as `is_overweight_edge` decides.
+    """
+    bar = graph.least_numerator(params.heavy_threshold)
+    return [sum(1 << u for u, w in enumerate(row) if w >= bar and u != v)
+            for v, row in enumerate(graph.rows)]
+
+
+def _overweight_count(over: list[int], block: int) -> int:
+    """Overweight edges inside the mask `block`, each counted once."""
+    return sum((over[v] & block).bit_count() for v in _vertices(block)) // 2
 
 
 def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: FactorParams,
@@ -327,7 +348,8 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     masks = _heavy_family(graph, params, strict=False)
-    owc = [_block_overweight_count(graph, params, _vertices(m)) for m in masks]
+    over = _overweight_rows(graph, params)
+    owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
     out = [
         HeavyCollection.from_blocks([_vertices(masks[i]) for i in chosen], best_key[1])
@@ -352,6 +374,73 @@ def _maximum_collections(start: int, covered: int, key: tuple[int, int], chosen:
         elif sub_key == best_key:
             best.extend(sub)
     return best_key, best
+
+
+def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorParams,
+                                  seed: int, restarts: int = 4) -> HeavyCollection:
+    """Seeded hill-climb maximizing (size, within-block overweight edges).
+
+    Moves, tried in order until none applies: add the first fully uncovered
+    heavy block; swap one block vertex for an uncovered vertex when the block
+    stays heavy and its internal overweight count strictly rises.  Both
+    objectives are bounded and every move raises the pair lexicographically,
+    so each climb terminates.  Restart 0 climbs from the empty collection;
+    later restarts climb from a greedy pass over a shuffled block order, and
+    the best (ties to earliest) wins.
+    """
+    n = graph.n
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    masks = _heavy_family(graph, params, strict=False)
+    heavy = set(masks)
+    over = _overweight_rows(graph, params)
+
+    def improving_swap(blocks: list[int], free: int) -> tuple[int, int] | None:
+        """The first (index, swapped block) that stays heavy and gains overweight edges."""
+        incoming = _vertices(free)
+        for i in sorted(range(len(blocks)), key=lambda j: _vertices(blocks[j])):
+            old = blocks[i]
+            old_count = _overweight_count(over, old)
+            for u in _vertices(old):
+                for w in incoming:
+                    candidate = old ^ 1 << u | 1 << w
+                    if candidate in heavy and _overweight_count(over, candidate) > old_count:
+                        return i, candidate
+        return None
+
+    def climb(blocks: list[int]) -> list[int]:
+        while True:
+            free = (1 << n) - 1
+            for b in blocks:
+                free &= ~b
+            fit = next((m for m in masks if m & free == m), None)
+            if fit is not None:
+                blocks.append(fit)
+                continue
+            swap = improving_swap(blocks, free)
+            if swap is None:
+                return blocks
+            blocks[swap[0]] = swap[1]
+
+    rng = random.Random(seed)
+    best_blocks: list[int] = []
+    best_key = (-1, -1)
+    for restart in range(restarts):
+        start: list[int] = []
+        if restart > 0:
+            shuffled = list(masks)
+            rng.shuffle(shuffled)
+            taken = 0
+            for m in shuffled:
+                if not taken & m:
+                    start.append(m)
+                    taken |= m
+        blocks = climb(start)
+        key = (len(blocks), sum(_overweight_count(over, b) for b in blocks))
+        if key > best_key:
+            best_key = key
+            best_blocks = blocks
+    return HeavyCollection.from_blocks([_vertices(b) for b in best_blocks], best_key[1])
 
 
 @dataclass(frozen=True)

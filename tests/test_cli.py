@@ -394,6 +394,14 @@ def test_verify_unreachable_target_is_an_input_error(capsys):
     assert "sampling failure" in capsys.readouterr().err
 
 
+def test_verify_negative_target_samples_on_the_grid(capsys):
+    """--margin=-1 puts the per-edge floor below 0; the draw stays on the grid."""
+    code = run_cli("verify", "--r", "3", "--t", "0", "--n", "12", "--margin=-1", "--trials", "2")
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.endswith("2/2 sampled graphs at degree >= -6/1 admitted a factor\n")
+
+
 # ------------------------------------------------------------- process-level
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import json
 
@@ -26,7 +27,13 @@ from heavyfactors import (
     random_weighting,
     rebuild,
 )
-from heavyfactors.constructions import KIND_COUNTEREXAMPLE, KIND_HS, KIND_PROP2, KIND_RANDOM
+from heavyfactors.constructions import (
+    KIND_COUNTEREXAMPLE,
+    KIND_HS,
+    KIND_PROP2,
+    KIND_RANDOM,
+    _sample_grid_floor,
+)
 
 
 # ------------------------------------------------------ two-class weighting
@@ -276,6 +283,13 @@ def test_one_conditioned_draw_meets_the_min_degree(n, d, k, q, seed):
     assert g.min_weighted_degree() >= md * n
     per_edge = md * n / (n - 1)
     assert all(g.weight(i, j) >= per_edge for i, j in g.pairs())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_negative_per_edge_floor_draws_from_the_whole_grid(seed):
+    """Every grid value is at or above a negative floor, so the draw is the floor-0 one."""
+    below = _sample_grid_floor(Random(seed), 12, 20, Fraction(-1))
+    assert below == _sample_grid_floor(Random(seed), 12, 20, Fraction(0))
 
 
 def test_package_exports_resolve_and_the_sampler_config_is_gone():

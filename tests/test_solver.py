@@ -22,13 +22,21 @@ from heavyfactors import (
     heavy_cliques_containing,
     hs_sharpness_construction,
     is_heavy,
+    is_overweight_edge,
     is_strictly_heavy,
     lemma1_bound,
     prop2_construction,
     random_weighting,
     t_r_threshold,
 )
-from heavyfactors.solver import HeavyCollection, _cover_search, _heavy_family, _vertices
+from heavyfactors.solver import (
+    HeavyCollection,
+    _cover_search,
+    _heavy_family,
+    _overweight_count,
+    _overweight_rows,
+    _vertices,
+)
 
 from conftest import (
     pair_table,
@@ -313,6 +321,68 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     table = {p: t for p in combinations(range(n), 2)}
     for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
         assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
+
+
+# ------------------------------------------------------- overweight relation
+
+
+def assert_overweight_rows_are_the_plain_ones(graph, params):
+    """Each mask row against the Fraction predicate; each r-set's count against a pair loop."""
+    n = graph.n
+    over = _overweight_rows(graph, params)
+    for v in range(n):
+        plain = [u for u in range(n) if u != v and is_overweight_edge(graph, (v, u), params)]
+        assert over[v] == bitmask(plain)
+    for block in combinations(range(n), params.r):
+        plain = sum(1 for e in combinations(block, 2) if is_overweight_edge(graph, e, params))
+        assert _overweight_count(over, bitmask(block)) == plain
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10), r=st.integers(2, 5),
+       t=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 6)] + LEVELS), sparse=st.booleans(),
+       denominator=st.sampled_from([1, 2, 3, 4, 6, 12]))
+def test_overweight_rows_match_the_fraction_predicate_on_grid_graphs(seed, n, r, t, sparse, denominator):
+    rng = Random(seed)
+    if sparse:
+        g = sparse_grid_graph(rng, n, denominator=denominator, zero_prob=0.3)
+    else:
+        g = random_grid_graph(rng, n, denominator=denominator)
+    assert_overweight_rows_are_the_plain_ones(g, FactorParams(r=min(r, n), t=t))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(3, 9), (4, 8), (5, 10), (2, 10)]),
+       t=st.sampled_from([Fraction(0)] + LEVELS[:-1]), lowered=st.integers(0, 6))
+def test_overweight_rows_match_the_fraction_predicate_on_lowered_prop2(seed, box, t, lowered):
+    r, n = box
+    rng = Random(seed)
+    g, _ = prop2_construction(r, t, n)
+    for i, j in rng.sample(list(g.pairs()), lowered):
+        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    assert_overweight_rows_are_the_plain_ones(g, FactorParams(r=r, t=t))
+
+
+@pytest.mark.parametrize("r,t,w", [(2, Fraction(0), Fraction(0)), (3, Fraction(0), Fraction(0)),
+                                   (2, Fraction(1, 2), Fraction(1, 2)), (2, Fraction(1), Fraction(1)),
+                                   (3, Fraction(1, 3), Fraction(1))])
+def test_overweight_rows_at_the_bar(r, t, w):
+    """Edges weighing exactly the bar t * C(r, 2) are overweight; one nudged below is not.
+
+    At t = 0 every edge is overweight, and the diagonal still never counts.
+    """
+    n = 7
+    params = FactorParams(r=r, t=t)
+    at_bar = WeightedCompleteGraph.constant(n, w)
+    full = (1 << n) - 1
+    assert _overweight_rows(at_bar, params) == [full ^ 1 << v for v in range(n)]
+    assert _overweight_count(_overweight_rows(at_bar, params), full) == comb(n, 2)
+    assert_overweight_rows_are_the_plain_ones(at_bar, params)
+    if w > 0:
+        lowered = at_bar.with_weight(0, 1, w - Fraction(1, 100))
+        over = _overweight_rows(lowered, params)
+        assert over[0] == full ^ 0b11 and over[1] == full ^ 0b11
+        assert_overweight_rows_are_the_plain_ones(lowered, params)
 
 
 # ------------------------------------------------------ failed-state cache
