@@ -13,7 +13,9 @@ Three ways to build factors without exhaustive search:
   marry blocks to B-vertices through a bipartite graph of averaged weights
   thresholded at t. A clique that is heavy at level t for r-1 vertices plus a
   partner of averaged weight at least t is heavy at level t for r vertices,
-  with no slack; the merge checks it.
+  with no slack; the merge checks it.  When there are at most SPLIT_ATTEMPTS
+  B sides, all of them are checked before any draw, so a split that does
+  not exist is reported at once instead of after the whole draw budget.
 
 All random choices flow from one seed.  A failed check raises
 CertificationError, so the checks hold under `python -O` as well.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .core import (
@@ -194,12 +197,29 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
     return tuple(match)
 
 
+class _NoSplit(BudgetExceededError):
+    """Every B side was checked and none meets the degree targets."""
+
+
+def _meets_targets(rows, degrees, b_side, need_a: int, need_b: int) -> bool:
+    """Every vertex sends at least need_b into `b_side` and need_a into the rest (numerators)."""
+    for row, degree in zip(rows, degrees):
+        into_b = sum([row[u] for u in b_side])
+        # A and B partition the other vertices, so the rest of v's degree goes into A
+        if into_b < need_b or degree - into_b < need_a:
+            return False
+    return True
+
+
 def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
                       target_a, target_b) -> tuple[tuple, tuple]:
     """Random split into |A| = (r-1)n/r and |B| = n/r meeting degree targets.
 
     Every vertex (on either side) must send weighted degree at least target_a
-    into A and target_b into B.  Resampling past SPLIT_ATTEMPTS raises.
+    into A and target_b into B.  When there are at most SPLIT_ATTEMPTS B
+    sides, every one is checked first, and if none meets the targets the
+    call raises at once; a returned split is still the first random draw
+    that meets them.  Resampling past SPLIT_ATTEMPTS raises.
     """
     n = graph.n
     if r < 2:
@@ -209,18 +229,17 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
     need_a = graph.least_numerator(target_a)
     need_b = graph.least_numerator(target_b)
     rows, degrees = graph.rows, graph.degrees
+    sides = comb(n, n // r)
+    if sides <= SPLIT_ATTEMPTS and not any(
+            _meets_targets(rows, degrees, b_side, need_a, need_b)
+            for b_side in combinations(range(n), n // r)):
+        raise _NoSplit(f"none of the {sides} B sides meets the degree targets")
     size_a = (r - 1) * n // r
     rng = random.Random(seed)
     for _ in range(SPLIT_ATTEMPTS):
         a_side = sorted(rng.sample(range(n), size_a))
         b_side = sorted(set(range(n)).difference(a_side))
-        for v in range(n):
-            row = rows[v]
-            into_b = sum([row[u] for u in b_side])
-            # A and B partition the other vertices, so the rest of v's degree goes into A
-            if into_b < need_b or degrees[v] - into_b < need_a:
-                break
-        else:
+        if _meets_targets(rows, degrees, b_side, need_a, need_b):
             return tuple(a_side), tuple(b_side)
     raise BudgetExceededError(
         f"no split met the degree targets after {SPLIT_ATTEMPTS} attempts"
@@ -237,7 +256,9 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     blocks to B-vertices at averaged weight >= t.  A returned factor is
     always verified heavy block by block.
     A None is only a failure of this randomized strategy, never a proof that
-    no factor exists.  A negative retry budget or epsilon is rejected at any r.
+    no factor exists.  Every retry splits at the same targets, so once the
+    partition proves that no split exists the remaining retries are skipped.
+    A negative retry budget or epsilon is rejected at any r.
     """
     n, r, t = graph.n, params.r, params.t
     if n % r != 0:
@@ -257,6 +278,9 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         split_seed = rng.getrandbits(32)
         try:
             a_side, b_side = scheme2_partition(graph, r, split_seed, target_a, target_b)
+        except _NoSplit:
+            # no split exists for this graph and these targets, so no retry can find one
+            return None
         except BudgetExceededError:
             continue
         sub_graph, vmap = graph.induced(a_side)

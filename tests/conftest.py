@@ -59,3 +59,21 @@ def sparse_grid_weights(rng: Random, n: int, denominator: int = 12, zero_prob: f
 
 def sparse_grid_graph(rng: Random, n: int, denominator: int = 12, zero_prob: float = 0.9) -> WeightedCompleteGraph:
     return WeightedCompleteGraph.from_flat(n, sparse_grid_weights(rng, n, denominator, zero_prob))
+
+
+def eroded_graph(rng: Random, n: int, target: Fraction, denominator: int = 10,
+                 attempts: int = 30) -> WeightedCompleteGraph:
+    """All-ones graph with random edges lowered while min degree stays >= target."""
+    g = WeightedCompleteGraph.constant(n, Fraction(1))
+    for _ in range(attempts):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        w = Fraction(rng.randint(0, denominator), denominator)
+        if w >= g.weight(i, j):
+            continue
+        candidate = g.with_weight(i, j, w)
+        if candidate.min_weighted_degree() >= target:
+            g = candidate
+    return g

@@ -37,30 +37,12 @@ from heavyfactors import (
 from heavyfactors.cli import main as cli_main
 from heavyfactors.core import CliqueFactor
 
-from conftest import random_grid_graph, sparse_grid_graph
+from conftest import eroded_graph, random_grid_graph, sparse_grid_graph
 
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def eroded_graph(rng: Random, n: int, target: Fraction, denominator: int = 10,
-                 attempts: int = 30) -> WeightedCompleteGraph:
-    """All-ones graph with random edges lowered while min degree stays >= target."""
-    g = WeightedCompleteGraph.constant(n, Fraction(1))
-    for _ in range(attempts):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        w = Fraction(rng.randint(0, denominator), denominator)
-        if w >= g.weight(i, j):
-            continue
-        candidate = g.with_weight(i, j, w)
-        if candidate.min_weighted_degree() >= target:
-            g = candidate
-    return g
 
 
 def test_criterion_1_prop2_certification():

@@ -1,8 +1,15 @@
-"""The benchmark's tracing hook still finds every library name it wraps."""
+"""The benchmark's hooks into the library: its tracer and its golden documents."""
 
 from pathlib import Path
 
+import pytest
+
+from heavyfactors import cli
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# eroded and random n = 12 inputs, found and missed, as the scheme2 workload runs them
+SCHEME2_KEYS = [f"{family}-{i}" for family in ("eroded", "random") for i in range(6)]
 
 
 def test_tracer_installs_and_restores_every_target(monkeypatch):
@@ -15,3 +22,21 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         tracer.install()
     finally:
         assert tracer.uninstall()
+
+
+def test_scheme2_documents_match_the_golden_digests(monkeypatch, tmp_path):
+    """`hfl scheme2` writes each pool entry's document byte for byte as the benchmark recorded it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("HFL_SOLVER_CAP", "HFL_RETRY_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    import check
+    import workloads
+
+    golden = workloads.load_golden(str(BENCH))["scheme2"]
+    assert {golden[key]["found"] for key in SCHEME2_KEYS} == {True, False}
+    setup = workloads.Setup("scheme2", str(tmp_path), cli.main)
+    for key in SCHEME2_KEYS:
+        job = setup.job(key)
+        code = cli.main(job.argv)
+        assert code == (0 if golden[key]["found"] else 1), key
+        assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key

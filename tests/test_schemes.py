@@ -34,7 +34,7 @@ from heavyfactors import (
 )
 from heavyfactors import schemes
 
-from conftest import pair_table, random_grid_graph, random_grid_weights, sparse_grid_graph
+from conftest import eroded_graph, pair_table, random_grid_graph, random_grid_weights, sparse_grid_graph
 
 
 # ----------------------------------------------------------- pair base case
@@ -219,9 +219,14 @@ def test_partition_shape_and_determinism():
 
 
 def test_partition_matches_the_two_sided_degree_sums(monkeypatch):
-    """Each split equals the one found by summing both sides edge by edge."""
+    """Each split, or its BudgetExceededError, equals the plain draw loop's, summing edge by edge.
 
-    def reference(n, table, r, seed, ta, tb, attempts=1000):
+    The budgets sit on both sides of the gate where every B side is checked
+    first (C(n, n/r) sides at most SPLIT_ATTEMPTS), so both the exact "no
+    split" decision and the draws behind it are compared with the draws alone.
+    """
+
+    def reference(n, table, r, seed, ta, tb, attempts):
         def into(v, side):
             return sum((table[min(u, v), max(u, v)] for u in side if u != v), Fraction(0))
 
@@ -233,19 +238,48 @@ def test_partition_matches_the_two_sided_degree_sums(monkeypatch):
                 return tuple(a_side), tuple(b_side)
         return None
 
-    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 50)
+    def scheme2_targets(n, r):
+        # scheme2_factor's targets at t = 1/2, epsilon = 1/10
+        return Fraction(4, 5) * Fraction(r - 1, r) * n, Fraction(3, 4) * Fraction(n, r)
+
     rng = Random(11)
+    cases = []  # (graph, pair table, r, seed, target_a, target_b)
     for trial in range(12):
         n = 6 if trial % 2 else 9
         flat = random_grid_weights(rng, n, denominator=4)
-        g = WeightedCompleteGraph.from_flat(n, flat)
         ta = Fraction(rng.randint(0, 4 * n), 8) * Fraction(2, 3)
         tb = Fraction(rng.randint(0, 2 * n), 8) * Fraction(1, 3)
-        try:
-            got = scheme2_partition(g, 3, trial, ta, tb)
-        except BudgetExceededError:
-            got = None
-        assert got == reference(n, pair_table(n, flat), 3, trial, ta, tb, attempts=50), trial
+        cases.append((WeightedCompleteGraph.from_flat(n, flat), pair_table(n, flat), 3, trial, ta, tb))
+    for trial in range(8):
+        r = 3 + trial % 2
+        g = eroded_graph(rng, 12, Fraction(48, 5))
+        table = {(i, j): g.weight(i, j) for i, j in combinations(range(12), 2)}
+        cases.append((g, table, r, trial, *scheme2_targets(12, r)))
+    for n, r in ((6, 3), (9, 3), (8, 4), (12, 4)):
+        # scheme2's targets, then two impossible ones: more than the n - 1 edges
+        # at a vertex can carry into A, and n/r into B, where a B vertex has n/r - 1 partners
+        for ta, tb in (scheme2_targets(n, r), (Fraction(n), Fraction(0)), (Fraction(0), Fraction(n, r))):
+            flat = random_grid_weights(rng, n, denominator=4)
+            cases.append((WeightedCompleteGraph.from_flat(n, flat), pair_table(n, flat),
+                          r, len(cases), ta, tb))
+    for n, r in ((6, 3), (8, 4)):
+        for centre in (0, n - 1):
+            # a star: every vertex reaches weight 1 into B exactly when B holds the centre
+            flat = [Fraction(int(centre in pair)) for pair in combinations(range(n), 2)]
+            cases.append((WeightedCompleteGraph.from_flat(n, flat), pair_table(n, flat),
+                          r, centre, Fraction(0), Fraction(1)))
+    outcomes = set()
+    for g, table, r, seed, ta, tb in cases:
+        sides = comb(g.n, g.n // r)
+        for attempts in (sides - 1, sides):
+            monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", attempts)
+            try:
+                got = scheme2_partition(g, r, seed, ta, tb)
+            except BudgetExceededError:
+                got = None
+            assert got == reference(g.n, table, r, seed, ta, tb, attempts), (g.n, r, seed, attempts)
+            outcomes.add((sides <= attempts, got is None))
+    assert outcomes == {(gated, raised) for gated in (False, True) for raised in (False, True)}
 
 
 @pytest.mark.parametrize("draw,r,seed,ta,tb,split", [
@@ -296,11 +330,17 @@ def test_scheme2_r2_delegates_to_the_base_case():
 
 
 def test_scheme2_returns_none_when_the_split_cannot_exist(monkeypatch):
+    """Decided at the default budgets; every retry has the same targets, so one proof ends the call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scheme2_partition(*args)
+
+    monkeypatch.setattr(schemes, "scheme2_partition", counted)
     zeros = WeightedCompleteGraph.constant(12, Fraction(0))
-    params = FactorParams(r=3, t=Fraction(1, 2))
-    monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", 30)
-    out = scheme2_factor(zeros, params, seed=0, retries=2)
-    assert out is None
+    assert scheme2_factor(zeros, FactorParams(r=3, t=Fraction(1, 2)), seed=0) is None
+    assert len(calls) == 1
 
 
 def test_scheme2_is_deterministic_per_seed():
