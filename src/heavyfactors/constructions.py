@@ -24,10 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .core import (
-    ONE,
-    ZERO,
     BudgetExceededError,
     CertificationError,
     WeightedCompleteGraph,
@@ -110,11 +109,9 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
     k = n // r
     a_side = tuple(range(k - 1))
     b_side = tuple(range(k - 1, n))
-    weights = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            weights[(i, j)] = tt if i >= k - 1 else ONE
-    graph = WeightedCompleteGraph(n, weights)
+    rows = [[0 if i == j else tt.numerator if min(i, j) >= k - 1 else tt.denominator
+             for j in range(n)] for i in range(n)]
+    graph = WeightedCompleteGraph._from_rows(n, rows, tt.denominator)
     desc = ConstructionDescriptor(
         kind=KIND_PROP2, n=n, r=r, t=tt,
         partition={"A": a_side, "B": b_side},
@@ -155,15 +152,9 @@ def hs_sharpness_construction(r: int, n: int) -> tuple[WeightedCompleteGraph, Co
     minimum weighted degree is (1 - 1/r) n - 1.
     """
     parts = hs_sharpness_parts(r, n)
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in part:
-            part_of[v] = idx
-    weights = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            weights[(i, j)] = ZERO if part_of[i] == part_of[j] else ONE
-    graph = WeightedCompleteGraph(n, weights)
+    part_of = {v: idx for idx, part in enumerate(parts) for v in part}
+    rows = [[int(part_of[i] != part_of[j]) for j in range(n)] for i in range(n)]
+    graph = WeightedCompleteGraph._from_rows(n, rows, 1)
     desc = ConstructionDescriptor(
         kind=KIND_HS, n=n, r=r,
         partition={f"part{idx}": part for idx, part in enumerate(parts)},
@@ -189,16 +180,14 @@ def counterexample_29_36(n: int) -> tuple[WeightedCompleteGraph, ConstructionDes
         raise ValueError("circulant offsets must stay below half the cycle length")
     a_side = tuple(range(a_size))
     b_side = tuple(range(a_size, n))
-    weights = {}
+    rows = [[0] * n for _ in range(n)]
     for i in range(a_size):
         for off in range(1, offset_max + 1):
             j = (i + off) % a_size
-            key = (min(i, j), max(i, j))
-            weights[key] = ONE
-    for i in range(a_size):
+            rows[i][j] = rows[j][i] = 1
         for j in b_side:
-            weights[(i, j)] = ONE
-    graph = WeightedCompleteGraph(n, weights)
+            rows[i][j] = rows[j][i] = 1
+    graph = WeightedCompleteGraph._from_rows(n, rows, 1)
     desc = ConstructionDescriptor(
         kind=KIND_COUNTEREXAMPLE, n=n,
         partition={"A": a_side, "B": b_side},
@@ -215,8 +204,10 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     grid value is left.
     """
     lo = max(0, -((-per_edge.numerator * d) // per_edge.denominator))  # ceil(per_edge * d), at least 0
-    flat = [Fraction(rng.randint(lo, d), d) for _ in range(n * (n - 1) // 2)]
-    graph = WeightedCompleteGraph.from_flat(n, flat)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.randint(lo, d)
+    graph = WeightedCompleteGraph._from_rows(n, rows, d)
     target = (n - 1) * per_edge
     degree = graph.min_weighted_degree()
     if degree < target:
@@ -245,7 +236,7 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
         raise ValueError(f"min degree fraction {md} outside [0, 1]")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    per_edge = ZERO
+    per_edge = Fraction(0)
     if md is not None:
         per_edge = md * n / (n - 1)
         if per_edge > 1:

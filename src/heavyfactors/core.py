@@ -13,6 +13,10 @@ every caller says which one it means.
 
 Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
+
+A weight is checked once, where it enters: in a public constructor or in
+`graph_from_json`, whose messages name `edges[k]`.  Package code that holds
+integer weights over one denominator calls `_from_rows`, which trusts them.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class GraphFormatError(ValueError):
@@ -90,6 +91,15 @@ def _coerce_weight(w, where: str) -> Fraction:
     return f
 
 
+def _rows_over_lcm(n: int, weights: Mapping[tuple[int, int], Fraction]) -> tuple[list, int]:
+    """Symmetric integer rows of checked weights keyed by (i, j), i < j, over their lcm."""
+    den = lcm(*{w.denominator for w in weights.values()})
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), w in weights.items():
+        rows[i][j] = rows[j][i] = w.numerator * (den // w.denominator)
+    return rows, den
+
+
 class WeightedCompleteGraph:
     """Complete graph on vertices 0..n-1 with symmetric rational edge weights.
 
@@ -102,8 +112,6 @@ class WeightedCompleteGraph:
     __slots__ = ("n", "rows", "den", "degrees")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], Fraction] | None = None):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
         exact = {}
         for (i, j), w in (weights or {}).items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -113,11 +121,7 @@ class WeightedCompleteGraph:
             if (i, j) in exact:
                 raise ValueError(f"pair ({i}, {j}) given twice")
             exact[i, j] = _coerce_weight(w, f"edge ({i}, {j})")
-        den = lcm(*{w.denominator for w in exact.values()})
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), w in exact.items():
-            rows[i][j] = rows[j][i] = w.numerator * (den // w.denominator)
-        self._freeze(n, rows, den)
+        self._freeze(n, *_rows_over_lcm(n, exact))
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[Fraction]) -> "WeightedCompleteGraph":
@@ -128,12 +132,15 @@ class WeightedCompleteGraph:
 
     @classmethod
     def _from_rows(cls, n: int, rows, den: int) -> "WeightedCompleteGraph":
+        """Trusted: `rows` are symmetric integer numerators in [0, den], zero on the diagonal."""
         g = cls.__new__(cls)
         g._freeze(n, rows, den)
         return g
 
     def _freeze(self, n: int, rows, den: int) -> None:
         """The one constructor: reduce rows/den to lowest terms, derive the degrees."""
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
         g = gcd(den, *(x for row in rows for x in row))
         if g > 1:
             den //= g
@@ -146,7 +153,8 @@ class WeightedCompleteGraph:
     @classmethod
     def constant(cls, n: int, w) -> "WeightedCompleteGraph":
         ww = _coerce_weight(w, "constant weight")
-        return cls.from_flat(n, [ww] * (n * (n - 1) // 2))
+        rows = [[0 if i == j else ww.numerator for j in range(n)] for i in range(n)]
+        return cls._from_rows(n, rows, ww.denominator)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All unordered pairs (i, j) with i < j in lexicographic order."""
@@ -432,7 +440,7 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
         if w < 0 or w > 1:
             raise GraphFormatError(f"{where}: weight {format_rational(w)} outside [0, 1]")
         weights[key] = w
-    return WeightedCompleteGraph(n, weights)
+    return WeightedCompleteGraph._from_rows(n, *_rows_over_lcm(n, weights))
 
 
 def save_graph(path, graph: WeightedCompleteGraph) -> None:
@@ -446,6 +454,8 @@ def load_graph(path) -> WeightedCompleteGraph:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise GraphFormatError(f"{path}: invalid JSON: nested too deeply to parse") from exc
     return graph_from_json(doc)
 
 

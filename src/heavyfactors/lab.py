@@ -128,7 +128,13 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     seed_record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
-    tt = seed_record.t
+    return _anneal(seed_record, seed, grid_denominator, budget, solver_cap)
+
+
+def _anneal(seed_record: BoundRecord, seed: int, grid_denominator: int, budget: int,
+            solver_cap: int) -> BoundRecord:
+    """`adversarial_search`'s annealing from a seed record; the caller has checked the grid and budget."""
+    r, tt, n = seed_record.r, seed_record.t, seed_record.n
     if tt == 0 or budget == 0:
         return seed_record
     if n > solver_cap:
@@ -139,11 +145,8 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     d = grid_denominator
-    current = seed_record.graph
-    current_val = seed_record.value
-    best = current
-    best_val = current_val
-    improved = False
+    current, current_val = seed_record.graph, seed_record.value
+    best, best_val = current, current_val
     for step in range(budget):
         i, j = pairs[rng.randrange(len(pairs))]
         w = Fraction(rng.randint(0, d), d)
@@ -166,8 +169,7 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
             if current_val > best_val:
                 best = current
                 best_val = current_val
-                improved = True
-    if not improved:
+    if best_val == seed_record.value:
         return seed_record
     certificate = find_heavy_factor(best, params, strict=True)
     _require_exhausted(certificate, f"adversarial(seed={seed}) best")
@@ -333,13 +335,11 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
                 flags.append(f"{label}: skipped, r does not divide n={n}")
                 continue
             base = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
+            adv = base
             if budget > 0:
-                adv = adversarial_search(
-                    r, t, n, seed + 9973 * index, grid_denominator, budget,
-                    solver_cap=solver_cap,
-                )
-            else:
-                adv = base
+                if grid_denominator < 1:
+                    raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
+                adv = _anneal(base, seed + 9973 * index, grid_denominator, budget, solver_cap)
             index += 1
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t
             upper = Fraction(1, 2) + t / 2

@@ -88,12 +88,10 @@ def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> Quotie
     base.validate(graph.n, p)
     blocks = base.blocks
     q_n = len(blocks)
-    weights = {}
-    for a in range(q_n):
-        for b in range(a + 1, q_n):
-            cross = sum(graph.rows[u][v] for u in blocks[a] for v in blocks[b])
-            weights[(a, b)] = Fraction(cross, p * p * graph.den)
-    quotient = WeightedCompleteGraph(q_n, weights)
+    rows = [[0] * q_n for _ in range(q_n)]
+    for a, b in combinations(range(q_n), 2):
+        rows[a][b] = rows[b][a] = sum(graph.rows[u][v] for u in blocks[a] for v in blocks[b])
+    quotient = WeightedCompleteGraph._from_rows(q_n, rows, p * p * graph.den)
     if q_n >= 2:
         # averaged contraction can lose at most (p-1)/p of the degree
         floor = (graph.min_weighted_degree() - (p - 1)) / p

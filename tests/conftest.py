@@ -32,6 +32,12 @@ def pair_table(n: int, flat) -> dict:
     return dict(zip(combinations(range(n), 2), flat))
 
 
+def assert_fraction_path(g: WeightedCompleteGraph, n: int, table: dict) -> None:
+    """`g` is, field for field, the graph the plain Fraction constructor builds from `table`."""
+    ref = WeightedCompleteGraph(n, table)
+    assert (g.n, g.rows, g.den, g.degrees, hash(g)) == (ref.n, ref.rows, ref.den, ref.degrees, hash(ref))
+
+
 def random_grid_weights(rng: Random, n: int, denominator: int = 4) -> list[Fraction]:
     """Uniform i.i.d. weights from {0/D, 1/D, ..., D/D}, one per pair."""
     return [Fraction(rng.randint(0, denominator), denominator) for _ in range(n * (n - 1) // 2)]

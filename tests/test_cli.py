@@ -193,6 +193,15 @@ def test_solve_rejects_malformed_graph_files(tmp_path, capsys):
     assert "edges[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "scheme2"])
+def test_a_graph_file_nested_too_deeply_is_an_input_error(tmp_path, capsys, command):
+    """Exit 2 with the loader's message, never a traceback read as exit 1 ("no factor")."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert run_cli(command, "--input", str(deep), "--r", "3", "--t", "1/2") == 2
+    assert capsys.readouterr().err == f"error: {deep}: invalid JSON: nested too deeply to parse\n"
+
+
 def test_solve_missing_file_is_an_input_error(capsys):
     code = run_cli("solve", "--input", "/nonexistent/graph.json", "--r", "3",
                    "--t", "1/2")
@@ -392,6 +401,13 @@ def test_verify_unreachable_target_is_an_input_error(capsys):
     code = run_cli("verify", "--r", "3", "--t", "2/3", "--n", "12", "--trials", "1")
     assert code == 2
     assert "sampling failure" in capsys.readouterr().err
+
+
+def test_verify_without_vertices_is_an_input_error(capsys):
+    assert run_cli("verify", "--r", "3", "--t", "1/3", "--n", "0", "--trials", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one vertex, got n=0\n"
 
 
 def test_verify_negative_target_samples_on_the_grid(capsys):

@@ -1,6 +1,7 @@
 """Deterministic extremal weightings and the seeded grid sampler."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -34,6 +35,8 @@ from heavyfactors.constructions import (
     KIND_RANDOM,
     _sample_grid_floor,
 )
+
+from conftest import assert_fraction_path
 
 
 # ------------------------------------------------------ two-class weighting
@@ -219,6 +222,51 @@ def test_counterexample_scales_with_n():
 def test_counterexample_rejects_non_divisible_sizes(n):
     with pytest.raises(ValueError):
         counterexample_29_36(n)
+
+
+# ------------------------------------- integer rows vs a plain Fraction table
+
+
+TABLE_SHAPES = [(2, 4), (2, 6), (3, 6), (3, 9), (4, 8), (4, 12), (5, 15)]
+
+
+def test_prop2_and_hs_are_their_fraction_tables():
+    for r, n in TABLE_SHAPES:
+        k = n // r
+        for t in [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 1]:
+            g, _ = prop2_construction(r, t, n)
+            assert_fraction_path(g, n, {(i, j): Fraction(t) if i >= k - 1 else Fraction(1)
+                                        for i, j in combinations(range(n), 2)})
+        part_of = {v: idx for idx, part in enumerate(hs_sharpness_parts(r, n)) for v in part}
+        g, _ = hs_sharpness_construction(r, n)
+        assert_fraction_path(g, n, {(i, j): Fraction(int(part_of[i] != part_of[j]))
+                                    for i, j in combinations(range(n), 2)})
+
+
+@pytest.mark.parametrize("n", [36, 72])
+def test_counterexample_is_the_fraction_table(n):
+    a = 29 * n // 36
+    offsets = range(1, 11 * n // 36 + 1)
+    table = {}
+    for i, j in combinations(range(n), 2):
+        circulant = j < a and ((j - i) in offsets or (i - j) % a in offsets)
+        table[i, j] = Fraction(int(circulant or (i < a <= j)))
+    g, _ = counterexample_29_36(n)
+    assert_fraction_path(g, n, table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), d=st.integers(1, 24), seed=st.integers(0, 2**16),
+       md=st.sampled_from([None, Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]))
+def test_random_weighting_is_the_fraction_table(n, d, seed, md):
+    """The same `randint(lo, d)` draws, pair by pair in lexicographic order."""
+    per_edge = Fraction(0) if md is None else md * n / (n - 1)
+    if per_edge > 1:
+        return
+    rng = Random(seed)
+    lo = max(0, -(-per_edge.numerator * d // per_edge.denominator))
+    table = {p: Fraction(rng.randint(lo, d), d) for p in combinations(range(n), 2)}
+    assert_fraction_path(random_weighting(n, d, seed, md), n, table)
 
 
 # ------------------------------------------------------------ random grids

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heavyfactors as hf
+from heavyfactors import core
 from heavyfactors import (
     CliqueFactor,
     FactorParams,
@@ -27,7 +28,7 @@ from heavyfactors import (
     save_graph,
 )
 
-from conftest import pair_table, random_grid_graph
+from conftest import assert_fraction_path, pair_table, random_grid_graph
 
 
 # ---------------------------------------------------------------- rationals
@@ -128,6 +129,39 @@ def test_constructor_rejects_floats_and_out_of_range_weights():
 def test_constructor_rejects_a_pair_given_twice():
     with pytest.raises(ValueError, match=r"pair \(0, 1\) given twice"):
         WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1)})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: WeightedCompleteGraph(0), "need at least one vertex, got n=0"),
+    (lambda: WeightedCompleteGraph(-2), "need at least one vertex, got n=-2"),
+    (lambda: WeightedCompleteGraph.constant(0, 1), "need at least one vertex, got n=0"),
+    (lambda: WeightedCompleteGraph(3, {(0, 1): 0.5}), "edge (0, 1) must be an exact rational, not a float"),
+    (lambda: WeightedCompleteGraph(3, {(1, 0): Fraction(3, 2)}), "edge (0, 1): weight 3/2 outside [0, 1]"),
+    (lambda: WeightedCompleteGraph(3, {(0, 2): Fraction(-1, 2)}), "edge (0, 2): weight -1/2 outside [0, 1]"),
+    (lambda: WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1)}), "pair (0, 1) given twice"),
+    (lambda: WeightedCompleteGraph(3, {(0, 3): 1}), "invalid vertex pair (0, 3) for n=3"),
+    (lambda: WeightedCompleteGraph.from_flat(3, [1]), "flat weight vector has wrong length"),
+    (lambda: WeightedCompleteGraph.constant(3, 2), "constant weight: weight 2 outside [0, 1]"),
+], ids=["n=0", "n<0", "constant-n=0", "float", "above-1", "below-0", "twice", "pair", "flat", "constant"])
+def test_constructor_messages_are_pinned(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_each_weight_is_checked_once_where_it_enters(tmp_path, monkeypatch):
+    """A file's weights are checked by the loader alone; a mapping's once per pair."""
+    g = random_grid_graph(Random(41), 12, denominator=7)
+    path = tmp_path / "g.json"
+    save_graph(path, g)
+    calls = []
+    coerce = core._coerce_weight
+    monkeypatch.setattr(core, "_coerce_weight", lambda w, where: calls.append(where) or coerce(w, where))
+    assert load_graph(path) == g
+    assert calls == []
+    table = {p: g.weight(*p) for p in g.pairs()}
+    assert WeightedCompleteGraph(12, table) == g
+    assert len(calls) == len(table) == 66
 
 
 def test_degree_sum_identity_on_random_graphs():
@@ -510,27 +544,56 @@ def test_graph_json_reads_sparse_documents():
     assert g.weight(0, 2) == 0
 
 
-@pytest.mark.parametrize(
-    "doc,needle",
-    [
-        ([1, 2], "object"),
-        ({"edges": []}, "'n'"),
-        ({"n": True}, "'n'"),
-        ({"n": 0}, "'n'"),
-        ({"n": 3, "edges": {}}, "'edges'"),
-        ({"n": 3, "edges": [[0, 1]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, 0, "1/2"]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, 3, "1/2"]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, True, "1/2"]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, 1, "0.5"]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, 1, "3/2"]]}, "edges[0]"),
-        ({"n": 3, "edges": [[0, 1, "1/2"], [1, 0, "1/2"]]}, "edges[1]"),
-    ],
-)
-def test_graph_json_rejects_malformed_documents(doc, needle):
-    with pytest.raises(GraphFormatError, match=None) as err:
+MALFORMED_DOCUMENTS = [
+    ([1, 2], "object", "graph document must be a JSON object"),
+    ({"edges": []}, "'n'", "missing field 'n'"),
+    ({"n": True}, "'n'", "field 'n' must be a positive integer, got True"),
+    ({"n": 0}, "'n'", "field 'n' must be a positive integer, got 0"),
+    ({"n": 3, "edges": {}}, "'edges'", "field 'edges' must be a list"),
+    ({"n": 3, "edges": [[0, 1]]}, "edges[0]", 'edges[0]: expected [i, j, "num/den"]'),
+    ({"n": 3, "edges": [[0, 0, "1/2"]]}, "edges[0]", "edges[0]: invalid pair (0, 0) for n=3"),
+    ({"n": 3, "edges": [[0, 3, "1/2"]]}, "edges[0]", "edges[0]: invalid pair (0, 3) for n=3"),
+    ({"n": 3, "edges": [[0, True, "1/2"]]}, "edges[0]", "edges[0]: vertex indices must be integers"),
+    ({"n": 3, "edges": [[0, 1, "0.5"]]}, "edges[0]", "edges[0]: decimal notation is not accepted: '0.5'"),
+    ({"n": 3, "edges": [[0, 1, "3/2"]]}, "edges[0]", "edges[0]: weight 3/2 outside [0, 1]"),
+    ({"n": 3, "edges": [[0, 1, "1/2"], [1, 0, "1/2"]]}, "edges[1]", "edges[1]: duplicate pair (0, 1)"),
+    ({"n": 3, "edges": [[2, 1, "-2/4"]]}, "edges[0]", "edges[0]: weight -1/2 outside [0, 1]"),
+    ({"n": 3, "edges": [[0, 1, "1/0"]]}, "edges[0]", "edges[0]: zero denominator: '1/0'"),
+    ({"n": 3, "edges": [[0, 1, "x"]]}, "edges[0]", "edges[0]: not a rational: 'x'"),
+    ({"n": 3, "edges": [[0, 1, " "]]}, "edges[0]", "edges[0]: empty rational"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "edges[0]", "edges[0]: weight 2/1 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("doc,needle,message", MALFORMED_DOCUMENTS,
+                         ids=[f"doc{k}-{needle}" for k, (_, needle, _) in enumerate(MALFORMED_DOCUMENTS)])
+def test_graph_json_rejects_malformed_documents(doc, needle, message):
+    """Each message in full; `needle` is the field it must name."""
+    with pytest.raises(GraphFormatError) as err:
         graph_from_json(doc)
-    assert needle in str(err.value)
+    assert str(err.value) == message
+    assert needle in message
+
+
+@st.composite
+def sparse_documents(draw):
+    """Documents listing some pairs, either way round, with unreduced texts such as "2/4" and "0/5"."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    edges = []
+    for i, j in pairs[:draw(st.integers(0, len(pairs)))]:
+        d = draw(st.sampled_from(GRID_DENOMINATORS))
+        k = draw(st.integers(1, 3))
+        text = f"{k * draw(st.integers(0, d))}/{k * d}" if draw(st.booleans()) else str(draw(st.integers(0, 1)))
+        edges.append([j, i, text] if draw(st.booleans()) else [i, j, text])
+    return {"n": n, "edges": edges}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=sparse_documents())
+def test_graph_from_json_is_the_fraction_constructor(doc):
+    table = {(min(i, j), max(i, j)): parse_rational(text) for i, j, text in doc["edges"]}
+    assert_fraction_path(graph_from_json(doc), doc["n"], table)
 
 
 def test_save_and_load_round_trip(tmp_path):
@@ -550,6 +613,14 @@ def test_load_graph_reports_json_syntax_errors(tmp_path):
     with pytest.raises(GraphFormatError) as err:
         load_graph(path)
     assert "line" in str(err.value)
+
+
+def test_load_graph_rejects_a_document_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}: invalid JSON: nested too deeply to parse"
 
 
 def test_dumps_canonical_sorts_keys_and_ends_with_newline():

@@ -281,6 +281,17 @@ def test_scan_with_a_positive_budget_stays_certified():
     assert cell.adversarial_value >= cell.prop2_value
 
 
+def test_scan_with_a_budget_builds_each_seed_record_once(monkeypatch):
+    """The annealing starts from the cell's own seed record: one build per cell."""
+    calls = []
+    evaluate = lab.evaluate_lower_bounds
+    monkeypatch.setattr(lab, "evaluate_lower_bounds",
+                        lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs))
+    report = scan_report([2, 3], [Fraction(1, 2), Fraction(2, 3)], 6, seed=0, budget=20)
+    assert len(report.cells) == 4
+    assert len(calls) == 4
+
+
 def test_scan_above_the_cap_reports_uncertified_cells():
     report = scan_report([3], [Fraction(2, 3)], 15, seed=0)
     (cell,) = report.cells

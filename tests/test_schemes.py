@@ -34,7 +34,9 @@ from heavyfactors import (
 )
 from heavyfactors import schemes
 
-from conftest import eroded_graph, pair_table, random_grid_graph, random_grid_weights, sparse_grid_graph
+from conftest import (
+    assert_fraction_path, eroded_graph, pair_table, random_grid_graph, random_grid_weights, sparse_grid_graph,
+)
 
 
 # ----------------------------------------------------------- pair base case
@@ -85,6 +87,21 @@ def test_quotient_averages_cross_weights():
     contraction = scheme1_quotient(g, base)
     assert contraction.graph.n == 2
     assert contraction.graph.weight(0, 1) == Fraction(1, 2)
+
+
+def test_quotient_is_the_fraction_table():
+    """Each quotient weight is the plain Fraction average of the p * p cross weights."""
+    rng = Random(97)
+    for p, q in [(2, 1), (2, 4), (3, 3), (4, 2)]:
+        for _ in range(8):
+            n = p * q
+            g = random_grid_graph(rng, n, denominator=rng.randint(1, 9))
+            perm = rng.sample(range(n), n)
+            base = CliqueFactor.from_blocks([perm[k * p:(k + 1) * p] for k in range(q)])
+            blocks = base.blocks
+            table = {(a, b): sum((g.weight(u, v) for u in blocks[a] for v in blocks[b]), Fraction(0)) / (p * p)
+                     for a, b in combinations(range(q), 2)}
+            assert_fraction_path(scheme1_quotient(g, base).graph, q, table)
 
 
 def test_quotient_of_a_constant_graph_is_constant():
