@@ -30,6 +30,7 @@ from .core import (
     BudgetExceededError,
     CertificationError,
     WeightedCompleteGraph,
+    _check_block_shape,
     _exact,
     format_rational,
     parse_rational,
@@ -97,10 +98,7 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
     has n/r blocks but only n/r - 1 vertices outside B.  The minimum weighted
     degree is min{n - 1, k - 1 + t (n - k)} with k = n/r.
     """
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     if n <= r:
         raise ValueError(f"need n > r so the clique side is nonempty, got n={n}, r={r}")
     tt = _exact(t, "t")
@@ -127,10 +125,7 @@ def prop2_min_degree(r: int, t, n: int) -> Fraction:
 
 def hs_sharpness_parts(r: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Part sizes n/r + 1, then r - 2 parts of n/r, then n/r - 1, consecutive."""
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     if n <= r:
         raise ValueError(f"need n > r so the short part is nonempty, got n={n}, r={r}")
     k = n // r

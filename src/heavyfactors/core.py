@@ -359,6 +359,14 @@ def is_overweight_edge(graph: WeightedCompleteGraph, edge: tuple[int, int], para
     return params.admits(graph.weight(i, j))
 
 
+def _check_block_shape(r: int, n: int) -> None:
+    """Raise ValueError unless {0..n-1} splits into blocks of r >= 2 vertices."""
+    if r < 2:
+        raise ValueError(f"need r >= 2, got r={r}")
+    if n % r != 0:
+        raise ValueError(f"r={r} does not divide n={n}")
+
+
 @dataclass(frozen=True)
 class CliqueFactor:
     """Partition of the vertex set into equal-size blocks, one clique each.

@@ -32,6 +32,7 @@ from .core import (
     CertificationError,
     FactorParams,
     WeightedCompleteGraph,
+    _check_block_shape,
     _exact,
     format_rational,
 )
@@ -245,10 +246,7 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     the report carries no verdict beyond the list.
     """
     tt = _exact(t, "t")
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if grid_denominator < 1:
@@ -315,6 +313,8 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
     non-monotone trend in r (for fixed t the normalized bound should not
     grow) and any cell whose normalized bound reaches the conjectured line.
     """
+    if grid_denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     rs = list(r_values)
@@ -337,8 +337,6 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
             base = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
             adv = base
             if budget > 0:
-                if grid_denominator < 1:
-                    raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
                 adv = _anneal(base, seed + 9973 * index, grid_denominator, budget, solver_cap)
             index += 1
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t

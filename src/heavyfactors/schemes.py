@@ -35,6 +35,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    _check_block_shape,
     _exact,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
@@ -220,10 +221,7 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
     that meets them.  Resampling past SPLIT_ATTEMPTS raises.
     """
     n = graph.n
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     need_a = graph.least_numerator(target_a)
     need_b = graph.least_numerator(target_b)
     rows, degrees = graph.rows, graph.degrees
@@ -259,8 +257,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     A negative retry budget or epsilon is rejected at any r.
     """
     n, r, t = graph.n, params.r, params.t
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     if retries < 0:
         raise ValueError(f"retries must be nonnegative, got {retries}")
     eps = _exact(epsilon, "epsilon")

@@ -30,10 +30,13 @@ graph's integer weight rows are summed against the bar t * C(r, 2) put over
 the graph's denominator, and the r-sets are walked in lexicographic order,
 each prefix carrying its integer weight and a gain row (the weight from the
 prefix to every later vertex), so adding a vertex costs one addition and one
-comparison.  Each set is held once, as the bitmask of its vertices, built
-from its prefix's mask; sorted vertex tuples are decoded only where a block
-leaves the solver.  Fractions stay at the edges: input graphs, certificates
-and block weights.
+comparison.  Each set is held as the bitmask of its vertices, built from its
+prefix's mask, and the walk files it under each of its vertices as it is
+made, so the flat list and the per-vertex lists come out of one pass, both
+in lexicographic order.  The search and the per-vertex counts read the
+per-vertex lists; the collection enumerator and the hill-climb read the flat
+one.  Sorted vertex tuples are decoded only where a block leaves the solver.
+Fractions stay at the edges: input graphs, certificates and block weights.
 
 The backtracking search anchors the uncovered vertex with the fewest live
 candidate blocks (ties to the smallest index) and tries that vertex's
@@ -63,6 +66,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    _check_block_shape,
     _exact,
     format_rational,
     is_heavy,
@@ -116,10 +120,7 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     The count for n, r is (n)! / ((r!)^(n/r) (n/r)!); n above `cap` raises
     instead of silently enumerating forever.
     """
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
+    _check_block_shape(r, n)
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     return _partitions(tuple(range(n)), r)
@@ -139,20 +140,24 @@ def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
 
 
 def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
-                  strict: bool) -> list[int]:
-    """The bitmask of every heavy r-set, in the lexicographic order of the sets.
+                  strict: bool) -> tuple[list[int], list[list[int]]]:
+    """The bitmask of every heavy r-set in lexicographic order, and each vertex's share of it.
 
-    Sums of the graph's integer rows meet the bar put over its denominator, so
-    each comparison is between integers and decides exactly what
+    `by_vertex[v]` lists the masks through v in the same order.  Sums of the
+    graph's integer rows meet the bar put over its denominator, so each
+    comparison is between integers and decides exactly what
     `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
     r - 2 vertices carries its weight, its gain row (`gain[v]` is the
     prefix's weight to v) and its mask; adding a vertex a and then v costs
-    one sum each.
+    one sum each.  The sets sharing a prefix and a are made as one batch,
+    filed under the prefix's vertices and a at once and under each last
+    vertex v as it is made.
     """
     n, r = graph.n, params.r
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
     masks: list[int] = []
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
     for prefix in combinations(range(n - 2), r - 2):
         total = sum(rows[u][v] for u, v in combinations(prefix, 2))
         gain = [0] * n
@@ -164,8 +169,14 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
             row = rows[a]
             short = need - total - gain[a]
             head = mask | 1 << a
-            masks.extend([head | 1 << v for v in range(a + 1, n) if gain[v] + row[v] >= short])
-    return masks
+            batch = [head | 1 << v for v in range(a + 1, n) if gain[v] + row[v] >= short]
+            if batch:
+                masks.extend(batch)
+                for u in prefix + (a,):
+                    by_vertex[u].extend(batch)
+                for m in batch:
+                    by_vertex[m.bit_length() - 1].append(m)
+    return masks, by_vertex
 
 
 def _vertices(mask: int) -> tuple:
@@ -178,30 +189,14 @@ def _vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-def _cover_search(n: int, masks: list[int]) -> tuple[list[int] | None, int]:
-    """Exact cover of {0..n-1} by disjoint sets drawn from the bitmasks `masks`.
-
-    Fewest-live-candidates vertex is branched on; candidate order within a
-    vertex follows the (lexicographic) order of `masks`.  Returns the chosen
-    masks and the number of nodes of the uncached search tree.  A covered
-    mask whose subtree failed is cached with that subtree's node count; a
-    later visit adds the count and returns False without searching again.
-    """
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for m in masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            by_vertex[low.bit_length() - 1].append(m)
-            rest ^= low
-    chosen: list[int] = []
-    found, nodes = _search(0, (1 << n) - 1, by_vertex, chosen, {})
-    return (chosen if found else None, nodes)
-
-
 def _search(covered: int, full: int, by_vertex: list[list[int]],
             chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
-    """One search node: (cover found, node count of its uncached subtree)."""
+    """One search node: (cover found, node count of its uncached subtree).
+
+    `by_vertex[v]` lists the candidate masks through v in the order they are
+    tried; the masks of a cover found are appended to `chosen`, and every
+    failed covered mask is kept in `failed` with its subtree's node count.
+    """
     if covered in failed:
         return False, failed[covered]
     if covered == full:
@@ -237,11 +232,11 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     the (strictness-dependent) bar, or proves none exists.
     """
     n, r = graph.n, params.r
-    if n % r != 0:
-        raise ValueError(f"r={r} does not divide n={n}")
-    chosen, nodes = _cover_search(n, _heavy_family(graph, params, strict))
+    _check_block_shape(r, n)
+    chosen: list[int] = []
+    found, nodes = _search(0, (1 << n) - 1, _heavy_family(graph, params, strict)[1], chosen, {})
     factor = None
-    if chosen is not None:
+    if found:
         factor = CliqueFactor.from_blocks([_vertices(m) for m in chosen])
         factor.validate(n, r)
     return SolveCertificate(params=params, strict=strict, factor=factor,
@@ -253,7 +248,7 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    return sum(m >> v & 1 for m in _heavy_family(graph, params, strict))
+    return len(_heavy_family(graph, params, strict)[1][v])
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -280,15 +275,14 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
     """Degree test sufficient for a perfect matching of the heavy r-sets.
 
     True when every vertex lies in at least (1 - 1/r)(C(n-1, r-1) - 1) heavy
-    r-sets, counted off their bitmasks.  Sufficiency holds when r divides n;
-    the test itself is just the degree comparison.
+    r-sets, read off the lengths of the per-vertex lists.  Sufficiency holds
+    when r divides n; the test itself is just the degree comparison.
     """
     n, r = graph.n, params.r
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
-    masks = _heavy_family(graph, params, strict)
-    return all(sum(m >> v & 1 for m in masks) >= bound for v in range(n))
+    return all(len(sets) >= bound for sets in _heavy_family(graph, params, strict)[1])
 
 
 @dataclass(frozen=True)
@@ -347,7 +341,7 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     n = graph.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    masks = _heavy_family(graph, params, strict=False)
+    masks = _heavy_family(graph, params, strict=False)[0]
     over = _overweight_rows(graph, params)
     owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
@@ -391,7 +385,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     n = graph.n
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    masks = _heavy_family(graph, params, strict=False)
+    masks = _heavy_family(graph, params, strict=False)[0]
     heavy = set(masks)
     over = _overweight_rows(graph, params)
 

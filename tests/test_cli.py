@@ -384,6 +384,18 @@ def test_scan_negative_budget_is_a_usage_error(capsys):
     assert captured.err == estimate_err == "error: budget must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "5"])
+@pytest.mark.parametrize("r", ["3", "4"])
+def test_scan_zero_grid_is_a_usage_error_at_every_budget(capsys, budget, r):
+    """r = 4 does not divide n = 6, so every cell of that scan is skipped."""
+    assert run_cli("estimate", "--r", "3", "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
+    estimate_err = capsys.readouterr().err
+    assert run_cli("scan", "--r", r, "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == estimate_err == "error: grid denominator must be >= 1, got 0\n"
+
+
 # -------------------------------------------------------------------- verify
 
 

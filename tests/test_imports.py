@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and every private helper is called."""
 
 import ast
 from pathlib import Path
@@ -28,3 +28,22 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level `_name` def or class is read somewhere in the package outside its own body."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert trees
+    read_in = [
+        (top, {node.id if isinstance(node, ast.Name) else node.attr
+               for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))})
+        for tree in trees.values() for top in tree.body
+    ]
+    orphans = [
+        f"{module}:{top.lineno}: {top.name}"
+        for module, tree in trees.items() for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name.startswith("_") and not top.name.startswith("__")
+        and not any(top.name in names for other, names in read_in if other is not top)
+    ]
+    assert orphans == []

@@ -314,5 +314,16 @@ def test_scan_rejects_a_negative_budget_like_the_adversary():
     assert str(scan.value) == str(adversary.value) == "budget must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("budget", [0, 5])
+@pytest.mark.parametrize("r_values", [[3], [4]])
+def test_scan_rejects_a_zero_grid_like_the_adversary(budget, r_values):
+    """Checked up front, so also at budget 0 and when every cell is skipped (r = 4 at n = 6)."""
+    with pytest.raises(ValueError) as adversary:
+        adversarial_search(3, Fraction(1, 2), 6, seed=0, grid_denominator=0, budget=budget)
+    with pytest.raises(ValueError) as scan:
+        scan_report(r_values, [Fraction(1, 2)], 6, seed=0, budget=budget, grid_denominator=0)
+    assert str(scan.value) == str(adversary.value) == "grid denominator must be >= 1, got 0"
+
+
 def test_csv_header_is_pinned():
     assert CSV_HEADER == "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"

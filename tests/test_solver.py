@@ -31,10 +31,10 @@ from heavyfactors import (
 )
 from heavyfactors.solver import (
     HeavyCollection,
-    _cover_search,
     _heavy_family,
     _overweight_count,
     _overweight_rows,
+    _search,
     _vertices,
 )
 
@@ -232,16 +232,17 @@ def plain_cover_search(n, sets):
 
 
 def assert_cache_is_invisible(graph, params, strict):
-    """Same blocks and node count as the plain search, each mask decoded both ways."""
+    """Same blocks and node count as the plain search over the per-vertex index, each mask decoded both ways."""
     n = graph.n
 
     def members(mask):
         return tuple(v for v in range(n) if mask >> v & 1)
 
-    masks = _heavy_family(graph, params, strict)
-    chosen, nodes = _cover_search(n, masks)
+    masks, by_vertex = _heavy_family(graph, params, strict)
+    chosen = []
+    found, nodes = _search(0, (1 << n) - 1, by_vertex, chosen, {})
     assert all(_vertices(m) == members(m) for m in masks)
-    blocks = None if chosen is None else [members(m) for m in chosen]
+    blocks = [members(m) for m in chosen] if found else None
     assert (blocks, nodes) == plain_cover_search(n, [members(m) for m in masks])
 
 
@@ -257,10 +258,14 @@ LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
 
 
 def assert_family_is_the_plain_one(graph, table, params):
-    """The masks of the Fraction build's sets on `table`, in the same order."""
+    """The masks of the Fraction build's sets on `table`, in the same order, and each vertex's share of them."""
     for strict in (False, True):
         plain = plain_heavy_sets(graph.n, table, params, strict)
-        assert _heavy_family(graph, params, strict) == [bitmask(s) for s in plain]
+        masks, by_vertex = _heavy_family(graph, params, strict)
+        assert masks == [bitmask(s) for s in plain]
+        assert len(by_vertex) == graph.n
+        for v, sets in enumerate(by_vertex):
+            assert sets == [m for m in masks if m >> v & 1] == [bitmask(s) for s in plain if v in s]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -309,15 +314,15 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     n = 8
     params = FactorParams(r=r, t=t)
     flat = WeightedCompleteGraph.constant(n, t)
-    assert _heavy_family(flat, params, False) == [bitmask(s) for s in combinations(range(n), r)]
-    assert _heavy_family(flat, params, True) == []
+    assert _heavy_family(flat, params, False)[0] == [bitmask(s) for s in combinations(range(n), r)]
+    assert _heavy_family(flat, params, True)[0] == []
     through_edge = comb(n - 2, r - 2)
     raised = flat.with_weight(0, 1, t + nudge)
     lowered = flat.with_weight(0, 1, t - nudge)
-    assert len(_heavy_family(raised, params, False)) == comb(n, r)
-    assert len(_heavy_family(raised, params, True)) == through_edge
-    assert len(_heavy_family(lowered, params, False)) == comb(n, r) - through_edge
-    assert _heavy_family(lowered, params, True) == []
+    assert len(_heavy_family(raised, params, False)[0]) == comb(n, r)
+    assert len(_heavy_family(raised, params, True)[0]) == through_edge
+    assert len(_heavy_family(lowered, params, False)[0]) == comb(n, r) - through_edge
+    assert _heavy_family(lowered, params, True)[0] == []
     table = {p: t for p in combinations(range(n), 2)}
     for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
         assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
