@@ -31,24 +31,32 @@ the graph's denominator, and the r-sets are walked in lexicographic order,
 each prefix carrying its integer weight and a gain row (the weight from the
 prefix to every later vertex), so adding a vertex costs one addition and one
 comparison.  Each set is held as the bitmask of its vertices, built from its
-prefix's mask, and the walk files it under each of its vertices as it is
-made, so the flat list and the per-vertex lists come out of one pass, both
-in lexicographic order.  The search and the per-vertex counts read the
-per-vertex lists; the collection enumerator and the hill-climb read the flat
-one.  Sorted vertex tuples are decoded only where a block leaves the solver.
-Fractions stay at the edges: input graphs, certificates and block weights.
+prefix's mask, and is numbered by its place in that order.  Beside the flat
+list of masks the walk keeps one bitmap per vertex over those numbers: bit i
+of `through[v]` is set when v lies in set i.  The sets sharing a prefix and
+a next vertex come out as a contiguous run of numbers, so the run is OR-ed
+onto those vertices as one shifted mask, and each last vertex gets its one
+bit.  The search and the per-vertex counts read the bitmaps; the
+collection enumerator and the hill-climb read the flat list.  Sorted vertex
+tuples are decoded only where a block leaves the solver.  Fractions stay at
+the edges: input graphs, certificates and block weights.
 
-The backtracking search anchors the uncovered vertex with the fewest live
-candidate blocks (ties to the smallest index) and tries that vertex's
-candidates in lexicographic order.  The scan that picks the anchor doubles as
-the fail-fast prune: any uncovered vertex with no live candidate kills the
-node immediately.  Counts of explored nodes are recorded so certificates can
-say how hard an instance was.
+The backtracking search carries `alive`, the bitmap of the sets disjoint
+from the covered vertices.  The live candidates of an uncovered vertex v are
+`through[v] & alive`, counted by one popcount.  The search anchors the
+uncovered vertex with the fewest live candidates (ties to the smallest
+index) and tries them lowest number first, which is lexicographic order.
+The scan that picks the anchor doubles as the fail-fast prune: any uncovered
+vertex with no live candidate kills the node immediately.  A child's bitmap
+is `alive` without the sets through any vertex of the chosen block.  Counts
+of explored nodes are recorded so certificates can say how hard an instance
+was.
 
 The search from a node reads nothing but the set of covered vertices, so a
 covered set that failed once fails again.  Failed sets are cached by their
-exact bitmask; a revisit adds the node count recorded for that subtree and
-returns at once.  The reported count is therefore the size of the uncached
+exact bitmask, and each child is looked up before the search descends into
+it: a hit adds the node count recorded for that subtree and moves on to the
+next candidate.  The reported count is therefore the size of the uncached
 search tree, the same number the plain search would have counted.
 """
 
@@ -140,24 +148,24 @@ def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
 
 
 def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
-                  strict: bool) -> tuple[list[int], list[list[int]]]:
+                  strict: bool) -> tuple[list[int], list[int]]:
     """The bitmask of every heavy r-set in lexicographic order, and each vertex's share of it.
 
-    `by_vertex[v]` lists the masks through v in the same order.  Sums of the
+    Bit i of `through[v]` is set when v lies in `masks[i]`.  Sums of the
     graph's integer rows meet the bar put over its denominator, so each
     comparison is between integers and decides exactly what
     `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
     r - 2 vertices carries its weight, its gain row (`gain[v]` is the
     prefix's weight to v) and its mask; adding a vertex a and then v costs
-    one sum each.  The sets sharing a prefix and a are made as one batch,
-    filed under the prefix's vertices and a at once and under each last
-    vertex v as it is made.
+    one sum each.  The sets sharing a prefix and a are made as one batch of
+    consecutive indices, OR-ed onto the prefix's vertices and a as one run
+    and onto each last vertex v as one bit.
     """
     n, r = graph.n, params.r
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
     masks: list[int] = []
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    through = [0] * n
     for prefix in combinations(range(n - 2), r - 2):
         total = sum(rows[u][v] for u, v in combinations(prefix, 2))
         gain = [0] * n
@@ -171,12 +179,16 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
             head = mask | 1 << a
             batch = [head | 1 << v for v in range(a + 1, n) if gain[v] + row[v] >= short]
             if batch:
-                masks.extend(batch)
-                for u in prefix + (a,):
-                    by_vertex[u].extend(batch)
+                bit = 1 << len(masks)
+                masks += batch
+                run = (bit << len(batch)) - bit
+                for u in prefix:
+                    through[u] |= run
+                through[a] |= run
                 for m in batch:
-                    by_vertex[m.bit_length() - 1].append(m)
-    return masks, by_vertex
+                    through[m.bit_length() - 1] |= bit
+                    bit <<= 1
+    return masks, through
 
 
 def _vertices(mask: int) -> tuple:
@@ -189,37 +201,49 @@ def _vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-def _search(covered: int, full: int, by_vertex: list[list[int]],
+def _search(covered: int, full: int, masks: list[int], through: list[int], alive: int,
             chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
     """One search node: (cover found, node count of its uncached subtree).
 
-    `by_vertex[v]` lists the candidate masks through v in the order they are
-    tried; the masks of a cover found are appended to `chosen`, and every
-    failed covered mask is kept in `failed` with its subtree's node count.
+    `alive` has bit i set when `masks[i]` misses `covered`, and bit i of
+    `through[v]` is set when v lies in `masks[i]`.  The masks of a cover
+    found are appended to `chosen`, and every failed covered mask is kept in
+    `failed` with its subtree's node count; a child found there is not
+    entered.
     """
-    if covered in failed:
-        return False, failed[covered]
     if covered == full:
         return True, 1
-    best_live = None
+    best = best_count = 0
     rem = full & ~covered
     while rem:
-        v = (rem & -rem).bit_length() - 1
-        rem &= rem - 1
-        live = [m for m in by_vertex[v] if not m & covered]
-        if not live:
+        low = rem & -rem
+        rem ^= low
+        live = through[low.bit_length() - 1] & alive
+        count = live.bit_count()
+        if not count:
             failed[covered] = 1
             return False, 1
-        if best_live is None or len(live) < len(best_live):
-            best_live = live
+        if not best or count < best_count:
+            best, best_count = live, count
     nodes = 1
-    for m in best_live:
-        chosen.append(m)
-        found, sub = _search(covered | m, full, by_vertex, chosen, failed)
+    while best:
+        low = best & -best
+        best ^= low
+        m = masks[low.bit_length() - 1]
+        child = covered | m
+        sub = failed.get(child)
+        if sub is None:
+            hit, block = 0, m
+            while block:
+                u = block & -block
+                block ^= u
+                hit |= through[u.bit_length() - 1]
+            chosen.append(m)
+            found, sub = _search(child, full, masks, through, alive & ~hit, chosen, failed)
+            if found:
+                return True, nodes + sub
+            chosen.pop()
         nodes += sub
-        if found:
-            return True, nodes
-        chosen.pop()
     failed[covered] = nodes
     return False, nodes
 
@@ -233,8 +257,9 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     """
     n, r = graph.n, params.r
     _check_block_shape(r, n)
+    masks, through = _heavy_family(graph, params, strict)
     chosen: list[int] = []
-    found, nodes = _search(0, (1 << n) - 1, _heavy_family(graph, params, strict)[1], chosen, {})
+    found, nodes = _search(0, (1 << n) - 1, masks, through, (1 << len(masks)) - 1, chosen, {})
     factor = None
     if found:
         factor = CliqueFactor.from_blocks([_vertices(m) for m in chosen])
@@ -248,7 +273,7 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    return len(_heavy_family(graph, params, strict)[1][v])
+    return _heavy_family(graph, params, strict)[1][v].bit_count()
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -275,14 +300,14 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
     """Degree test sufficient for a perfect matching of the heavy r-sets.
 
     True when every vertex lies in at least (1 - 1/r)(C(n-1, r-1) - 1) heavy
-    r-sets, read off the lengths of the per-vertex lists.  Sufficiency holds
+    r-sets, read off the popcounts of the per-vertex bitmaps.  Sufficiency holds
     when r divides n; the test itself is just the degree comparison.
     """
     n, r = graph.n, params.r
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
-    return all(len(sets) >= bound for sets in _heavy_family(graph, params, strict)[1])
+    return all(sets.bit_count() >= bound for sets in _heavy_family(graph, params, strict)[1])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # eroded and random n = 12 inputs, found and missed, as the scheme2 workload runs them
 SCHEME2_KEYS = [f"{family}-{i}" for family in ("eroded", "random") for i in range(6)]
 
+# the certify workload's fixed inputs and the first lowered-prop2 ones, every one without a factor
+CERTIFY_KEYS = ["prop2-r3-n15", "prop2-r5-n15", "hs-r3-n18"] + [f"lowered-{i}" for i in range(8)]
+
 
 def test_tracer_installs_and_restores_every_target(monkeypatch):
     """A renamed or moved wrapped name fails here, not only under a traced benchmark run."""
@@ -24,14 +27,21 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         assert tracer.uninstall()
 
 
-def test_scheme2_documents_match_the_golden_digests(monkeypatch, tmp_path):
-    """`hfl scheme2` writes each pool entry's document byte for byte as the benchmark recorded it."""
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's `check` and `workloads` modules, with the solver and retry settings cleared."""
     monkeypatch.syspath_prepend(str(BENCH))
     for name in ("HFL_SOLVER_CAP", "HFL_RETRY_BUDGET"):
         monkeypatch.delenv(name, raising=False)
     import check
     import workloads
 
+    return check, workloads
+
+
+def test_scheme2_documents_match_the_golden_digests(bench, tmp_path):
+    """`hfl scheme2` writes each pool entry's document byte for byte as the benchmark recorded it."""
+    check, workloads = bench
     golden = workloads.load_golden(str(BENCH))["scheme2"]
     assert {golden[key]["found"] for key in SCHEME2_KEYS} == {True, False}
     setup = workloads.Setup("scheme2", str(tmp_path), cli.main)
@@ -39,4 +49,15 @@ def test_scheme2_documents_match_the_golden_digests(monkeypatch, tmp_path):
         job = setup.job(key)
         code = cli.main(job.argv)
         assert code == (0 if golden[key]["found"] else 1), key
+        assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key
+
+
+def test_certify_documents_match_the_golden_digests(bench, tmp_path):
+    """`hfl solve` writes each exhaustion certificate, `nodes_explored` included, as the benchmark recorded it."""
+    check, workloads = bench
+    golden = workloads.load_golden(str(BENCH))["certify"]
+    setup = workloads.Setup("certify", str(tmp_path), cli.main)
+    for key in CERTIFY_KEYS:
+        job = setup.job(key)
+        assert cli.main(job.argv) == 1, key
         assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key

@@ -231,6 +231,55 @@ def plain_cover_search(n, sets):
     return ([sets[i] for i in chosen] if found else None, nodes)
 
 
+def list_cached_search(n, masks):
+    """The cached search over per-vertex lists of masks, kept as a second reference.
+
+    It is fast enough for the sizes the uncached reference cannot reach.
+    """
+    by_vertex = [[m for m in masks if m >> v & 1] for v in range(n)]
+    full = (1 << n) - 1
+    chosen = []
+    failed = {}
+
+    def search(covered):
+        if covered in failed:
+            return False, failed[covered]
+        if covered == full:
+            return True, 1
+        best_live = None
+        rem = full & ~covered
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            live = [m for m in by_vertex[v] if not m & covered]
+            if not live:
+                failed[covered] = 1
+                return False, 1
+            if best_live is None or len(live) < len(best_live):
+                best_live = live
+        nodes = 1
+        for m in best_live:
+            chosen.append(m)
+            found, sub = search(covered | m)
+            nodes += sub
+            if found:
+                return True, nodes
+            chosen.pop()
+        failed[covered] = nodes
+        return False, nodes
+
+    found, nodes = search(0)
+    return (list(chosen) if found else None, nodes, failed)
+
+
+def bitmap_search(graph, params, strict):
+    """The solver's search on the solver's family: (masks, chosen masks or None, node count, failed states)."""
+    masks, through = _heavy_family(graph, params, strict)
+    chosen, failed = [], {}
+    found, nodes = _search(0, (1 << graph.n) - 1, masks, through, (1 << len(masks)) - 1, chosen, failed)
+    return masks, (chosen if found else None), nodes, failed
+
+
 def assert_cache_is_invisible(graph, params, strict):
     """Same blocks and node count as the plain search over the per-vertex index, each mask decoded both ways."""
     n = graph.n
@@ -238,17 +287,22 @@ def assert_cache_is_invisible(graph, params, strict):
     def members(mask):
         return tuple(v for v in range(n) if mask >> v & 1)
 
-    masks, by_vertex = _heavy_family(graph, params, strict)
-    chosen = []
-    found, nodes = _search(0, (1 << n) - 1, by_vertex, chosen, {})
+    masks, chosen, nodes, _ = bitmap_search(graph, params, strict)
     assert all(_vertices(m) == members(m) for m in masks)
-    blocks = [members(m) for m in chosen] if found else None
+    blocks = None if chosen is None else [members(m) for m in chosen]
     assert (blocks, nodes) == plain_cover_search(n, [members(m) for m in masks])
 
 
 def scaled_prop2(r, t, n):
     g, _ = prop2_construction(r, t, n)
     return g.scale(Fraction(999, 1000))
+
+
+def lower_edges(graph, rng, count):
+    """`graph` with `count` random edges scaled by a random tenth in 0..9/10."""
+    for i, j in rng.sample(list(graph.pairs()), count):
+        graph = graph.with_weight(i, j, graph.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    return graph
 
 
 LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
@@ -258,14 +312,15 @@ LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
 
 
 def assert_family_is_the_plain_one(graph, table, params):
-    """The masks of the Fraction build's sets on `table`, in the same order, and each vertex's share of them."""
+    """The masks of the Fraction build's sets on `table`, in the same order, and every bit of each vertex's bitmap over them."""
     for strict in (False, True):
         plain = plain_heavy_sets(graph.n, table, params, strict)
-        masks, by_vertex = _heavy_family(graph, params, strict)
+        masks, through = _heavy_family(graph, params, strict)
         assert masks == [bitmask(s) for s in plain]
-        assert len(by_vertex) == graph.n
-        for v, sets in enumerate(by_vertex):
-            assert sets == [m for m in masks if m >> v & 1] == [bitmask(s) for s in plain if v in s]
+        assert len(through) == graph.n
+        for v, bits in enumerate(through):
+            assert bits >> len(plain) == 0
+            assert [bits >> i & 1 for i in range(len(plain))] == [int(v in s) for s in plain]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -361,10 +416,7 @@ def test_overweight_rows_match_the_fraction_predicate_on_grid_graphs(seed, n, r,
        t=st.sampled_from([Fraction(0)] + LEVELS[:-1]), lowered=st.integers(0, 6))
 def test_overweight_rows_match_the_fraction_predicate_on_lowered_prop2(seed, box, t, lowered):
     r, n = box
-    rng = Random(seed)
-    g, _ = prop2_construction(r, t, n)
-    for i, j in rng.sample(list(g.pairs()), lowered):
-        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    g = lower_edges(prop2_construction(r, t, n)[0], Random(seed), lowered)
     assert_overweight_rows_are_the_plain_ones(g, FactorParams(r=r, t=t))
 
 
@@ -408,10 +460,7 @@ def test_cached_search_matches_the_plain_search_on_grid_graphs(seed, box, t, spa
        t=st.sampled_from(LEVELS[:-1]), lowered=st.integers(0, 6), strict=st.booleans())
 def test_cached_search_matches_the_plain_search_on_lowered_prop2(seed, box, t, lowered, strict):
     r, n = box
-    rng = Random(seed)
-    g, _ = prop2_construction(r, t, n)
-    for i, j in rng.sample(list(g.pairs()), lowered):
-        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    g = lower_edges(prop2_construction(r, t, n)[0], Random(seed), lowered)
     assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
 
 
@@ -428,6 +477,42 @@ def test_cached_search_matches_the_plain_search_on_hs_sharpness(r, n):
     for t in (Fraction(1), Fraction(1, 2)):
         for strict in (False, True):
             assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+
+
+def assert_bitmaps_are_the_lists(graph, params, strict):
+    """Same blocks, node count and failed states as the list-based cached search."""
+    masks, chosen, nodes, failed = bitmap_search(graph, params, strict)
+    assert (chosen, nodes, failed) == list_cached_search(graph.n, masks)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32),
+       case=st.sampled_from([("prop2", 3, 15), ("prop2", 5, 15), ("prop2", 4, 16), ("hs", 3, 18)]),
+       count=st.integers(0, 6), strict=st.booleans())
+def test_bitmap_search_matches_the_list_search_on_lowered_extremal_inputs(seed, case, count, strict):
+    """Scaled prop2 and hs-sharpness at n = 15-18, a few edges lowered: too big for the uncached reference."""
+    family, r, n = case
+    if family == "prop2":
+        g, t = scaled_prop2(r, Fraction(2, 3), n), Fraction(2, 3)
+    else:
+        g, t = hs_sharpness_construction(r, n)[0], Fraction(1)
+    assert_bitmaps_are_the_lists(lower_edges(g, Random(seed), count), FactorParams(r=r, t=t), strict)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(14, 2), (15, 3), (15, 5), (16, 4), (18, 3), (18, 6)]),
+       t=st.sampled_from(LEVELS), sparse=st.booleans(), strict=st.booleans())
+def test_bitmap_search_matches_the_list_search_on_larger_grid_graphs(seed, box, t, sparse, strict):
+    n, r = box
+    rng = Random(seed)
+    g = sparse_grid_graph(rng, n, zero_prob=0.3) if sparse else random_grid_graph(rng, n)
+    assert_bitmaps_are_the_lists(g, FactorParams(r=r, t=t), strict)
+
+
+@pytest.mark.parametrize("r,n", [(3, 15), (5, 15), (3, 18)])
+def test_bitmap_search_matches_the_list_search_on_scaled_prop2(r, n):
+    for strict in (False, True):
+        assert_bitmaps_are_the_lists(scaled_prop2(r, Fraction(2, 3), n), FactorParams(r=r, t=Fraction(2, 3)), strict)
 
 
 @pytest.mark.parametrize("graph,params,strict,nodes", [
