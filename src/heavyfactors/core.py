@@ -15,8 +15,10 @@ Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
 
 A weight is checked once, where it enters: in a public constructor or in
-`graph_from_json`, whose messages name `edges[k]`.  Package code that holds
-integer weights over one denominator calls `_from_rows`, which trusts them.
+`graph_from_json`, whose messages name `edges[k]`.  A graph file's weights
+are checked once per distinct text and land in integer rows, with no
+Fraction per edge.  Package code that holds integer weights over one
+denominator calls `_from_rows`, which trusts them.
 """
 
 from __future__ import annotations
@@ -91,15 +93,6 @@ def _coerce_weight(w, where: str) -> Fraction:
     return f
 
 
-def _rows_over_lcm(n: int, weights: Mapping[tuple[int, int], Fraction]) -> tuple[list, int]:
-    """Symmetric integer rows of checked weights keyed by (i, j), i < j, over their lcm."""
-    den = lcm(*{w.denominator for w in weights.values()})
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), w in weights.items():
-        rows[i][j] = rows[j][i] = w.numerator * (den // w.denominator)
-    return rows, den
-
-
 class WeightedCompleteGraph:
     """Complete graph on vertices 0..n-1 with symmetric rational edge weights.
 
@@ -121,7 +114,11 @@ class WeightedCompleteGraph:
             if (i, j) in exact:
                 raise ValueError(f"pair ({i}, {j}) given twice")
             exact[i, j] = _coerce_weight(w, f"edge ({i}, {j})")
-        self._freeze(n, *_rows_over_lcm(n, exact))
+        den = lcm(*(w.denominator for w in exact.values()))
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), w in exact.items():
+            rows[i][j] = rows[j][i] = w.numerator * (den // w.denominator)
+        self._freeze(n, rows, den)
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[Fraction]) -> "WeightedCompleteGraph":
@@ -409,15 +406,25 @@ class CliqueFactor:
 
 
 def graph_to_json(graph: WeightedCompleteGraph) -> dict:
-    """JSON document for a weighting; every pair is written explicitly."""
-    return {
-        "n": graph.n,
-        "edges": [[i, j, format_rational(graph.weight(i, j))] for i, j in graph.pairs()],
-    }
+    """JSON document for a weighting; every pair is written explicitly.
+
+    Each distinct numerator is written once, in lowest terms, as `format_rational` would.
+    """
+    rows, den = graph.rows, graph.den
+    texts = {}
+    for x in set().union(*rows):
+        g = gcd(x, den)
+        texts[x] = f"{x // g}/{den // g}"
+    return {"n": graph.n, "edges": [[i, j, texts[rows[i][j]]] for i, j in graph.pairs()]}
 
 
 def graph_from_json(doc) -> WeightedCompleteGraph:
-    """Parse and validate the JSON graph document; missing pairs default to 0."""
+    """Parse and validate the JSON graph document; missing pairs default to 0.
+
+    Each distinct weight text is parsed and range-checked once.  A pair holds
+    the index of its text, 0 while it is not given, and the indices become
+    integer numerators over the lcm of the distinct weights at the end.
+    """
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
     if "n" not in doc:
@@ -428,27 +435,36 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list")
-    weights = {}
+    texts = {}
+    values = [Fraction(0)]
+    index = [[0] * n for _ in range(n)]
     for pos, entry in enumerate(edges):
-        where = f"edges[{pos}]"
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise GraphFormatError(f"{where}: expected [i, j, \"num/den\"]")
+            raise GraphFormatError(f"edges[{pos}]: expected [i, j, \"num/den\"]")
         i, j, wtext = entry
         if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
-            raise GraphFormatError(f"{where}: vertex indices must be integers")
+            raise GraphFormatError(f"edges[{pos}]: vertex indices must be integers")
         if i == j or not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(f"{where}: invalid pair ({i}, {j}) for n={n}")
-        key = (min(i, j), max(i, j))
-        if key in weights:
-            raise GraphFormatError(f"{where}: duplicate pair ({key[0]}, {key[1]})")
+            raise GraphFormatError(f"edges[{pos}]: invalid pair ({i}, {j}) for n={n}")
+        if index[i][j]:
+            raise GraphFormatError(f"edges[{pos}]: duplicate pair ({min(i, j)}, {max(i, j)})")
         try:
-            w = parse_rational(wtext)
+            # parse_rational reads only str(wtext), so a text that parsed once
+            # parses to the same weight again; a bad text raises at its first use.
+            key = str(wtext)
+            k = texts.get(key)
+            if k is None:
+                w = parse_rational(wtext)
+                if w < 0 or w > 1:
+                    raise ValueError(f"weight {format_rational(w)} outside [0, 1]")
+                k = texts[key] = len(values)
+                values.append(w)
         except ValueError as exc:
-            raise GraphFormatError(f"{where}: {exc}") from exc
-        if w < 0 or w > 1:
-            raise GraphFormatError(f"{where}: weight {format_rational(w)} outside [0, 1]")
-        weights[key] = w
-    return WeightedCompleteGraph._from_rows(n, *_rows_over_lcm(n, weights))
+            raise GraphFormatError(f"edges[{pos}]: {exc}") from exc
+        index[i][j] = index[j][i] = k
+    den = lcm(*(w.denominator for w in values))
+    nums = [w.numerator * (den // w.denominator) for w in values]
+    return WeightedCompleteGraph._from_rows(n, [[nums[k] for k in row] for row in index], den)
 
 
 def save_graph(path, graph: WeightedCompleteGraph) -> None:

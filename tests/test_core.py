@@ -562,6 +562,16 @@ MALFORMED_DOCUMENTS = [
     ({"n": 3, "edges": [[0, 1, "x"]]}, "edges[0]", "edges[0]: not a rational: 'x'"),
     ({"n": 3, "edges": [[0, 1, " "]]}, "edges[0]", "edges[0]: empty rational"),
     ({"n": 3, "edges": [[0, 1, 2]]}, "edges[0]", "edges[0]: weight 2/1 outside [0, 1]"),
+    # the weight texts repeat, so the errors below come after memo hits
+    ({"n": 4, "edges": [[0, 1, "1/2"], [0, 2, "2/4"], [1, 2, "1/2"], [0, 3, "1/3x"], [1, 3, "1/2"]]},
+     "edges[3]", "edges[3]: not a rational: '1/3x'"),
+    ({"n": 4, "edges": [[0, 1, "1/2"], [0, 2, "1/2"], [1, 2, "1/2"], [3, 1, "3/2"]]},
+     "edges[3]", "edges[3]: weight 3/2 outside [0, 1]"),
+    ({"n": 3, "edges": [[0, 1, "1/2"], [0, 2, "1/2"], [1, 0, "1/2"]]}, "edges[2]", "edges[2]: duplicate pair (0, 1)"),
+    ({"n": 4, "edges": [[0, 1, "1/2"], [0, 2, "x"], [1, 2, "x"], [0, 3, "x"]]},
+     "edges[1]", "edges[1]: not a rational: 'x'"),
+    ({"n": 3, "edges": [[0, 1, "1/2"], [0, 2, 0.5]]}, "edges[1]", "edges[1]: decimal notation is not accepted: 0.5"),
+    ({"n": 3, "edges": [[0, 1, 1], [0, 2, True]]}, "edges[1]", "edges[1]: decimal notation is not accepted: True"),
 ]
 
 
@@ -589,11 +599,60 @@ def sparse_documents(draw):
     return {"n": n, "edges": edges}
 
 
+# One weight per group, each group spelled several ways, JSON ints included.
+SPELLINGS = [["1/2", "2/4", " 1/2 "], [1, "1", "1/1"], ["0/5", 0, "0"]]
+
+
+@st.composite
+def respelled_documents(draw):
+    """Documents on up to 40 vertices, pairs either way round, where 0, 1/2 and 1 recur in several spellings.
+
+    The other weights are grid texts, so a document mixes repeated and rare texts.
+    """
+    n = draw(st.integers(1, 40))
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    edges = []
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            if rng.random() < 0.7:
+                text = rng.choice(rng.choice(SPELLINGS))
+            else:
+                d = rng.choice(GRID_DENOMINATORS)
+                text = f"{rng.randint(0, d)}/{d}"
+            edges.append([j, i, text] if rng.random() < 0.5 else [i, j, text])
+    rng.shuffle(edges)
+    return {"n": n, "edges": edges}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(doc=sparse_documents())
+@given(doc=st.one_of(sparse_documents(), respelled_documents()))
 def test_graph_from_json_is_the_fraction_constructor(doc):
     table = {(min(i, j), max(i, j)): parse_rational(text) for i, j, text in doc["edges"]}
     assert_fraction_path(graph_from_json(doc), doc["n"], table)
+
+
+def test_graph_from_json_parses_each_distinct_text_once(monkeypatch):
+    """An n = 60 file on the /20 grid has 1,770 weight texts but at most 21 distinct ones."""
+    g = random_grid_graph(Random(43), 60, denominator=20)
+    doc = json.loads(dumps_canonical(graph_to_json(g)))
+    calls = []
+    parse = core.parse_rational
+    monkeypatch.setattr(core, "parse_rational", lambda text: calls.append(text) or parse(text))
+    assert graph_from_json(doc) == g
+    assert len(doc["edges"]) == 1770
+    assert len(calls) == len(set(calls)) <= 21
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10), denominator=st.integers(1, 13),
+       factor=st.fractions(0, 1, max_denominator=12), w=grid_weights())
+def test_graph_to_json_writes_what_format_rational_writes(seed, n, denominator, factor, w):
+    """On grid graphs and their scaled and one-edge images, whose numerators share factors with `den`."""
+    g = random_grid_graph(Random(seed), n, denominator=denominator)
+    for h in (g, g.scale(factor), g.with_weight(0, n - 1, w)):
+        assert graph_to_json(h) == {
+            "n": n, "edges": [[i, j, format_rational(h.weight(i, j))] for i, j in h.pairs()]}
 
 
 def test_save_and_load_round_trip(tmp_path):
