@@ -25,32 +25,33 @@ overweight count), used to probe instances too big for exhaustive
 enumeration.  It climbs on the same masks; all random choices flow from one
 seed.
 
-The heavy r-sets of an instance are listed once per call, in integers: the
-graph's integer weight rows are summed against the bar t * C(r, 2) put over
-the graph's denominator, and the r-sets are walked in lexicographic order,
-each prefix carrying its integer weight and a gain row (the weight from the
-prefix to every later vertex), so adding a vertex costs one addition and one
-comparison.  Each set is held as the bitmask of its vertices, built from its
-prefix's mask, and is numbered by its place in that order.  Beside the flat
-list of masks the walk keeps one bitmap per vertex over those numbers: bit i
-of `through[v]` is set when v lies in set i.  The sets sharing a prefix and
-a next vertex come out as a contiguous run of numbers, so the run is OR-ed
-onto those vertices as one shifted mask, and each last vertex gets its one
-bit.  The search and the per-vertex counts read the bitmaps; the
-collection enumerator and the hill-climb read the flat list.  Sorted vertex
-tuples are decoded only where a block leaves the solver.  Fractions stay at
-the edges: input graphs, certificates and block weights.
+Every r-set of range(n) is numbered once per (n, r), by its place in
+lexicographic order, and the index is cached: `masks[i]` is the bitmask of
+set i, and bit i of `through[v]` is set when v lies in set i.  It is built
+by Pascal's rule, the k-sets of range(lo, n) being lo joined to each
+(k-1)-set of range(lo+1, n) followed by the k-sets of range(lo+1, n), so
+each vertex's bitmap is two bitmaps of the level above, one shifted past the
+other.  A graph only marks which of those sets are heavy, in integers: its
+integer weight rows are summed against the bar t * C(r, 2) put over its
+denominator, the r-sets are walked in the same order, each prefix carrying
+its integer weight and a gain row (the weight from the prefix to every later
+vertex), and each set costs one addition and one comparison.  The flags
+become one bitmap, `heavy`, over the index.  The search and the per-vertex
+counts read the bitmaps; the collection enumerator and the hill-climb read
+the masks the flags select.  Sorted vertex tuples are decoded only where a
+block leaves the solver.  Fractions stay at the edges: input graphs,
+certificates and block weights.
 
-The backtracking search carries `alive`, the bitmap of the sets disjoint
-from the covered vertices.  The live candidates of an uncovered vertex v are
-`through[v] & alive`, counted by one popcount.  The search anchors the
-uncovered vertex with the fewest live candidates (ties to the smallest
-index) and tries them lowest number first, which is lexicographic order.
-The scan that picks the anchor doubles as the fail-fast prune: any uncovered
-vertex with no live candidate kills the node immediately.  A child's bitmap
-is `alive` without the sets through any vertex of the chosen block.  Counts
-of explored nodes are recorded so certificates can say how hard an instance
-was.
+The backtracking search carries `alive`, the bitmap of the heavy sets
+disjoint from the covered vertices; it starts as `heavy`.  The live
+candidates of an uncovered vertex v are `through[v] & alive`, counted by one
+popcount.  The search anchors the uncovered vertex with the fewest live
+candidates (ties to the smallest index) and tries them lowest number first,
+which is lexicographic order.  The scan that picks the anchor doubles as the
+fail-fast prune: any uncovered vertex with no live candidate kills the node
+immediately.  A child's bitmap is `alive` without the sets through any
+vertex of the chosen block.  Counts of explored nodes are recorded so
+certificates can say how hard an instance was.
 
 The search from a node reads nothing but the set of covered vertices, so a
 covered set that failed once fails again.  Failed sets are cached by their
@@ -65,7 +66,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from math import comb
 from typing import Iterator
 
@@ -147,48 +149,72 @@ def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
             yield (block,) + rest_blocks
 
 
-def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
-                  strict: bool) -> tuple[list[int], list[int]]:
-    """The bitmask of every heavy r-set in lexicographic order, and each vertex's share of it.
+@lru_cache(maxsize=16)
+def _r_sets(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every r-set of range(n) as a bitmask in lexicographic order, and each vertex's bitmap over them.
 
-    Bit i of `through[v]` is set when v lies in `masks[i]`.  Sums of the
-    graph's integer rows meet the bar put over its denominator, so each
-    comparison is between integers and decides exactly what
+    Bit i of `through[v]` is set when v lies in `masks[i]`.  Built by
+    Pascal's rule from the top vertex down: the k-sets of range(lo, n) are
+    lo joined to each (k-1)-set of range(lo+1, n), followed by the k-sets of
+    range(lo+1, n), so lo's bitmap is one run of low bits and every other
+    vertex's is its two bitmaps from the level above, the second shifted
+    past the first.  Only the levels the r-sets of range(n) need are made.
+    """
+    level = [([0], [0] * n)] + [([], [0] * n)] * r
+    for lo in range(n - 1, -1, -1):
+        bit = 1 << lo
+        for k in range(min(r, n - lo), max(r - lo, 1) - 1, -1):
+            (heads, head_through), (tails, tail_through) = level[k - 1], level[k]
+            shift = len(heads)
+            through = [h | t << shift for h, t in zip(head_through, tail_through)]
+            through[lo] = (1 << shift) - 1
+            level[k] = ([bit | m for m in heads] + tails, through)
+    masks, through = level[r]
+    return tuple(masks), tuple(through)
+
+
+def _heavy_flags(graph: WeightedCompleteGraph, params: FactorParams, strict: bool) -> list[bool]:
+    """Whether each r-set, in lexicographic order, is heavy.
+
+    Sums of the graph's integer rows meet the bar put over its denominator,
+    so each comparison is between integers and decides exactly what
     `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
-    r - 2 vertices carries its weight, its gain row (`gain[v]` is the
-    prefix's weight to v) and its mask; adding a vertex a and then v costs
-    one sum each.  The sets sharing a prefix and a are made as one batch of
-    consecutive indices, OR-ed onto the prefix's vertices and a as one run
-    and onto each last vertex v as one bit.
+    r - 2 vertices carries its weight and its gain row (`gain[v]` is the
+    prefix's weight to v); adding a vertex a and then v costs one sum each.
     """
     n, r = graph.n, params.r
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
-    masks: list[int] = []
-    through = [0] * n
+    flags: list[bool] = []
     for prefix in combinations(range(n - 2), r - 2):
         total = sum(rows[u][v] for u, v in combinations(prefix, 2))
         gain = [0] * n
-        mask = 0
         for u in prefix:
             gain = [g + w for g, w in zip(gain, rows[u])]
-            mask |= 1 << u
         for a in range(prefix[-1] + 1 if prefix else 0, n - 1):
             row = rows[a]
             short = need - total - gain[a]
-            head = mask | 1 << a
-            batch = [head | 1 << v for v in range(a + 1, n) if gain[v] + row[v] >= short]
-            if batch:
-                bit = 1 << len(masks)
-                masks += batch
-                run = (bit << len(batch)) - bit
-                for u in prefix:
-                    through[u] |= run
-                through[a] |= run
-                for m in batch:
-                    through[m.bit_length() - 1] |= bit
-                    bit <<= 1
-    return masks, through
+            flags += [gain[v] + row[v] >= short for v in range(a + 1, n)]
+    return flags
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
+                  strict: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The fixed index of the graph's r-sets, and the bitmap of its heavy ones over it.
+
+    `masks` and `through` are `_r_sets(n, r)`, built once by Pascal's rule
+    and shared by every graph of that size, so no mask or per-vertex bitmap
+    is made per graph.  Bit i of `heavy` is set when `masks[i]` is heavy: the
+    walk gives one flag per set in index order, and the flags are read into
+    `heavy` as one binary numeral, highest index first.
+    """
+    masks, through = _r_sets(graph.n, params.r)
+    flags = _heavy_flags(graph, params, strict)
+    heavy = int(bytes(flags[::-1]).translate(_BINARY_DIGITS) or b"0", 2)
+    return masks, through, heavy
 
 
 def _vertices(mask: int) -> tuple:
@@ -257,9 +283,9 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     """
     n, r = graph.n, params.r
     _check_block_shape(r, n)
-    masks, through = _heavy_family(graph, params, strict)
+    masks, through, heavy = _heavy_family(graph, params, strict)
     chosen: list[int] = []
-    found, nodes = _search(0, (1 << n) - 1, masks, through, (1 << len(masks)) - 1, chosen, {})
+    found, nodes = _search(0, (1 << n) - 1, masks, through, heavy, chosen, {})
     factor = None
     if found:
         factor = CliqueFactor.from_blocks([_vertices(m) for m in chosen])
@@ -273,7 +299,8 @@ def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    return _heavy_family(graph, params, strict)[1][v].bit_count()
+    _, through, heavy = _heavy_family(graph, params, strict)
+    return (through[v] & heavy).bit_count()
 
 
 def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
@@ -307,7 +334,8 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
-    return all(sets.bit_count() >= bound for sets in _heavy_family(graph, params, strict)[1])
+    _, through, heavy = _heavy_family(graph, params, strict)
+    return all((sets & heavy).bit_count() >= bound for sets in through)
 
 
 @dataclass(frozen=True)
@@ -366,7 +394,7 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     n = graph.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    masks = _heavy_family(graph, params, strict=False)[0]
+    masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
     over = _overweight_rows(graph, params)
     owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
@@ -410,7 +438,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     n = graph.n
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    masks = _heavy_family(graph, params, strict=False)[0]
+    masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
     heavy = set(masks)
     over = _overweight_rows(graph, params)
 

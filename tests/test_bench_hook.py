@@ -14,6 +14,10 @@ SCHEME2_KEYS = [f"{family}-{i}" for family in ("eroded", "random") for i in rang
 # the certify workload's fixed inputs and the first lowered-prop2 ones, every one without a factor
 CERTIFY_KEYS = ["prop2-r3-n15", "prop2-r5-n15", "hs-r3-n18"] + [f"lowered-{i}" for i in range(8)]
 
+# feasible samples of both verify sizes, and anneals of both (r, t), each a clean exit
+VERIFY_KEYS = [f"{family}-{i}" for family in ("r3-n18", "r4-n16") for i in range(4)]
+ANNEAL_KEYS = [f"{family}-{i}" for family in ("r3-t2/3", "r4-t1/2") for i in range(3)]
+
 
 def test_tracer_installs_and_restores_every_target(monkeypatch):
     """A renamed or moved wrapped name fails here, not only under a traced benchmark run."""
@@ -60,4 +64,31 @@ def test_certify_documents_match_the_golden_digests(bench, tmp_path):
     for key in CERTIFY_KEYS:
         job = setup.job(key)
         assert cli.main(job.argv) == 1, key
+        assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key
+
+
+def test_verify_documents_match_the_golden_digests(bench, tmp_path):
+    """`hfl verify` writes each report, the factor search's pass count included, as the benchmark recorded it."""
+    check, workloads = bench
+    golden = workloads.load_golden(str(BENCH))["verify"]
+    setup = workloads.Setup("verify", str(tmp_path), cli.main)
+    for key in VERIFY_KEYS:
+        job = setup.job(key)
+        assert cli.main(job.argv) == 0, key
+        assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key
+
+
+def test_anneal_documents_match_the_golden_digests(bench, tmp_path, monkeypatch):
+    """`hfl estimate` writes each certified record as the benchmark recorded it.
+
+    A record names its weighting file by the path it was written to, so the
+    jobs run from a fresh directory with the benchmark's own relative workdir.
+    """
+    check, workloads = bench
+    golden = workloads.load_golden(str(BENCH))["anneal"]
+    monkeypatch.chdir(tmp_path)
+    setup = workloads.Setup("anneal", ".bench_work/anneal", cli.main)
+    for key in ANNEAL_KEYS:
+        job = setup.job(key)
+        assert cli.main(job.argv) == 0, key
         assert check.digest(Path(job.out).read_text(encoding="utf-8")) == golden[key]["sha"], key

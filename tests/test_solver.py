@@ -34,6 +34,7 @@ from heavyfactors.solver import (
     _heavy_family,
     _overweight_count,
     _overweight_rows,
+    _r_sets,
     _search,
     _vertices,
 )
@@ -272,12 +273,17 @@ def list_cached_search(n, masks):
     return (list(chosen) if found else None, nodes, failed)
 
 
+def heavy_masks(masks, heavy):
+    """The masks whose index is a set bit of `heavy`, in index order."""
+    return [m for i, m in enumerate(masks) if heavy >> i & 1]
+
+
 def bitmap_search(graph, params, strict):
-    """The solver's search on the solver's family: (masks, chosen masks or None, node count, failed states)."""
-    masks, through = _heavy_family(graph, params, strict)
+    """The solver's search on the solver's family: (heavy masks, chosen masks or None, node count, failed states)."""
+    masks, through, heavy = _heavy_family(graph, params, strict)
     chosen, failed = [], {}
-    found, nodes = _search(0, (1 << graph.n) - 1, masks, through, (1 << len(masks)) - 1, chosen, failed)
-    return masks, (chosen if found else None), nodes, failed
+    found, nodes = _search(0, (1 << graph.n) - 1, masks, through, heavy, chosen, failed)
+    return heavy_masks(masks, heavy), (chosen if found else None), nodes, failed
 
 
 def assert_cache_is_invisible(graph, params, strict):
@@ -311,16 +317,56 @@ LEVELS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fracti
 # ----------------------------------------------------------- heavy-set build
 
 
+def test_r_set_index_is_the_plain_combinations():
+    """Every (n, r) up to 12 and 6, n < r included: the masks of `combinations`, and a per-set OR loop's bitmaps."""
+    for n in range(13):
+        for r in range(2, 7):
+            sets = list(combinations(range(n), r))
+            through = [0] * n
+            for i, s in enumerate(sets):
+                for v in s:
+                    through[v] |= 1 << i
+            assert _r_sets(n, r) == (tuple(bitmask(s) for s in sets), tuple(through)), (n, r)
+
+
+def solve_all(cases, before=lambda: None):
+    """Each case's certificate document, `before` run ahead of every solve."""
+    out = []
+    for graph, params, strict in cases:
+        before()
+        out.append(find_heavy_factor(graph, params, strict=strict).to_json())
+    return out
+
+
+def test_r_set_cache_is_invisible():
+    """Certificates are the same with the index built afresh for every solve, and with entries evicted.
+
+    The cases span more (n, r) pairs than the cache holds and are solved in
+    turn, twice over, so every pair is evicted before it comes back.
+    """
+    rng = Random(16)
+    pairs = [(n, r) for n in range(2, 13) for r in range(2, n + 1) if n % r == 0]
+    assert len(pairs) > _r_sets.cache_info().maxsize
+    cases = [(random_grid_graph(rng, n), FactorParams(r, t), strict)
+             for n, r in pairs for t in (Fraction(1, 2), Fraction(3, 4)) for strict in (False, True)]
+    fresh = solve_all(cases, _r_sets.cache_clear)
+    assert any(doc["outcome"] == "factor" for doc in fresh)
+    assert any(doc["outcome"] == "exhausted" for doc in fresh)
+    _r_sets.cache_clear()
+    assert solve_all(cases + cases) == fresh + fresh
+    info = _r_sets.cache_info()
+    assert info.currsize == info.maxsize and info.misses == 2 * len(pairs)
+
+
 def assert_family_is_the_plain_one(graph, table, params):
-    """The masks of the Fraction build's sets on `table`, in the same order, and every bit of each vertex's bitmap over them."""
+    """The set bits of the heavy bitmap are the Fraction build's sets on `table`, in the same order."""
+    n, r = graph.n, params.r
     for strict in (False, True):
-        plain = plain_heavy_sets(graph.n, table, params, strict)
-        masks, through = _heavy_family(graph, params, strict)
-        assert masks == [bitmask(s) for s in plain]
-        assert len(through) == graph.n
-        for v, bits in enumerate(through):
-            assert bits >> len(plain) == 0
-            assert [bits >> i & 1 for i in range(len(plain))] == [int(v in s) for s in plain]
+        plain = plain_heavy_sets(n, table, params, strict)
+        masks, through, heavy = _heavy_family(graph, params, strict)
+        assert (masks, through) == _r_sets(n, r)
+        assert heavy >> len(masks) == 0
+        assert heavy_masks(masks, heavy) == [bitmask(s) for s in plain]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -368,16 +414,21 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     """
     n = 8
     params = FactorParams(r=r, t=t)
+
+    def family(graph, strict):
+        masks, _, heavy = _heavy_family(graph, params, strict)
+        return heavy_masks(masks, heavy)
+
     flat = WeightedCompleteGraph.constant(n, t)
-    assert _heavy_family(flat, params, False)[0] == [bitmask(s) for s in combinations(range(n), r)]
-    assert _heavy_family(flat, params, True)[0] == []
+    assert family(flat, False) == [bitmask(s) for s in combinations(range(n), r)]
+    assert family(flat, True) == []
     through_edge = comb(n - 2, r - 2)
     raised = flat.with_weight(0, 1, t + nudge)
     lowered = flat.with_weight(0, 1, t - nudge)
-    assert len(_heavy_family(raised, params, False)[0]) == comb(n, r)
-    assert len(_heavy_family(raised, params, True)[0]) == through_edge
-    assert len(_heavy_family(lowered, params, False)[0]) == comb(n, r) - through_edge
-    assert _heavy_family(lowered, params, True)[0] == []
+    assert len(family(raised, False)) == comb(n, r)
+    assert len(family(raised, True)) == through_edge
+    assert len(family(lowered, False)) == comb(n, r) - through_edge
+    assert family(lowered, True) == []
     table = {p: t for p in combinations(range(n), 2)}
     for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
         assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
