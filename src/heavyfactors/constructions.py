@@ -171,8 +171,6 @@ def counterexample_29_36(n: int) -> tuple[WeightedCompleteGraph, ConstructionDes
         raise ValueError(f"need n divisible by 36, got n={n}")
     a_size = 29 * n // 36
     offset_max = 11 * n // 36
-    if 2 * offset_max >= a_size:
-        raise ValueError("circulant offsets must stay below half the cycle length")
     a_side = tuple(range(a_size))
     b_side = tuple(range(a_size, n))
     rows = [[0] * n for _ in range(n)]

@@ -229,11 +229,15 @@ class WeightedCompleteGraph:
         rows[i][j] = rows[j][i] = ww.numerator * (den // ww.denominator)
         return WeightedCompleteGraph._from_rows(self.n, rows, den)
 
-    def threshold_subgraph(self, s) -> "ThresholdGraph":
-        """Unweighted graph keeping exactly the edges of weight >= s."""
+    def threshold_masks(self, s) -> tuple[int, ...]:
+        """The level-s threshold subgraph as adjacency masks.
+
+        Bit u of mask v is set when u != v and w(u, v) >= s, decided on the
+        integer rows against `least_numerator(s)`.
+        """
         cut = self.least_numerator(s)
-        edges = tuple((i, j) for i, j in self.pairs() if self.rows[i][j] >= cut)
-        return ThresholdGraph(self.n, s, edges)
+        return tuple(sum(1 << u for u, w in enumerate(row) if w >= cut and u != v)
+                     for v, row in enumerate(self.rows))
 
     def induced(self, vertices: Iterable[int]) -> tuple["WeightedCompleteGraph", tuple[int, ...]]:
         """Induced sub-weighting plus the sorted vertex map back to this graph."""
@@ -258,42 +262,6 @@ class WeightedCompleteGraph:
 
     def __repr__(self) -> str:
         return f"WeightedCompleteGraph(n={self.n})"
-
-
-class ThresholdGraph:
-    """Unweighted graph produced by keeping the edges at or above a threshold."""
-
-    __slots__ = ("n", "threshold", "edges", "_adj")
-
-    def __init__(self, n: int, threshold: Fraction, edges: Iterable[tuple[int, int]]):
-        self.n = n
-        self.threshold = _exact(threshold, "threshold")
-        canon = []
-        adj = [set() for _ in range(n)]
-        for i, j in edges:
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"invalid edge ({i}, {j}) for n={n}")
-            canon.append((i, j))
-            adj[i].add(j)
-            adj[j].add(i)
-        self.edges = tuple(sorted(set(canon)))
-        self._adj = tuple(frozenset(s) for s in adj)
-
-    def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def min_degree(self) -> int:
-        if self.n < 1:
-            raise ValueError("empty graph")
-        return min(len(s) for s in self._adj)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
 
 
 @dataclass(frozen=True)

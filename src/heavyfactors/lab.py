@@ -49,9 +49,10 @@ TEMP_END = 0.005
 class BoundRecord:
     """A lower-bound witness: weighting, its min degree, and certification.
 
-    `certified` is True only when the strict exact solver proved on this run
-    that every factor of `graph` keeps a block at or below the bar.  `value`
-    is the minimum weighted degree, absolute (not divided by n).
+    `certificate` is set only when the strict exact solver proved on this run
+    that every factor of `graph` keeps a block at or below the bar, and
+    `certified` says whether it is.  `value` is the minimum weighted degree,
+    absolute (not divided by n).
     """
 
     r: int
@@ -61,8 +62,11 @@ class BoundRecord:
     source: str
     graph: WeightedCompleteGraph
     certificate: SolveCertificate | None
-    certified: bool
     note: str = ""
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
 
 def _require_exhausted(certificate: SolveCertificate, what: str) -> None:
@@ -96,19 +100,17 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
             f"closed form gives {format_rational(expected)}"
         )
     certificate = None
-    certified = False
     note = ""
     if tt == 0:
         note = "degenerate: every block is heavy at level 0, nothing to certify"
     elif n <= solver_cap:
         certificate = find_heavy_factor(scaled, FactorParams(r, tt), strict=True)
         _require_exhausted(certificate, "prop2 seed")
-        certified = True
     else:
         note = f"uncertified: n={n} above solver cap {solver_cap}"
     return BoundRecord(
         r=r, t=tt, n=n, value=value, source="prop2", graph=scaled,
-        certificate=certificate, certified=certified, note=note,
+        certificate=certificate, note=note,
     )
 
 
@@ -176,7 +178,7 @@ def _anneal(seed_record: BoundRecord, seed: int, grid_denominator: int, budget: 
     _require_exhausted(certificate, f"adversarial(seed={seed}) best")
     return BoundRecord(
         r=r, t=tt, n=n, value=best_val, source=f"adversarial(seed={seed})",
-        graph=best, certificate=certificate, certified=True,
+        graph=best, certificate=certificate,
     )
 
 

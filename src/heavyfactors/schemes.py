@@ -2,7 +2,7 @@
 
 Three ways to build factors without exhaustive search:
 
-* the pair base case: a perfect matching on the threshold subgraph at level t
+* the pair base case: a perfect matching on the threshold graph at level t
   is exactly a heavy 2-block factor, and enough weighted minimum degree
   ((1+t)/2 of n) forces one;
 * a product scheme: contract the blocks of a factor into a quotient weighting
@@ -57,8 +57,8 @@ def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     if graph.n % 2 != 0:
         raise ValueError(f"need an even vertex count, got n={graph.n}")
     tt = _exact(t, "t")
-    threshold_graph = graph.threshold_subgraph(tt)
-    pairs = perfect_matching(graph.n, threshold_graph.edges)
+    masks = graph.threshold_masks(tt)
+    pairs = perfect_matching(graph.n, [(i, j) for i, j in graph.pairs() if masks[i] >> j & 1])
     if pairs is None:
         return None
     _require(all(graph.weight(a, b) >= tt for a, b in pairs),

@@ -14,10 +14,10 @@ maximum of that order an exchange argument pins down a lot of structure
 around any r uncovered vertices; `check_facts_at_maximum` verifies all of it
 and returns witnesses for anything that fails.  A failure on a genuine
 maximum means a strictly better collection exists, so it is always a bug
-witness, never an expected outcome.  Overweight edges are read off one
-integer relation, a mask per vertex of its overweight neighbours; the
-structure checks keep the Fraction predicates, so they stay independent of
-the enumerator whose output they check.
+witness, never an expected outcome.  Overweight edges are read off the
+graph's threshold masks at the bar t * C(r, 2), a mask per vertex of its
+overweight neighbours; the structure checks keep the Fraction predicates, so
+they stay independent of the enumerator whose output they check.
 
 Beside the exhaustive enumerator sits a seeded hill-climb over heavy
 collections (add a block, or swap one vertex to raise the within-block
@@ -231,11 +231,11 @@ def _search(covered: int, full: int, masks: list[int], through: list[int], alive
             chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
     """One search node: (cover found, node count of its uncached subtree).
 
-    `alive` has bit i set when `masks[i]` misses `covered`, and bit i of
-    `through[v]` is set when v lies in `masks[i]`.  The masks of a cover
-    found are appended to `chosen`, and every failed covered mask is kept in
-    `failed` with its subtree's node count; a child found there is not
-    entered.
+    `alive` has bit i set when `masks[i]` is heavy and misses `covered`, and
+    bit i of `through[v]` is set when v lies in `masks[i]`.  The masks of a
+    cover found are appended to `chosen`, and every failed covered mask is
+    kept in `failed` with its subtree's node count; a child found there is
+    not entered.
     """
     if covered == full:
         return True, 1
@@ -367,18 +367,7 @@ class HeavyCollection:
         return len(self.blocks)
 
 
-def _overweight_rows(graph: WeightedCompleteGraph, params: FactorParams) -> list[int]:
-    """Per vertex v, the mask of the u != v whose edge to v is overweight.
-
-    An edge is overweight when its integer weight meets the bar t * C(r, 2)
-    put over the graph's denominator, as `is_overweight_edge` decides.
-    """
-    bar = graph.least_numerator(params.heavy_threshold)
-    return [sum(1 << u for u, w in enumerate(row) if w >= bar and u != v)
-            for v, row in enumerate(graph.rows)]
-
-
-def _overweight_count(over: list[int], block: int) -> int:
+def _overweight_count(over: tuple[int, ...], block: int) -> int:
     """Overweight edges inside the mask `block`, each counted once."""
     return sum((over[v] & block).bit_count() for v in _vertices(block)) // 2
 
@@ -395,7 +384,7 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
-    over = _overweight_rows(graph, params)
+    over = graph.threshold_masks(params.heavy_threshold)
     owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
     out = [
@@ -440,7 +429,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
         raise ValueError(f"need at least one restart, got {restarts}")
     masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
     heavy = set(masks)
-    over = _overweight_rows(graph, params)
+    over = graph.threshold_masks(params.heavy_threshold)
 
     def improving_swap(blocks: list[int], free: int) -> tuple[int, int] | None:
         """The first (index, swapped block) that stays heavy and gains overweight edges."""

@@ -430,6 +430,18 @@ def test_verify_negative_target_samples_on_the_grid(capsys):
     assert captured.out.endswith("2/2 sampled graphs at degree >= -6/1 admitted a factor\n")
 
 
+def test_verify_reports_each_violation_and_exits_1(tmp_path, capsys):
+    """--margin=-1/2 drops the degree target below (1 + t) n / 2; at t = 1 the sample has no factor."""
+    out = tmp_path / "verify.json"
+    code = run_cli("verify", "--r", "3", "--t", "1", "--n", "6", "--margin=-1/2",
+                   "--trials", "1", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().out == "0/1 sampled graphs at degree >= 3/1 admitted a factor\n"
+    doc = json.loads(out.read_text())
+    assert doc["passes"] == 0
+    assert doc["violations"] == [{"min_degree": "15/4", "nodes_explored": 1, "trial": 0}]
+
+
 # ------------------------------------------------------------- process-level
 
 

@@ -295,7 +295,8 @@ def assert_matches_table(g, n, table, subsets):
             assert g.weighted_degree_to(v, targets) == sum(
                 (table_weight(table, v, u) for u in targets), Fraction(0))
     for s in {Fraction(0), Fraction(1, 2), Fraction(5, 7), Fraction(1), *table.values()}:
-        assert g.threshold_subgraph(s).edges == tuple(p for p in table if table[p] >= s)
+        assert g.threshold_masks(s) == tuple(
+            sum(1 << u for u in range(n) if u != v and table_weight(table, v, u) >= s) for v in range(n))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -347,26 +348,23 @@ def test_with_weight_raises_and_lowers_the_common_denominator():
 
 def test_threshold_subgraph_keeps_exactly_the_heavy_edges():
     g = WeightedCompleteGraph(4, {(0, 1): Fraction(1), (1, 2): Fraction(1, 2), (2, 3): Fraction(1, 4)})
-    h = g.threshold_subgraph(Fraction(1, 2))
-    assert h.edges == ((0, 1), (1, 2))
-    assert h.has_edge(1, 0) and not h.has_edge(2, 3)
-    assert h.degree(1) == 2
-    assert h.min_degree() == 0
+    assert g.threshold_masks(Fraction(1, 2)) == (0b0010, 0b0101, 0b0010, 0b0000)
+    assert g.threshold_masks(Fraction(0)) == (0b1110, 0b1101, 0b1011, 0b0111)
 
 
 def test_threshold_subgraph_boundary_uses_at_least():
     g = WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2)})
-    assert (0, 1) in g.threshold_subgraph(Fraction(1, 2)).edges
-    assert (0, 1) not in g.threshold_subgraph(Fraction(501, 1000)).edges
+    assert g.threshold_masks(Fraction(1, 2)) == (0b010, 0b001, 0b000)
+    assert g.threshold_masks(Fraction(501, 1000)) == (0, 0, 0)
 
 
 def test_threshold_subgraph_is_monotone_in_the_threshold():
     rng = Random(23)
     for _ in range(15):
         g = random_grid_graph(rng, 7, denominator=8)
-        lo = g.threshold_subgraph(Fraction(1, 4)).edges
-        hi = g.threshold_subgraph(Fraction(3, 4)).edges
-        assert set(hi) <= set(lo)
+        lo = g.threshold_masks(Fraction(1, 4))
+        hi = g.threshold_masks(Fraction(3, 4))
+        assert all(h & ~l == 0 for h, l in zip(hi, lo))
 
 
 def test_threshold_degree_lower_bound_from_weighted_degree():
@@ -415,9 +413,8 @@ HALF = FactorParams(3, Fraction(1, 2))
 
 @pytest.mark.parametrize("call", [
     lambda: ONES.scale(0.1),
-    lambda: ONES.threshold_subgraph(0.3),
+    lambda: ONES.threshold_masks(0.3),
     lambda: ONES.least_numerator(0.5),
-    lambda: hf.ThresholdGraph(6, 0.5, []),
     lambda: hf.prop2_construction(3, 0.5, 9),
     lambda: hf.prop2_min_degree(3, 0.5, 9),
     lambda: hf.random_weighting(6, 4, 0, min_degree=0.5),
@@ -434,11 +431,11 @@ HALF = FactorParams(3, Fraction(1, 2))
     lambda: hf.lemma1_bound(0.9, 0.5, 3, 9),
     lambda: hf.format_rational(0.1),
     lambda: hf.scan_report([3.7], [Fraction(1, 2)], 9, 0),
-], ids=["scale", "threshold_subgraph", "least_numerator", "ThresholdGraph",
-        "prop2_construction", "prop2_min_degree", "random_weighting", "build-min_degree",
-        "build-scale", "evaluate_lower_bounds", "scan_report", "verify-margin",
-        "scheme2_factor-epsilon", "scheme2_partition", "matching_base_case",
-        "bipartite_threshold_matching", "lemma1_bound", "format_rational", "scan_report-r"])
+], ids=["scale", "threshold_masks", "least_numerator", "prop2_construction",
+        "prop2_min_degree", "random_weighting", "build-min_degree", "build-scale",
+        "evaluate_lower_bounds", "scan_report", "verify-margin", "scheme2_factor-epsilon",
+        "scheme2_partition", "matching_base_case", "bipartite_threshold_matching", "lemma1_bound",
+        "format_rational", "scan_report-r"])
 def test_every_rational_entry_refuses_floats(call):
     """A float would round every boundary; each entry refuses it through one check.
 

@@ -47,3 +47,12 @@ def test_every_private_helper_has_a_caller():
         and not any(top.name in names for other, names in read_in if other is not top)
     ]
     assert orphans == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    """`__all__` lists each name `__init__.py` imports from its modules, and each resolves."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {name for name, _ in imported_names(tree)}
+    assert imported == set(heavyfactors.__all__)
+    assert len(heavyfactors.__all__) == len(imported)
+    assert all(hasattr(heavyfactors, name) for name in heavyfactors.__all__)

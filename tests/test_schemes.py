@@ -27,6 +27,7 @@ from heavyfactors import (
     local_search_heavy_collection,
     matching_base_case,
     prop2_construction,
+    random_weighting,
     scheme1_lift,
     scheme1_quotient,
     scheme2_factor,
@@ -358,6 +359,29 @@ def test_scheme2_returns_none_when_the_split_cannot_exist(monkeypatch):
     zeros = WeightedCompleteGraph.constant(12, Fraction(0))
     assert scheme2_factor(zeros, FactorParams(r=3, t=Fraction(1, 2)), seed=0) is None
     assert len(calls) == 1
+
+
+def test_scheme2_with_no_retries_returns_none():
+    g = WeightedCompleteGraph.constant(12, Fraction(1))
+    assert scheme2_factor(g, FactorParams(r=3, t=Fraction(1, 2)), seed=0, retries=0) is None
+
+
+def test_scheme2_falls_back_to_the_exact_solver_on_a_small_side(monkeypatch):
+    """At r = 4 the recursion leaves the 12-vertex A side unfactored, and the exact search factors it."""
+    calls = []
+
+    def spy(graph, params, strict=False):
+        cert = find_heavy_factor(graph, params, strict=strict)
+        calls.append((graph.n, params.r, strict, cert.factor is not None))
+        return cert
+
+    monkeypatch.setattr(schemes, "find_heavy_factor", spy)
+    g = random_weighting(16, 20, 0, Fraction(17, 20))
+    params = FactorParams(r=4, t=Fraction(1, 2))
+    factor = scheme2_factor(g, params, seed=0, retries=2)
+    assert calls == [(12, 3, False, True)]
+    factor.validate(16, 4)
+    assert all(is_heavy(g, b, params) for b in factor.blocks)
 
 
 def test_scheme2_is_deterministic_per_seed():

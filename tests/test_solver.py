@@ -33,7 +33,6 @@ from heavyfactors.solver import (
     HeavyCollection,
     _heavy_family,
     _overweight_count,
-    _overweight_rows,
     _r_sets,
     _search,
     _vertices,
@@ -440,7 +439,7 @@ def test_heavy_family_at_the_bar(r, t, nudge):
 def assert_overweight_rows_are_the_plain_ones(graph, params):
     """Each mask row against the Fraction predicate; each r-set's count against a pair loop."""
     n = graph.n
-    over = _overweight_rows(graph, params)
+    over = graph.threshold_masks(params.heavy_threshold)
     for v in range(n):
         plain = [u for u in range(n) if u != v and is_overweight_edge(graph, (v, u), params)]
         assert over[v] == bitmask(plain)
@@ -483,12 +482,13 @@ def test_overweight_rows_at_the_bar(r, t, w):
     params = FactorParams(r=r, t=t)
     at_bar = WeightedCompleteGraph.constant(n, w)
     full = (1 << n) - 1
-    assert _overweight_rows(at_bar, params) == [full ^ 1 << v for v in range(n)]
-    assert _overweight_count(_overweight_rows(at_bar, params), full) == comb(n, 2)
+    over = at_bar.threshold_masks(params.heavy_threshold)
+    assert over == tuple(full ^ 1 << v for v in range(n))
+    assert _overweight_count(over, full) == comb(n, 2)
     assert_overweight_rows_are_the_plain_ones(at_bar, params)
     if w > 0:
         lowered = at_bar.with_weight(0, 1, w - Fraction(1, 100))
-        over = _overweight_rows(lowered, params)
+        over = lowered.threshold_masks(params.heavy_threshold)
         assert over[0] == full ^ 0b11 and over[1] == full ^ 0b11
         assert_overweight_rows_are_the_plain_ones(lowered, params)
 
