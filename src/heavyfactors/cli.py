@@ -100,6 +100,12 @@ def _sidecar_path(out: str, kind: str) -> str:
     return out.removesuffix(".json") + f".{kind}.json"
 
 
+def _refuse_same_file(out: str, other: str, flag: str) -> None:
+    """Raise before anything is written when `other` resolves to the file --out names."""
+    if os.path.realpath(out) == os.path.realpath(other):
+        raise ValueError(f"--out and {flag} name the same file: {other}")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -119,6 +125,8 @@ def _factor_doc(graph, factor: CliqueFactor | None) -> dict:
 
 def _cmd_generate(args) -> int:
     kind = KIND_RANDOM if args.kind == "random" else args.kind
+    desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
+    _refuse_same_file(args.out, desc_path, "--descriptor")
     graph, desc = build(
         kind,
         n=args.n,
@@ -130,7 +138,6 @@ def _cmd_generate(args) -> int:
         scale=args.scale,
     )
     save_graph(args.out, graph)
-    desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
     _write_text(desc_path, dumps_canonical(desc.to_json()))
     print(
         f"wrote {kind} weighting on n={graph.n} to {args.out} "
@@ -217,13 +224,15 @@ def _cmd_localsearch(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cap = _setting(args.solver_cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
+    weighting_path = args.weighting_out
+    if args.out is not None:
+        if weighting_path is None:
+            weighting_path = _sidecar_path(args.out, "weighting")
+        _refuse_same_file(args.out, weighting_path, "--weighting-out")
     record = adversarial_search(
         args.r, args.t, args.n, args.seed, args.grid, args.budget,
         solver_cap=cap,
     )
-    weighting_path = args.weighting_out
-    if weighting_path is None and args.out is not None:
-        weighting_path = _sidecar_path(args.out, "weighting")
     if weighting_path is not None:
         save_graph(weighting_path, record.graph)
     doc = {

@@ -19,6 +19,12 @@ A weight is checked once, where it enters: in a public constructor or in
 are checked once per distinct text and land in integer rows, with no
 Fraction per edge.  Package code that holds integer weights over one
 denominator calls `_from_rows`, which trusts them.
+
+A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
+two-space indent, every pair listed.  `save_graph` writes those bytes itself,
+one line pattern per pair joined once, because `json.dumps` with an indent
+runs CPython's pure-Python encoder; `dumps_canonical` writes every other
+document.  Both graph writers take each weight's text from `_weight_texts`.
 """
 
 from __future__ import annotations
@@ -373,28 +379,36 @@ class CliqueFactor:
         return tuple(graph.clique_weight(b) for b in self.blocks)
 
 
-def graph_to_json(graph: WeightedCompleteGraph) -> dict:
-    """JSON document for a weighting; every pair is written explicitly.
-
-    Each distinct numerator is written once, in lowest terms, as `format_rational` would.
-    """
-    rows, den = graph.rows, graph.den
+def _weight_texts(graph: WeightedCompleteGraph) -> dict[int, str]:
+    """Each distinct numerator of `graph.rows` -> its weight in lowest terms, as `format_rational` writes it."""
+    den = graph.den
     texts = {}
-    for x in set().union(*rows):
+    for x in set().union(*graph.rows):
         g = gcd(x, den)
         texts[x] = f"{x // g}/{den // g}"
+    return texts
+
+
+def graph_to_json(graph: WeightedCompleteGraph) -> dict:
+    """JSON document for a weighting; every pair is written explicitly."""
+    rows, texts = graph.rows, _weight_texts(graph)
     return {"n": graph.n, "edges": [[i, j, texts[rows[i][j]]] for i, j in graph.pairs()]}
 
 
 def graph_from_json(doc) -> WeightedCompleteGraph:
     """Parse and validate the JSON graph document; missing pairs default to 0.
 
-    Each distinct weight text is parsed and range-checked once.  A pair holds
+    A document holds `n` and `edges` and nothing else, so another document
+    that happens to have an `n` (a construction descriptor) is refused.  Each
+    distinct weight text is parsed and range-checked once.  A pair holds
     the index of its text, 0 while it is not given, and the indices become
     integer numerators over the lcm of the distinct weights at the end.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
+    for key in doc:
+        if key not in ("n", "edges"):
+            raise GraphFormatError(f"unexpected field {key!r}: a graph document has only 'n' and 'edges'")
     if "n" not in doc:
         raise GraphFormatError("missing field 'n'")
     n = doc["n"]
@@ -436,8 +450,13 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
 
 
 def save_graph(path, graph: WeightedCompleteGraph) -> None:
+    """Write the bytes of `dumps_canonical(graph_to_json(graph))`, built as one join."""
+    rows, texts = graph.rows, _weight_texts(graph)
+    edges = ",\n".join(f'    [\n      {i},\n      {j},\n      "{texts[rows[i][j]]}"\n    ]'
+                       for i, j in graph.pairs())
+    body = f"[\n{edges}\n  ]" if edges else "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(graph_to_json(graph)))
+        fh.write(f'{{\n  "edges": {body},\n  "n": {graph.n}\n}}\n')
 
 
 def load_graph(path) -> WeightedCompleteGraph:

@@ -68,6 +68,32 @@ def test_generate_random_conditioned_bytes_are_pinned(tmp_path, capsys):
     assert "(min degree 41/4)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,graph_digest", [
+    (["--kind", "random", "--n", "48", "--seed", "0", "--grid", "20", "--min-degree", "9/10"],
+     "d0da47b20c3e5d8fef322602d4ff12bfc83194c66ade57e4182b0225df536393"),
+    (["--kind", "prop2", "--n", "15", "--r", "3", "--t", "2/3", "--scale", "999/1000"],
+     "78425aae8ec9f4dd18cd3802bfc9c3853e3943b44799a189ba6c48f551c62efd"),
+    (["--kind", "hs-sharpness", "--n", "18", "--r", "3"],
+     "44c6e27a50813db4541befafc77d5593c817b17307cb4a087d8492d5ffe0690d"),
+], ids=["random-n48", "prop2-scaled-n15", "hs-n18"])
+def test_generate_graph_bytes_are_pinned(tmp_path, capsys, args, graph_digest):
+    """sha256 of the graph files the loose scheme2 inputs and the certify inputs are made with."""
+    out = tmp_path / "g.json"
+    assert run_cli("generate", *args, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == graph_digest
+
+
+def test_generate_refuses_a_descriptor_path_naming_the_graph_file(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    (tmp_path / "link.json").symlink_to(out)
+    (tmp_path / "sub").mkdir()
+    for descriptor in (out, tmp_path / "sub" / ".." / "g.json", tmp_path / "link.json"):
+        assert run_cli("generate", "--kind", "prop2", "--n", "6", "--r", "3", "--t", "2/3",
+                       "--out", str(out), "--descriptor", str(descriptor)) == 2
+        assert capsys.readouterr().err == f"error: --out and --descriptor name the same file: {descriptor}\n"
+        assert not out.exists()
+
+
 def test_generate_scaled_counterexample(tmp_path):
     out = tmp_path / "cx.json"
     code = run_cli("generate", "--kind", "counterexample-29-36", "--n", "36",
@@ -193,6 +219,16 @@ def test_solve_rejects_malformed_graph_files(tmp_path, capsys):
     assert "edges[0]" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_descriptor_as_its_input(tmp_path, capsys):
+    """A descriptor has an `n` but no edges; read as a graph it would be the all-zero weighting."""
+    out = tmp_path / "g.json"
+    assert run_cli("generate", "--kind", "prop2", "--n", "6", "--r", "3", "--t", "2/3", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("solve", "--input", str(tmp_path / "g.descriptor.json"), "--r", "3", "--t", "1/2") == 2
+    assert capsys.readouterr().err == (
+        "error: unexpected field 'kind': a graph document has only 'n' and 'edges'\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "scheme2"])
 def test_a_graph_file_nested_too_deeply_is_an_input_error(tmp_path, capsys, command):
     """Exit 2 with the loader's message, never a traceback read as exit 1 ("no factor")."""
@@ -296,6 +332,18 @@ def test_estimate_writes_record_and_weighting(tmp_path):
     assert doc["weighting_path"] == str(weighting)
     g = load_graph(weighting)
     assert g.min_weighted_degree() == Fraction(3663, 1000)
+
+
+def test_estimate_refuses_a_weighting_path_naming_the_record(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "6",
+                   "--out", str(out), "--weighting-out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --out and --weighting-out name the same file: {out}\n"
+    assert list(tmp_path.iterdir()) == []
+    # without --out the record goes to stdout, so any weighting path is distinct
+    assert run_cli("estimate", "--r", "3", "--t", "2/3", "--n", "6", "--weighting-out", str(out)) == 0
+    assert json.loads(capsys.readouterr().out)["weighting_path"] == str(out)
+    assert load_graph(out).n == 6
 
 
 def test_sidecar_paths_replace_only_the_final_suffix(tmp_path, capsys):

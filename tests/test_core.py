@@ -569,6 +569,11 @@ MALFORMED_DOCUMENTS = [
      "edges[1]", "edges[1]: not a rational: 'x'"),
     ({"n": 3, "edges": [[0, 1, "1/2"], [0, 2, 0.5]]}, "edges[1]", "edges[1]: decimal notation is not accepted: 0.5"),
     ({"n": 3, "edges": [[0, 1, 1], [0, 2, True]]}, "edges[1]", "edges[1]: decimal notation is not accepted: True"),
+    # a construction descriptor has an `n` but is not a graph
+    ({"kind": "prop2", "n": 6, "r": 3, "t": "2/3"}, "'kind'",
+     "unexpected field 'kind': a graph document has only 'n' and 'edges'"),
+    ({"n": 3, "edges": [], "weights": []}, "'weights'",
+     "unexpected field 'weights': a graph document has only 'n' and 'edges'"),
 ]
 
 
@@ -661,6 +666,50 @@ def test_save_and_load_round_trip(tmp_path):
     # byte determinism of the serialized form
     save_graph(tmp_path / "g2.json", g)
     assert (tmp_path / "g.json").read_bytes() == (tmp_path / "g2.json").read_bytes()
+
+
+@st.composite
+def writer_graphs(draw):
+    """Graphs on 1 to 25 vertices: grid graphs mixing several denominators, constant graphs, scaled images."""
+    n = draw(st.integers(1, 25))
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["grid", "mixed", "constant"]))
+    if kind == "constant":
+        g = WeightedCompleteGraph.constant(n, draw(grid_weights()))
+    else:
+        denominators = GRID_DENOMINATORS if kind == "mixed" else [draw(st.sampled_from(GRID_DENOMINATORS))]
+        flat = [Fraction(rng.randint(0, d), d) for d in
+                (rng.choice(denominators) for _ in range(n * (n - 1) // 2))]
+        g = WeightedCompleteGraph.from_flat(n, flat)
+    if draw(st.booleans()):
+        g = g.scale(draw(st.fractions(0, 1, max_denominator=1000)))
+    return g
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(g=writer_graphs())
+def test_save_graph_writes_the_canonical_json_bytes(writer_dir, g):
+    path = writer_dir / "g.json"
+    save_graph(path, g)
+    assert path.read_bytes() == dumps_canonical(graph_to_json(g)).encode("utf-8")
+    assert load_graph(path) == g
+
+
+@pytest.mark.parametrize("graph,text", [
+    (WeightedCompleteGraph.constant(1, 0), '{\n  "edges": [],\n  "n": 1\n}\n'),
+    (WeightedCompleteGraph.constant(2, Fraction(2, 4)),
+     '{\n  "edges": [\n    [\n      0,\n      1,\n      "1/2"\n    ]\n  ],\n  "n": 2\n}\n'),
+], ids=["n1", "n2"])
+def test_save_graph_small_files_are_pinned(tmp_path, graph, text):
+    path = tmp_path / "g.json"
+    save_graph(path, graph)
+    assert path.read_text(encoding="utf-8") == text == dumps_canonical(graph_to_json(graph))
+    assert load_graph(path) == graph
 
 
 def test_load_graph_reports_json_syntax_errors(tmp_path):

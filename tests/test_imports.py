@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and every private helper is called."""
+"""Source hygiene: every module-level import in the package is used, every private helper is called,
+and JSON text and graph files each have one writer."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,37 @@ def test_package_exports_exactly_what_it_imports():
     assert imported == set(heavyfactors.__all__)
     assert len(heavyfactors.__all__) == len(imported)
     assert all(hasattr(heavyfactors, name) for name in heavyfactors.__all__)
+
+
+def opens_for_writing(call):
+    """True for `open(...)` with a mode that writes (or one not spelled as a literal), and for Path writers."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("write_text", "write_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def test_json_text_and_graph_files_are_written_in_one_place_each():
+    """`json.dump(s)` runs only in `core.dumps_canonical`; graph files are opened for writing only in `core.save_graph`.
+
+    The only other writer, `cli._write_text`, never sees a graph document:
+    no package code reads `graph_to_json`, so a graph's text comes from
+    `save_graph` alone.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    calls = [(f"{module}.{getattr(top, 'name', '<module>')}", node)
+             for module, tree in trees.items() for top in tree.body
+             for node in ast.walk(top) if isinstance(node, ast.Call)]
+    dumps = [owner for owner, call in calls
+             if isinstance(call.func, ast.Attribute) and call.func.attr in ("dump", "dumps")
+             and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
+    assert dumps == ["core.dumps_canonical"]
+    assert sorted(owner for owner, call in calls if opens_for_writing(call)) == ["cli._write_text", "core.save_graph"]
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    assert not [node for node in nodes if isinstance(node, ast.ImportFrom) and node.module == "json"]
+    assert not [node for node in nodes if isinstance(node, ast.Name) and node.id == "graph_to_json"]
