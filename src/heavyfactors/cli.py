@@ -100,9 +100,9 @@ def _sidecar_path(out: str, kind: str) -> str:
     return out.removesuffix(".json") + f".{kind}.json"
 
 
-def _refuse_same_file(out: str, other: str, flag: str) -> None:
-    """Raise before anything is written when `other` resolves to the file --out names."""
-    if os.path.realpath(out) == os.path.realpath(other):
+def _refuse_same_file(out: str | None, other: str, flag: str) -> None:
+    """Raise before anything is written when `other` resolves to the file --out names (no --out: stdout)."""
+    if out is not None and os.path.realpath(out) == os.path.realpath(other):
         raise ValueError(f"--out and {flag} name the same file: {other}")
 
 
@@ -147,6 +147,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _refuse_same_file(args.out, args.input, "--input")
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
     if args.method == "backtrack":
@@ -179,6 +180,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scheme2(args) -> int:
+    _refuse_same_file(args.out, args.input, "--input")
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
     retries = _setting(args.retries, ENV_RETRY_BUDGET, DEFAULT_RETRY_BUDGET)
@@ -200,6 +202,7 @@ def _cmd_scheme2(args) -> int:
 
 
 def _cmd_localsearch(args) -> int:
+    _refuse_same_file(args.out, args.input, "--input")
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
     collection = local_search_heavy_collection(

@@ -54,11 +54,26 @@ vertex of the chosen block.  Counts of explored nodes are recorded so
 certificates can say how hard an instance was.
 
 The search from a node reads nothing but the set of covered vertices, so a
-covered set that failed once fails again.  Failed sets are cached by their
-exact bitmask, and each child is looked up before the search descends into
-it: a hit adds the node count recorded for that subtree and moves on to the
-next candidate.  The reported count is therefore the size of the uncached
-search tree, the same number the plain search would have counted.
+covered set that failed once fails again.  Failed sets are cached, and each
+child is looked up before the search descends into it: a hit adds the node
+count recorded for that subtree and moves on to the next candidate.  The
+reported count is therefore the size of the uncached search tree, the same
+number the plain search would have counted.
+
+The cache is keyed by runs of adjacent twins.  u and v are twins when
+w(u, x) = w(v, x) for every other x; a run is a maximal block of
+consecutive vertices, each a twin of the one before it.  Every vertex of a
+run is then a twin of every other, and the edges inside a run all weigh the
+same.
+The key of a covered set is the number of covered vertices in each run,
+the count of the run starting at vertex p held in bits p onwards; a run of
+z vertices needs at most z bits, so no count carries into the next run.
+Each r-set's key step is the sum of its vertices' units, 1 << (start of the
+vertex's run), and a child's key is its parent's plus the step.  Two
+covered sets with the same key leave the same number of uncovered vertices
+in each run, and `_search` explains why their subtrees then fail alike with
+the same node count.  On a twin-free graph every run is one vertex, the
+steps are the masks themselves and the key is the covered mask.
 """
 
 from __future__ import annotations
@@ -92,8 +107,8 @@ class SolveCertificate:
     """Outcome of a complete search: a factor, or a proof of exhaustion.
 
     `nodes_explored` counts the nodes of the uncached search tree (root
-    included): a failed state the search meets again adds the node count of
-    its recorded subtree instead of exploring it.  Re-running the solver on
+    included): a failed state the search meets again, or a twin swap of one,
+    adds the node count of its recorded subtree instead of exploring it.  Re-running the solver on
     the same input reproduces the certificate exactly.
     """
 
@@ -217,6 +232,32 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
     return masks, through, heavy
 
 
+def _key_steps(graph: WeightedCompleteGraph, masks: tuple[int, ...], r: int) -> tuple[int, ...] | list[int]:
+    """Each r-set's step of the failed-state key, in index order.
+
+    Vertex v's unit is 1 << (start of its run of adjacent twins), and a set's
+    step is the sum of its vertices' units.  v - 1 and v are twins when their
+    integer rows agree outside positions v - 1 and v; twins have equal
+    degrees, so the degrees are compared first.  The steps are built by the
+    Pascal's rule of `_r_sets`.  With no twins every unit is 1 << v, and
+    `masks` itself is returned.
+    """
+    n, rows, degrees = graph.n, graph.rows, graph.degrees
+    units = [1]
+    for v in range(1, n):
+        a, b = rows[v - 1], rows[v]
+        twins = degrees[v - 1] == degrees[v] and a[:v - 1] == b[:v - 1] and a[v + 1:] == b[v + 1:]
+        units.append(units[-1] if twins else 1 << v)
+    if len(set(units)) == n:
+        return masks
+    level = [[0]] + [[]] * r
+    for lo in range(n - 1, -1, -1):
+        unit = units[lo]
+        for k in range(min(r, n - lo), max(r - lo, 1) - 1, -1):
+            level[k] = [unit + step for step in level[k - 1]] + level[k]
+    return level[r]
+
+
 def _vertices(mask: int) -> tuple:
     """The vertices of `mask` as a sorted tuple."""
     out = []
@@ -227,15 +268,31 @@ def _vertices(mask: int) -> tuple:
     return tuple(out)
 
 
-def _search(covered: int, full: int, masks: list[int], through: list[int], alive: int,
-            chosen: list[int], failed: dict[int, int]) -> tuple[bool, int]:
+def _search(covered: int, key: int, full: int, masks: list[int], steps: list[int],
+            through: list[int], alive: int, chosen: list[int],
+            failed: dict[int, int]) -> tuple[bool, int]:
     """One search node: (cover found, node count of its uncached subtree).
 
     `alive` has bit i set when `masks[i]` is heavy and misses `covered`, and
-    bit i of `through[v]` is set when v lies in `masks[i]`.  The masks of a
-    cover found are appended to `chosen`, and every failed covered mask is
-    kept in `failed` with its subtree's node count; a child found there is
-    not entered.
+    bit i of `through[v]` is set when v lies in `masks[i]`.  `key` is the
+    count of covered vertices in each run of adjacent twins, and choosing
+    set i adds `steps[i]` to it.  The masks of a cover found are appended to
+    `chosen`, and every failed state is kept in `failed` under its key with
+    its subtree's node count; a child whose key is found there is not
+    entered.
+
+    This is sound.  The weight of an edge depends only on the runs of its
+    ends, since run-mates are twins and the edges inside a run weigh alike.
+    Two covered sets with one key leave the same number of uncovered
+    vertices in each run, so their uncovered vertices read the same sequence
+    of runs in index order, and the order-preserving bijection between them
+    keeps every weight.  It maps heavy sets to heavy sets, live candidates
+    to live candidates and so anchors to anchors (ties break by index, which
+    it keeps), candidate order to candidate order, and children to children
+    with one key.  So the two uncached subtrees are isomorphic: the same
+    outcome and the same node count.  Only failed states are kept, so the
+    first cover found, and with it the factor, is the one an exact-mask
+    memo would find.
     """
     if covered == full:
         return True, 1
@@ -247,7 +304,7 @@ def _search(covered: int, full: int, masks: list[int], through: list[int], alive
         live = through[low.bit_length() - 1] & alive
         count = live.bit_count()
         if not count:
-            failed[covered] = 1
+            failed[key] = 1
             return False, 1
         if not best or count < best_count:
             best, best_count = live, count
@@ -255,22 +312,24 @@ def _search(covered: int, full: int, masks: list[int], through: list[int], alive
     while best:
         low = best & -best
         best ^= low
-        m = masks[low.bit_length() - 1]
-        child = covered | m
+        i = low.bit_length() - 1
+        child = key + steps[i]
         sub = failed.get(child)
         if sub is None:
+            m = masks[i]
             hit, block = 0, m
             while block:
                 u = block & -block
                 block ^= u
                 hit |= through[u.bit_length() - 1]
             chosen.append(m)
-            found, sub = _search(child, full, masks, through, alive & ~hit, chosen, failed)
+            found, sub = _search(covered | m, child, full, masks, steps, through, alive & ~hit,
+                                 chosen, failed)
             if found:
                 return True, nodes + sub
             chosen.pop()
         nodes += sub
-    failed[covered] = nodes
+    failed[key] = nodes
     return False, nodes
 
 
@@ -284,8 +343,9 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     n, r = graph.n, params.r
     _check_block_shape(r, n)
     masks, through, heavy = _heavy_family(graph, params, strict)
+    steps = _key_steps(graph, masks, r)
     chosen: list[int] = []
-    found, nodes = _search(0, (1 << n) - 1, masks, through, heavy, chosen, {})
+    found, nodes = _search(0, 0, (1 << n) - 1, masks, steps, through, heavy, chosen, {})
     factor = None
     if found:
         factor = CliqueFactor.from_blocks([_vertices(m) for m in chosen])

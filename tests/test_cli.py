@@ -303,6 +303,29 @@ def test_scheme2_negative_epsilon_is_a_usage_error(tmp_path, capsys, r):
     assert captured.err == "error: epsilon must be nonnegative, got -1/10\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "scheme2", "localsearch"])
+def test_commands_refuse_an_out_path_naming_the_input_file(tmp_path, capsys, command):
+    """Exit 2 before anything is read or written; the input graph keeps its bytes."""
+    graph_path = tmp_path / "g.json"
+    assert run_cli("generate", "--kind", "prop2", "--n", "6", "--r", "3", "--t", "2/3",
+                   "--out", str(graph_path)) == 0
+    before = graph_path.read_bytes()
+    (tmp_path / "link.json").symlink_to(graph_path)
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    for out in (graph_path, tmp_path / "sub" / ".." / "g.json", tmp_path / "link.json"):
+        assert run_cli(command, "--input", str(graph_path), "--r", "3", "--t", "2/3",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out and --input name the same file: {graph_path}\n"
+        assert graph_path.read_bytes() == before
+    assert run_cli(command, "--input", str(tmp_path / "link.json"), "--r", "3", "--t", "2/3",
+                   "--out", str(graph_path)) == 2
+    assert capsys.readouterr().err == f"error: --out and --input name the same file: {tmp_path / 'link.json'}\n"
+    assert graph_path.read_bytes() == before
+
+
 def test_localsearch_command(tmp_path, capsys):
     graph_path = tmp_path / "g.json"
     run_cli("generate", "--kind", "random", "--n", "9", "--grid", "4",

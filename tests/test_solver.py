@@ -32,6 +32,7 @@ from heavyfactors import (
 from heavyfactors.solver import (
     HeavyCollection,
     _heavy_family,
+    _key_steps,
     _overweight_count,
     _r_sets,
     _search,
@@ -278,11 +279,31 @@ def heavy_masks(masks, heavy):
 
 
 def bitmap_search(graph, params, strict):
-    """The solver's search on the solver's family: (heavy masks, chosen masks or None, node count, failed states)."""
+    """The solver's search on the solver's family.
+
+    Returns (heavy masks, chosen masks or None, node count, failed states,
+    key steps).
+    """
     masks, through, heavy = _heavy_family(graph, params, strict)
+    steps = _key_steps(graph, masks, params.r)
     chosen, failed = [], {}
-    found, nodes = _search(0, (1 << graph.n) - 1, masks, through, heavy, chosen, failed)
-    return heavy_masks(masks, heavy), (chosen if found else None), nodes, failed
+    found, nodes = _search(0, 0, (1 << graph.n) - 1, masks, steps, through, heavy, chosen, failed)
+    return heavy_masks(masks, heavy), (chosen if found else None), nodes, failed, steps
+
+
+def plain_units(graph):
+    """Each vertex's key unit, 1 << (start of its run), from the full Fraction twin test per adjacent pair."""
+    n = graph.n
+    units = [1]
+    for v in range(1, n):
+        twins = all(graph.weight(v - 1, x) == graph.weight(v, x) for x in range(n) if x not in (v - 1, v))
+        units.append(units[-1] if twins else 1 << v)
+    return units
+
+
+def run_key(mask, units):
+    """The sum of the units of the vertices of `mask`."""
+    return sum(u for v, u in enumerate(units) if mask >> v & 1)
 
 
 def assert_cache_is_invisible(graph, params, strict):
@@ -292,7 +313,7 @@ def assert_cache_is_invisible(graph, params, strict):
     def members(mask):
         return tuple(v for v in range(n) if mask >> v & 1)
 
-    masks, chosen, nodes, _ = bitmap_search(graph, params, strict)
+    masks, chosen, nodes, _, _ = bitmap_search(graph, params, strict)
     assert all(_vertices(m) == members(m) for m in masks)
     blocks = None if chosen is None else [members(m) for m in chosen]
     assert (blocks, nodes) == plain_cover_search(n, [members(m) for m in masks])
@@ -531,9 +552,25 @@ def test_cached_search_matches_the_plain_search_on_hs_sharpness(r, n):
 
 
 def assert_bitmaps_are_the_lists(graph, params, strict):
-    """Same blocks, node count and failed states as the list-based cached search."""
-    masks, chosen, nodes, failed = bitmap_search(graph, params, strict)
-    assert (chosen, nodes, failed) == list_cached_search(graph.n, masks)
+    """Same blocks and node count as the list-based cached search, and its failed states under the run key.
+
+    The reference memoises exact covered masks.  Mapped through the run key
+    they must give exactly the solver's failed states, and every exact state
+    under one key must carry that key's count.  On a twin-free graph the
+    steps are the masks, and the two memos are the same dict.
+    """
+    n = graph.n
+    masks, chosen, nodes, failed, steps = bitmap_search(graph, params, strict)
+    ref_chosen, ref_nodes, ref_failed = list_cached_search(n, masks)
+    assert (chosen, nodes) == (ref_chosen, ref_nodes)
+    units = plain_units(graph)
+    keyed = {}
+    for state, count in ref_failed.items():
+        assert keyed.setdefault(run_key(state, units), count) == count
+    assert keyed == failed
+    if units == [1 << v for v in range(n)]:
+        assert steps is _r_sets(n, params.r)[0]
+        assert failed == ref_failed
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
@@ -570,12 +607,81 @@ def test_bitmap_search_matches_the_list_search_on_scaled_prop2(r, n):
     (scaled_prop2(3, Fraction(2, 3), 18), FactorParams(3, Fraction(2, 3)), True, 3_732_341),
     (scaled_prop2(4, Fraction(2, 3), 16), FactorParams(4, Fraction(2, 3)), True, 231_734),
     (hs_sharpness_construction(3, 18)[0], FactorParams(3, Fraction(1)), False, 137_431),
-], ids=["prop2-r3-n18-strict", "prop2-r4-n16-strict", "hs-r3-n18"])
+    (scaled_prop2(3, Fraction(2, 3), 24), FactorParams(3, Fraction(2, 3)), True, 35_942_667_167),
+    (scaled_prop2(3, Fraction(2, 3), 27), FactorParams(3, Fraction(2, 3)), True, 5_230_752_492_593),
+    (scaled_prop2(4, Fraction(2, 3), 24), FactorParams(4, Fraction(2, 3)), True, 75_418_405_646),
+    (scaled_prop2(5, Fraction(2, 3), 20), FactorParams(5, Fraction(2, 3)), True, 42_350_297),
+    (hs_sharpness_construction(3, 30)[0], FactorParams(3, Fraction(1)), False, 2_094_580_743_211),
+], ids=["prop2-r3-n18-strict", "prop2-r4-n16-strict", "hs-r3-n18", "prop2-r3-n24-strict",
+        "prop2-r3-n27-strict", "prop2-r4-n24-strict", "prop2-r5-n20-strict", "hs-r3-n30"])
 def test_node_counts_of_large_exhaustions_are_pinned(graph, params, strict, nodes):
-    """Counts of the plain search tree, recorded before the cache existed."""
+    """Counts of the plain search tree.
+
+    The first three were recorded before the cache existed, the rest with
+    the exact-mask memo, before the memo was keyed by runs of twins.
+    """
     cert = find_heavy_factor(graph, params, strict=strict)
     assert cert.outcome == "exhausted"
     assert cert.nodes_explored == nodes
+
+
+def planted_twins(rng, n, classes, lowered, t):
+    """A blow-up of a random class matrix on `classes` classes of random sizes, vertices shuffled, `lowered` edges lowered.
+
+    The matrix entries lie within 1/4 of t, so heavy and light sets mix.
+    The classes are not index intervals, so some runs of twins are cut and
+    some vertices are twins of a vertex that is not their neighbour.
+    """
+    matrix = {}
+    for a in range(classes):
+        for b in range(a, classes):
+            matrix[a, b] = min(Fraction(1), max(Fraction(0), t + Fraction(rng.randint(-2, 2), 8)))
+    cuts = sorted(rng.sample(range(1, n), classes - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(cls)
+    flat = [matrix[min(cls[i], cls[j]), max(cls[i], cls[j])] for i, j in combinations(range(n), 2)]
+    return lower_edges(WeightedCompleteGraph.from_flat(n, flat), rng, lowered)
+
+
+def assert_steps_are_the_plain_ones(graph, r):
+    """Each set's step is the sum of its vertices' units from the full twin test."""
+    masks = _r_sets(graph.n, r)[0]
+    units = plain_units(graph)
+    assert list(_key_steps(graph, masks, r)) == [run_key(m, units) for m in masks]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(6, 3), (9, 3), (12, 3), (8, 2), (10, 2), (8, 4),
+                                                           (12, 4), (10, 5), (12, 6)]),
+       classes=st.integers(2, 4), lowered=st.integers(0, 4), t=st.sampled_from(LEVELS), strict=st.booleans())
+def test_run_keyed_search_matches_the_plain_search_on_planted_twins(seed, box, classes, lowered, t, strict):
+    n, r = box
+    g = planted_twins(Random(seed), n, classes, lowered, t)
+    assert_steps_are_the_plain_ones(g, r)
+    assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(15, 3), (15, 5), (16, 4), (18, 3), (18, 6), (16, 2)]),
+       classes=st.integers(2, 4), lowered=st.integers(0, 4), t=st.sampled_from(LEVELS), strict=st.booleans())
+def test_run_keyed_search_matches_the_list_search_on_planted_twins(seed, box, classes, lowered, t, strict):
+    n, r = box
+    g = planted_twins(Random(seed), n, classes, lowered, t)
+    assert_steps_are_the_plain_ones(g, r)
+    assert_bitmaps_are_the_lists(g, FactorParams(r=r, t=t), strict)
+
+
+def test_key_steps_on_extremal_and_twin_free_graphs():
+    """prop2's classes are two runs; a twin-free graph gets its masks back, the same object."""
+    g = scaled_prop2(3, Fraction(2, 3), 9)
+    assert plain_units(g) == [1, 1, 4, 4, 4, 4, 4, 4, 4]
+    assert_steps_are_the_plain_ones(g, 3)
+    masks = _r_sets(6, 3)[0]
+    twin_free = WeightedCompleteGraph.from_flat(6, [Fraction(k, 15) for k in range(15)])
+    assert _key_steps(twin_free, masks, 3) is masks
+    # a constant graph is one run: every step is r
+    assert set(_key_steps(WeightedCompleteGraph.constant(6, Fraction(1, 2)), masks, 3)) == {3}
 
 
 # ------------------------------------------------------------ memory release
