@@ -87,8 +87,11 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
     needs.  The min degree of the scaled graph is checked against the closed
     form before anything else.  Above the solver cap the record is returned
     uncertified with a note; at t=0 no weighting can certify anything (every
-    block is heavy at level 0) and the record is flagged degenerate.
+    block is heavy at level 0) and the record is flagged degenerate.  A
+    negative cap is rejected.
     """
+    if solver_cap < 0:
+        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
     tt = _exact(t, "t")
     graph, _desc = prop2_construction(r, tt, n)
     scaled = graph.scale(DEFAULT_SCALE)
@@ -309,20 +312,26 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
     """Tabulate seed and adversarial bounds for every (r, t) pair.
 
-    Pairs where r does not divide n are skipped and flagged.  The default
-    budget of 0 makes the adversarial column equal the certified seed record;
-    a positive budget needs n within the solver cap.  Flags also call out any
-    non-monotone trend in r (for fixed t the normalized bound should not
-    grow) and any cell whose normalized bound reaches the conjectured line.
+    An r below 2, a negative budget or a negative solver cap is rejected
+    before any cell is computed.  Pairs where r does not divide n are
+    skipped and flagged.  The default budget of 0 makes the adversarial
+    column equal the certified seed record; a positive budget needs n within
+    the solver cap.  Flags also call out any non-monotone trend in r (for
+    fixed t the normalized bound should not grow) and any cell whose
+    normalized bound reaches the conjectured line.
     """
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if solver_cap < 0:
+        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
     rs = list(r_values)
     for r in rs:
         if isinstance(r, bool) or not isinstance(r, int):
             raise ValueError(f"r must be an exact integer, not a {type(r).__name__}")
+        if r < 2:
+            raise ValueError(f"need r >= 2, got r={r}")
     rs = sorted(set(rs))
     ts = sorted(set(_exact(t, "t") for t in t_values))
     if not rs or not ts:

@@ -33,12 +33,16 @@ by Pascal's rule, the k-sets of range(lo, n) being lo joined to each
 each vertex's bitmap is two bitmaps of the level above, one shifted past the
 other.  A graph only marks which of those sets are heavy, in integers: its
 integer weight rows are summed against the bar t * C(r, 2) put over its
-denominator, the r-sets are walked in the same order, each prefix carrying
-its integer weight and a gain row (the weight from the prefix to every later
-vertex), and each set costs one addition and one comparison.  The flags
-become one bitmap, `heavy`, over the index.  The search and the per-vertex
-counts read the bitmaps; the collection enumerator and the hill-climb read
-the masks the flags select.  Sorted vertex tuples are decoded only where a
+denominator, and the r-sets are walked in the same order, each prefix
+carrying its integer weight and a gain row (the weight from the prefix to
+every later vertex).  The sets that extend a prefix are one interval of the
+index, and the lightest and heaviest gains and edges left bound all their
+weights; when the bar lies outside the bounds the whole interval takes one
+flag, and otherwise the walk descends, each set of a pair-level prefix then
+costing one addition and one comparison.  The flags become one bitmap,
+`heavy`, over the index.  The search and the per-vertex counts read the
+bitmaps; the collection enumerator and the hill-climb read the masks the
+flags select.  Sorted vertex tuples are decoded only where a
 block leaves the solver.  Fractions stay at the edges: input graphs,
 certificates and block weights.
 
@@ -143,9 +147,11 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     not in any earlier block.  This is the independent oracle the backtracking
     search is tested against, so it deliberately shares no code with it.
     The count for n, r is (n)! / ((r!)^(n/r) (n/r)!); n above `cap` raises
-    instead of silently enumerating forever.
+    instead of silently enumerating forever, and a negative cap is rejected.
     """
     _check_block_shape(r, n)
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     return _partitions(tuple(range(n)), r)
@@ -193,24 +199,56 @@ def _heavy_flags(graph: WeightedCompleteGraph, params: FactorParams, strict: boo
 
     Sums of the graph's integer rows meet the bar put over its denominator,
     so each comparison is between integers and decides exactly what
-    `params.admits(graph.clique_weight(s), strict)` decides.  Each prefix of
-    r - 2 vertices carries its weight and its gain row (`gain[v]` is the
-    prefix's weight to v); adding a vertex a and then v costs one sum each.
+    `params.admits(graph.clique_weight(s), strict)` decides.  The walk goes
+    down the prefix tree of `_prefix_flags`, which settles a prefix's whole
+    index interval at once when its weight bounds lie on one side of the bar.
+    `lightest[s]` and `heaviest[s]` are the extreme edge weights inside
+    range(s, n), built once from the top vertex down.
     """
     n, r = graph.n, params.r
+    if n < r:
+        return []
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
+    lightest = [0] * (n - 1)
+    heaviest = [0] * (n - 1)
+    low = high = rows[n - 2][n - 1]
+    for s in range(n - 2, -1, -1):
+        tail = rows[s][s + 1:]
+        low, high = min(low, *tail), max(high, *tail)
+        lightest[s], heaviest[s] = low, high
     flags: list[bool] = []
-    for prefix in combinations(range(n - 2), r - 2):
-        total = sum(rows[u][v] for u, v in combinations(prefix, 2))
-        gain = [0] * n
-        for u in prefix:
-            gain = [g + w for g, w in zip(gain, rows[u])]
-        for a in range(prefix[-1] + 1 if prefix else 0, n - 1):
+    _prefix_flags(flags, rows, need, lightest, heaviest, 0, r, 0, [0] * n)
+    return flags
+
+
+def _prefix_flags(flags: list[bool], rows, need: int, lightest: list[int], heaviest: list[int],
+                  start: int, k: int, total: int, gain: list[int]) -> None:
+    """Append the flags of every set made of a prefix and k more vertices of range(start, n).
+
+    The prefix weighs `total`, and `gain[v]` is its weight to v.  In
+    lexicographic order its sets are the next C(n - start, k) indices, and
+    each weighs at least total + k * min(gain[start:]) + C(k, 2) *
+    lightest[start], at most the same with the maxima; when the bar lies
+    outside those bounds they all take one flag.  Otherwise each next vertex
+    a extends the prefix, and at k = 2 each pair (a, v) costs one sum.
+    """
+    n = len(gain)
+    tail = gain[start:]
+    pairs = k * (k - 1) // 2
+    if total + k * min(tail) + pairs * lightest[start] >= need:
+        flags += [True] * comb(n - start, k)
+    elif total + k * max(tail) + pairs * heaviest[start] < need:
+        flags += [False] * comb(n - start, k)
+    elif k == 2:
+        for a in range(start, n - 1):
             row = rows[a]
             short = need - total - gain[a]
             flags += [gain[v] + row[v] >= short for v in range(a + 1, n)]
-    return flags
+    else:
+        for a in range(start, n - k + 1):
+            _prefix_flags(flags, rows, need, lightest, heaviest, a + 1, k - 1, total + gain[a],
+                          [g + w for g, w in zip(gain, rows[a])])
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -437,10 +475,13 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     """All collections maximizing (size, within-block overweight edges).
 
     Complete enumeration over subsets of disjoint heavy blocks; n above `cap`
-    raises rather than starting an infeasible enumeration.  When no heavy
-    block exists at all, the unique maximum is the empty collection.
+    raises rather than starting an infeasible enumeration, and a negative cap
+    is rejected.  When no heavy block exists at all, the unique maximum is
+    the empty collection.
     """
     n = graph.n
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))

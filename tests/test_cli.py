@@ -467,6 +467,51 @@ def test_scan_zero_grid_is_a_usage_error_at_every_budget(capsys, budget, r):
     assert captured.err == estimate_err == "error: grid denominator must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("r_list", ["0,3", "3,1", "-3"])
+def test_scan_clique_size_below_two_is_a_usage_error(tmp_path, capsys, r_list):
+    """r = 0 would reach n % r; every r below 2 is refused before any cell, and nothing is written."""
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--r", r_list, "--t", "1/2", "--n", "6", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = min(int(r) for r in r_list.split(","))
+    assert captured.err == f"error: need r >= 2, got r={bad}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli("estimate", "--r", str(bad), "--t", "1/2", "--n", "6") == 2
+    assert capsys.readouterr().err == captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--r", "3", "--t", "1/2", "--n", "6"], "solver cap must be nonnegative, got -1"),
+    (["estimate", "--r", "3", "--t", "1/2", "--n", "6", "--budget", "5"], "solver cap must be nonnegative, got -1"),
+    (["scan", "--r", "3", "--t", "1/2", "--n", "6"], "solver cap must be nonnegative, got -1"),
+    (["scan", "--r", "4", "--t", "1/2", "--n", "6"], "solver cap must be nonnegative, got -1"),
+])
+def test_negative_solver_cap_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    """From the flag or from the variable; r = 4 does not divide n = 6, so that scan has no cell."""
+    out = tmp_path / "out.txt"
+    for source in ("flag", "env"):
+        if source == "flag":
+            code = run_cli(*argv, "--solver-cap", "-1", "--out", str(out))
+        else:
+            monkeypatch.setenv("HFL_SOLVER_CAP", "-1")
+            code = run_cli(*argv, "--out", str(out))
+        assert code == 2, source
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), source
+        assert list(tmp_path.iterdir()) == [], source
+
+
+def test_negative_oracle_cap_is_a_usage_error(prop2_file, monkeypatch, capsys):
+    argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--method", "oracle"]
+    assert run_cli(*argv, "--cap", "-1") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: enumeration cap must be nonnegative, got -1\n")
+    monkeypatch.setenv("HFL_SOLVER_CAP", "-1")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: enumeration cap must be nonnegative, got -1\n"
+
+
 # -------------------------------------------------------------------- verify
 
 

@@ -325,5 +325,30 @@ def test_scan_rejects_a_zero_grid_like_the_adversary(budget, r_values):
     assert str(scan.value) == str(adversary.value) == "grid denominator must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("budget", [0, 5])
+@pytest.mark.parametrize("r_values", [[3], [4]])
+def test_a_negative_solver_cap_is_rejected_wherever_it_is_read(budget, r_values):
+    """The record, the adversary and the scan refuse it alike, also when every cell is skipped."""
+    expected = "solver cap must be nonnegative, got -1"
+    with pytest.raises(ValueError, match=expected):
+        evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=-1)
+    with pytest.raises(ValueError, match=expected):
+        adversarial_search(3, Fraction(1, 2), 6, seed=0, budget=budget, solver_cap=-1)
+    with pytest.raises(ValueError, match=expected):
+        scan_report(r_values, [Fraction(1, 2)], 6, seed=0, budget=budget, solver_cap=-1)
+    # a cap of 0 is a cap: the record is returned uncertified
+    assert evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=0).note == "uncertified: n=6 above solver cap 0"
+
+
+@pytest.mark.parametrize("r_values", [[0, 3], [3, 1], [-3]])
+def test_scan_rejects_a_clique_size_below_two(r_values):
+    """Before any cell: r = 0 would otherwise reach n % r."""
+    with pytest.raises(ValueError) as scan:
+        scan_report(r_values, [Fraction(1, 2)], 6, seed=0)
+    with pytest.raises(ValueError) as estimate:
+        evaluate_lower_bounds(min(r_values), Fraction(1, 2), 6)
+    assert str(scan.value) == str(estimate.value) == f"need r >= 2, got r={min(r_values)}"
+
+
 def test_csv_header_is_pinned():
     assert CSV_HEADER == "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"

@@ -1,6 +1,7 @@
 """Complete search, counting bounds, degree test, maximum collections."""
 
 import gc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -25,13 +26,17 @@ from heavyfactors import (
     is_overweight_edge,
     is_strictly_heavy,
     lemma1_bound,
+    local_search_heavy_collection,
     prop2_construction,
     random_weighting,
     t_r_threshold,
 )
+from heavyfactors import solver
+from heavyfactors.constructions import _sample_grid_floor
 from heavyfactors.solver import (
     HeavyCollection,
     _heavy_family,
+    _heavy_flags,
     _key_steps,
     _overweight_count,
     _r_sets,
@@ -78,6 +83,8 @@ def test_enumerate_all_factors_caps_and_validates():
         list(enumerate_all_factors(6, 1))
     with pytest.raises(ValueError):
         list(enumerate_all_factors(7, 3))
+    with pytest.raises(ValueError, match="enumeration cap must be nonnegative, got -1"):
+        enumerate_all_factors(6, 3, cap=-1)
 
 
 # -------------------------------------------------------------- full search
@@ -379,10 +386,12 @@ def test_r_set_cache_is_invisible():
 
 
 def assert_family_is_the_plain_one(graph, table, params):
-    """The set bits of the heavy bitmap are the Fraction build's sets on `table`, in the same order."""
+    """The walk's flags, and the set bits of the heavy bitmap, are the Fraction build's sets on `table`, in order."""
     n, r = graph.n, params.r
     for strict in (False, True):
         plain = plain_heavy_sets(n, table, params, strict)
+        heavy_sets = set(plain)
+        assert _heavy_flags(graph, params, strict) == [s in heavy_sets for s in combinations(range(n), r)], strict
         masks, through, heavy = _heavy_family(graph, params, strict)
         assert (masks, through) == _r_sets(n, r)
         assert heavy >> len(masks) == 0
@@ -452,6 +461,221 @@ def test_heavy_family_at_the_bar(r, t, nudge):
     table = {p: t for p in combinations(range(n), 2)}
     for g, w01 in ((flat, t), (raised, t + nudge), (lowered, t - nudge)):
         assert_family_is_the_plain_one(g, {**table, (0, 1): w01}, params)
+
+
+# ----------------------------------------------- interval decisions of the walk
+
+
+def graph_table(graph):
+    """{(i, j): weight} read off the graph, for inputs built by the package's own samplers."""
+    return {p: graph.weight(*p) for p in combinations(range(graph.n), 2)}
+
+
+def plain_flags(graph, params, strict):
+    """One flag per r-set in lexicographic order, from the Fraction reference."""
+    heavy = set(plain_heavy_sets(graph.n, graph_table(graph), params, strict))
+    return [s in heavy for s in combinations(range(graph.n), params.r)]
+
+
+@contextmanager
+def recorded_walk():
+    """The (start, k) of every prefix node the heavy-set walk enters, in the order entered.
+
+    k is the number of vertices the node still picks from range(start, n).
+    The walk recurses through the module's name, so the recorder sees every
+    node.
+    """
+    nodes = []
+    walk = solver._prefix_flags
+
+    def recorded(flags, rows, need, lightest, heaviest, start, k, total, gain):
+        nodes.append((start, k))
+        walk(flags, rows, need, lightest, heaviest, start, k, total, gain)
+
+    solver._prefix_flags = recorded
+    try:
+        yield nodes
+    finally:
+        solver._prefix_flags = walk
+
+
+def settled_levels(nodes):
+    """The k of every node above k = 2 that settled its whole interval: the next node entered is not its child."""
+    return {k for (_, k), (_, after) in zip(nodes, nodes[1:] + [(None, 0)]) if k > 2 and after != k - 1}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_heavy_walk_settles_a_tie_at_the_root(r):
+    """Every set of a constant-t graph weighs the bar exactly: one interval, decided at the root."""
+    for n in range(r, 13):
+        for t in [Fraction(0), Fraction(1, 5)] + LEVELS:
+            graph = WeightedCompleteGraph.constant(n, t)
+            params = FactorParams(r=r, t=t)
+            for strict in (False, True):
+                with recorded_walk() as nodes:
+                    flags = _heavy_flags(graph, params, strict)
+                assert flags == [not strict] * comb(n, r), (n, t, strict)
+                assert nodes == [(0, r)], (n, t, strict)
+
+
+def test_heavy_walk_on_fewer_vertices_than_a_set():
+    """n < r: no set, no node entered; r = 2 at n = 2: the one edge."""
+    for n in range(1, 7):
+        for r in range(n + 1, 8):
+            with recorded_walk() as nodes:
+                assert _heavy_flags(WeightedCompleteGraph.constant(n, Fraction(1)), FactorParams(r, Fraction(0)),
+                                    strict=False) == []
+            assert nodes == []
+            masks, through, heavy = _heavy_family(WeightedCompleteGraph.constant(n, Fraction(1)),
+                                                  FactorParams(r, Fraction(0)), strict=False)
+            assert (masks, through, heavy) == ((), (0,) * n, 0)
+    pair = WeightedCompleteGraph.from_flat(2, [Fraction(1, 2)])
+    for t, strict, flag in [(Fraction(1, 2), False, True), (Fraction(1, 2), True, False), (Fraction(1, 3), True, True),
+                            (Fraction(2, 3), False, False)]:
+        assert _heavy_flags(pair, FactorParams(2, t), strict) == [flag]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 14), r=st.integers(2, 5), t=st.sampled_from(LEVELS),
+       offset=st.sampled_from([Fraction(-1, 3), Fraction(-1, 12), Fraction(0), Fraction(1, 12)]),
+       denominator=st.sampled_from([3, 4, 12]))
+def test_heavy_walk_matches_the_plain_build_on_grid_floor_samples(seed, n, r, t, offset, denominator):
+    """`verify`'s sampler with every edge at or above a floor below, at or above t.
+
+    From a floor at or above t every set meets the bar, and the walk
+    decides them all at the root; strictly above t, also strictly.
+    """
+    floor = min(Fraction(1), max(Fraction(0), t + offset))
+    graph = _sample_grid_floor(Random(seed), n, denominator, floor)
+    params = FactorParams(r=r, t=t)
+    assert_family_is_the_plain_one(graph, graph_table(graph), params)
+    for strict in (False, True):
+        with recorded_walk() as nodes:
+            _heavy_flags(graph, params, strict)
+        if n >= r and (floor > t or floor == t and not strict):
+            assert nodes == [(0, r)], strict
+
+
+def two_class_blow_up(n, size, w_aa, w_ab, w_bb, order=None):
+    """Class A of `size` vertices and class B of the rest, each pair weighing by its classes.
+
+    A is range(size) unless `order` lists the vertices to put in A first.
+    Returns the graph and its Fraction table.
+    """
+    order = list(range(n)) if order is None else order
+    in_a = [False] * n
+    for v in order[:size]:
+        in_a[v] = True
+    weight = {(True, True): w_aa, (True, False): w_ab, (False, True): w_ab, (False, False): w_bb}
+    table = {(i, j): weight[in_a[i], in_a[j]] for i, j in combinations(range(n), 2)}
+    return WeightedCompleteGraph(n, table), table
+
+
+def type_weight(r, i, w_aa, w_ab, w_bb):
+    """The weight of an r-set with i vertices in A."""
+    return comb(i, 2) * w_aa + i * (r - i) * w_ab + comb(r - i, 2) * w_bb
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), r=st.integers(2, 5), extra=st.integers(0, 8),
+       grid=st.lists(st.integers(0, 6), min_size=3, max_size=3), shuffled=st.booleans(), data=st.data())
+def test_heavy_walk_matches_the_plain_build_on_tied_two_class_blow_ups(seed, r, extra, grid, shuffled, data):
+    """t is set so that the sets of one class mix weigh the bar exactly, so some sets tie it."""
+    n = r + 1 + extra
+    size = data.draw(st.integers(1, n - 1))
+    i = data.draw(st.integers(max(0, r - (n - size)), min(r, size)))
+    w_aa, w_ab, w_bb = (Fraction(w, 6) for w in grid)
+    t = type_weight(r, i, w_aa, w_ab, w_bb) / comb(r, 2)
+    order = None
+    if shuffled:
+        order = list(range(n))
+        Random(seed).shuffle(order)
+    graph, table = two_class_blow_up(n, size, w_aa, w_ab, w_bb, order)
+    params = FactorParams(r=r, t=t)
+    assert any(sum(table[p] for p in combinations(s, 2)) == params.heavy_threshold
+               for s in combinations(range(n), r))
+    assert_family_is_the_plain_one(graph, table, params)
+
+
+@pytest.mark.parametrize("r,n,size", [(4, 12, 5), (5, 13, 6), (6, 13, 6)])
+@pytest.mark.parametrize("below", [1, 2, 3])
+def test_heavy_walk_settles_intervals_at_every_level_of_a_two_class_blow_up(r, n, size, below):
+    """A = range(size) with w(A, A) = 1, w(A, B) = 1/2, w(B, B) = 0; the sets with i = r - below vertices in A tie the bar.
+
+    A set meets the bar exactly when at least i of its vertices lie in A.
+    Once a prefix has passed A, the rest of its sets lie in B and its bounds
+    meet; a prefix of i A-vertices (i + 1 when strict) settles too.  With i
+    at least r - 3, prefixes of every size below i stay undecided, so
+    prefixes settle at every level from r - 1 down to 3, and the walk enters
+    fewer nodes than the C(n - r + j, j) prefixes of each size j that it
+    would enter with no decision.
+    """
+    w_aa, w_ab, w_bb = Fraction(1), Fraction(1, 2), Fraction(0)
+    t = type_weight(r, r - below, w_aa, w_ab, w_bb) / comb(r, 2)
+    graph, table = two_class_blow_up(n, size, w_aa, w_ab, w_bb)
+    params = FactorParams(r=r, t=t)
+    assert_family_is_the_plain_one(graph, table, params)
+    for strict in (False, True):
+        with recorded_walk() as nodes:
+            _heavy_flags(graph, params, strict)
+        assert settled_levels(nodes) == set(range(3, r)), strict
+        assert len(nodes) < sum(comb(n - r + j, j) for j in range(r - 1)), strict
+
+
+@pytest.mark.parametrize("graph,table,params", [
+    (scaled_prop2(3, Fraction(2, 3), 24),
+     {p: w * Fraction(999, 1000) for p, w in prop2_table(3, Fraction(2, 3), 24).items()}, FactorParams(3, Fraction(2, 3))),
+    (scaled_prop2(4, Fraction(2, 3), 20),
+     {p: w * Fraction(999, 1000) for p, w in prop2_table(4, Fraction(2, 3), 20).items()}, FactorParams(4, Fraction(2, 3))),
+    (scaled_prop2(2, Fraction(1, 2), 22),
+     {p: w * Fraction(999, 1000) for p, w in prop2_table(2, Fraction(1, 2), 22).items()}, FactorParams(2, Fraction(1, 2))),
+    (prop2_construction(4, Fraction(1, 2), 20)[0], prop2_table(4, Fraction(1, 2), 20), FactorParams(4, Fraction(1, 2))),
+    (hs_sharpness_construction(3, 21)[0], None, FactorParams(3, Fraction(1))),
+    (hs_sharpness_construction(3, 24)[0], None, FactorParams(3, Fraction(2, 3))),
+    (hs_sharpness_construction(4, 20)[0], None, FactorParams(4, Fraction(1))),
+    (hs_sharpness_construction(4, 20)[0], None, FactorParams(4, Fraction(3, 4))),
+], ids=["prop2-r3-n24", "prop2-r4-n20", "prop2-r2-n22", "prop2-unscaled-r4-n20", "hs-r3-n21", "hs-r3-n24-t2/3",
+        "hs-r4-n20", "hs-r4-n20-t3/4"])
+def test_heavy_walk_matches_the_plain_build_on_large_extremal_inputs(graph, table, params):
+    """Scaled prop2 with its table written out here; hs with its 0/1 weights read off the graph."""
+    assert_family_is_the_plain_one(graph, graph_table(graph) if table is None else table, params)
+
+
+@contextmanager
+def plain_flags_in_the_solver():
+    """The solver with its heavy-set walk replaced by the Fraction reference."""
+    walk = solver._heavy_flags
+    solver._heavy_flags = plain_flags
+    try:
+        yield
+    finally:
+        solver._heavy_flags = walk
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(3, 9), r=st.integers(2, 4), t=st.sampled_from(LEVELS),
+       tied=st.booleans(), offset=st.sampled_from([Fraction(-1, 3), Fraction(-1, 12), Fraction(0)]))
+def test_collections_are_the_ones_the_plain_flags_give(seed, n, r, t, tied, offset):
+    """The maximum-collection enumerator and the hill-climb read the walk's flags; the plain flags give the same result.
+
+    The inputs are grid-floor samples and tied two-class blow-ups at n <= 9.
+    """
+    rng = Random(seed)
+    if tied:
+        size = rng.randint(1, n - 1)
+        grid = [Fraction(rng.randint(0, 6), 6) for _ in range(3)]
+        i = rng.randint(max(0, r - (n - size)), min(r, size))
+        t = type_weight(r, i, *grid) / comb(r, 2)
+        graph, _ = two_class_blow_up(n, size, *grid)
+    else:
+        graph = _sample_grid_floor(rng, n, 12, min(Fraction(1), max(Fraction(0), t + offset)))
+    params = FactorParams(r=r, t=t)
+    walked = (enumerate_maximum_heavy_collections(graph, params),
+              local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
+    with plain_flags_in_the_solver():
+        plain = (enumerate_maximum_heavy_collections(graph, params),
+                 local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
+    assert walked == plain
 
 
 # ------------------------------------------------------- overweight relation
@@ -697,6 +921,8 @@ def test_recursive_searches_leave_no_reference_cycles():
     calls = {
         "cover search": lambda: find_heavy_factor(scaled_prop2(3, Fraction(2, 3), 9), params, strict=True),
         "augmenting path": lambda: bipartite_maximum_matching(3, 3, [[0, 1], [0], [2]]),
+        "heavy-set walk": lambda: _heavy_family(scaled_prop2(5, Fraction(2, 3), 15), FactorParams(5, Fraction(2, 3)),
+                                                strict=True),
         "maximum collections": lambda: enumerate_maximum_heavy_collections(
             WeightedCompleteGraph.constant(6, Fraction(1)), params),
         "partition stream": lambda: list(enumerate_all_factors(6, 3)),
@@ -867,6 +1093,8 @@ def test_maximum_collections_cap():
     g = WeightedCompleteGraph.constant(12, Fraction(1))
     with pytest.raises(CapExceededError):
         enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1)))
+    with pytest.raises(ValueError, match="enumeration cap must be nonnegative, got -1"):
+        enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1)), cap=-1)
 
 
 def test_secondary_objective_prefers_overweight_edges_inside_blocks():
