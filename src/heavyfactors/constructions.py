@@ -194,12 +194,26 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     Every degree is then at least (n - 1) * per_edge on the one draw; the
     degree check below keeps that a checked fact (CertificationError).  The
     caller rejects per_edge > 1 first: for d >= 1 that is exactly when no
-    grid value is left.
+    grid value is left, and an empty range raises ValueError here.
+
+    Each weight is lo + x for x uniform below width = d + 1 - lo, drawn as
+    `random.Random.randint(lo, d)` draws it: one `getrandbits` of
+    width.bit_length() bits per try, until a try falls below width.  The
+    values and the stream's state afterwards are randint's, without its
+    three Python calls per edge.
     """
     lo = max(0, -((-per_edge.numerator * d) // per_edge.denominator))  # ceil(per_edge * d), at least 0
+    width = d + 1 - lo
+    if width < 1:
+        raise ValueError(f"no grid value k/{d} at or above {format_rational(per_edge)}")
+    bits = width.bit_length()
+    draw = rng.getrandbits
     rows = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        rows[i][j] = rows[j][i] = rng.randint(lo, d)
+        x = draw(bits)
+        while x >= width:
+            x = draw(bits)
+        rows[i][j] = rows[j][i] = lo + x
     graph = WeightedCompleteGraph._from_rows(n, rows, d)
     target = (n - 1) * per_edge
     degree = graph.min_weighted_degree()

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -144,7 +144,7 @@ class WeightedCompleteGraph:
         """The one constructor: reduce rows/den to lowest terms, derive the degrees."""
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
-        g = gcd(den, *(x for row in rows for x in row))
+        g = gcd(den, *chain.from_iterable(rows))
         if g > 1:
             den //= g
             rows = [[x // g for x in row] for row in rows]

@@ -239,8 +239,10 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     ceil(D * target / (n-1)) / D, which already guarantees the degree floor
     (the sampler checks it and raises CertificationError otherwise); an
     unreachable floor (target / (n-1) > 1) raises, since no weighting in
-    [0, 1] can meet it.  The sampler is `random_weighting`'s, fed from this
-    function's own seeded stream.
+    [0, 1] can meet it, and so does a negative target, 1/2 + t/2 + margin
+    < 0, which every weighting meets.  Both are refused before anything is
+    drawn.  The sampler is `random_weighting`'s, fed from this function's
+    own seeded stream.
 
     With margin > 0 every sampled edge weighs more than t: the per-edge floor
     (1/2 + t/2 + margin) n / (n-1) exceeds t for every t <= 1.  Every r-set
@@ -258,6 +260,9 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     delta = Fraction(1, 2) + tt / 2 + _exact(margin, "margin")
     target = delta * n
+    if delta < 0:
+        raise ValueError(f"degree target {format_rational(target)} is negative: "
+                         f"1/2 + t/2 + margin = {format_rational(delta)} < 0")
     per_edge = target / (n - 1)
     if per_edge > 1:
         raise ValueError(

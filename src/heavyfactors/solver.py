@@ -37,14 +37,15 @@ denominator, and the r-sets are walked in the same order, each prefix
 carrying its integer weight and a gain row (the weight from the prefix to
 every later vertex).  The sets that extend a prefix are one interval of the
 index, and the lightest and heaviest gains and edges left bound all their
-weights; when the bar lies outside the bounds the whole interval takes one
-flag, and otherwise the walk descends, each set of a pair-level prefix then
-costing one addition and one comparison.  The flags become one bitmap,
-`heavy`, over the index.  The search and the per-vertex counts read the
-bitmaps; the collection enumerator and the hill-climb read the masks the
-flags select.  Sorted vertex tuples are decoded only where a
-block leaves the solver.  Fractions stay at the edges: input graphs,
-certificates and block weights.
+weights.  The walk builds `heavy`, the bitmap of the heavy sets over the
+index: when the bar lies outside a prefix's bounds, its whole interval is
+one run of set bits or none, shifted to its offset and ORed in, and
+otherwise the walk descends, each set of a pair-level prefix then costing
+one addition, one comparison and, when heavy, one OR.  The search and the
+per-vertex counts read the bitmaps; the collection enumerator and the
+hill-climb read the masks of the set bits of `heavy`.  Sorted vertex tuples
+are decoded only where a block leaves the solver.  Fractions stay at the
+edges: input graphs, certificates and block weights.
 
 The backtracking search carries `alive`, the bitmap of the heavy sets
 disjoint from the covered vertices; it starts as `heavy`.  The live
@@ -86,7 +87,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -194,20 +195,25 @@ def _r_sets(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(masks), tuple(through)
 
 
-def _heavy_flags(graph: WeightedCompleteGraph, params: FactorParams, strict: bool) -> list[bool]:
-    """Whether each r-set, in lexicographic order, is heavy.
+def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
+                  strict: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The fixed index of the graph's r-sets, and the bitmap of its heavy ones over it.
 
+    `masks` and `through` are `_r_sets(n, r)`, built once by Pascal's rule
+    and shared by every graph of that size, so no mask or per-vertex bitmap
+    is made per graph.  Bit i of `heavy` is set when `masks[i]` is heavy.
     Sums of the graph's integer rows meet the bar put over its denominator,
     so each comparison is between integers and decides exactly what
-    `params.admits(graph.clique_weight(s), strict)` decides.  The walk goes
-    down the prefix tree of `_prefix_flags`, which settles a prefix's whole
-    index interval at once when its weight bounds lie on one side of the bar.
-    `lightest[s]` and `heaviest[s]` are the extreme edge weights inside
-    range(s, n), built once from the top vertex down.
+    `params.admits(graph.clique_weight(s), strict)` decides.  `heavy` is
+    the bitmap of the root of `_prefix_bits`, whose walk ORs in a whole
+    index interval at once when its weight bounds lie on one side of the
+    bar.  `lightest[s]` and `heaviest[s]` are the extreme edge weights
+    inside range(s, n), built once from the top vertex down.
     """
     n, r = graph.n, params.r
+    masks, through = _r_sets(n, r)
     if n < r:
-        return []
+        return masks, through, 0
     rows = graph.rows
     need = graph.least_numerator(params.heavy_threshold, strict)
     lightest = [0] * (n - 1)
@@ -217,57 +223,58 @@ def _heavy_flags(graph: WeightedCompleteGraph, params: FactorParams, strict: boo
         tail = rows[s][s + 1:]
         low, high = min(low, *tail), max(high, *tail)
         lightest[s], heaviest[s] = low, high
-    flags: list[bool] = []
-    _prefix_flags(flags, rows, need, lightest, heaviest, 0, r, 0, [0] * n)
-    return flags
+    return masks, through, _prefix_bits(rows, need, lightest, heaviest, 0, r, 0, [0] * n)
 
 
-def _prefix_flags(flags: list[bool], rows, need: int, lightest: list[int], heaviest: list[int],
-                  start: int, k: int, total: int, gain: list[int]) -> None:
-    """Append the flags of every set made of a prefix and k more vertices of range(start, n).
+def _prefix_bits(rows, need: int, lightest: list[int], heaviest: list[int],
+                 start: int, k: int, total: int, gain: list[int]) -> int:
+    """The bitmap of the heavy sets made of a prefix and k more vertices of range(start, n).
 
     The prefix weighs `total`, and `gain[v]` is its weight to v.  In
     lexicographic order its sets are the next C(n - start, k) indices, and
-    each weighs at least total + k * min(gain[start:]) + C(k, 2) *
-    lightest[start], at most the same with the maxima; when the bar lies
-    outside those bounds they all take one flag.  Otherwise each next vertex
-    a extends the prefix, and at k = 2 each pair (a, v) costs one sum.
+    bit j of the result stands for the j-th of them.  Each weighs at least
+    total + k * min(gain[start:]) + C(k, 2) * lightest[start], at most the
+    same with the maxima; when the bar lies outside those bounds they are
+    all heavy or all light, one run of set bits or none.  Otherwise each
+    next vertex a extends the prefix.  Its sets come after those of the
+    next vertices before a, so at k = 2 each pair (a, v) sets the bit after
+    the previous pair's, at the cost of one sum and one comparison, and
+    above, the longer prefix's bitmap is shifted past the earlier sets and
+    ORed in.
     """
     n = len(gain)
     tail = gain[start:]
     pairs = k * (k - 1) // 2
     if total + k * min(tail) + pairs * lightest[start] >= need:
-        flags += [True] * comb(n - start, k)
-    elif total + k * max(tail) + pairs * heaviest[start] < need:
-        flags += [False] * comb(n - start, k)
-    elif k == 2:
+        return (1 << comb(n - start, k)) - 1
+    if total + k * max(tail) + pairs * heaviest[start] < need:
+        return 0
+    bits = 0
+    if k == 2:
+        bit = 1
         for a in range(start, n - 1):
             row = rows[a]
             short = need - total - gain[a]
-            flags += [gain[v] + row[v] >= short for v in range(a + 1, n)]
-    else:
-        for a in range(start, n - k + 1):
-            _prefix_flags(flags, rows, need, lightest, heaviest, a + 1, k - 1, total + gain[a],
-                          [g + w for g, w in zip(gain, rows[a])])
+            for v in range(a + 1, n):
+                if gain[v] + row[v] >= short:
+                    bits |= bit
+                bit <<= 1
+        return bits
+    offset = 0
+    for a in range(start, n - k + 1):
+        bits |= _prefix_bits(rows, need, lightest, heaviest, a + 1, k - 1, total + gain[a],
+                             [g + w for g, w in zip(gain, rows[a])]) << offset
+        offset += comb(n - a - 1, k - 1)
+    return bits
 
 
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+def _heavy_masks(masks: tuple[int, ...], heavy: int) -> list[int]:
+    """The masks whose index is a set bit of `heavy`, in index order.
 
-
-def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
-                  strict: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The fixed index of the graph's r-sets, and the bitmap of its heavy ones over it.
-
-    `masks` and `through` are `_r_sets(n, r)`, built once by Pascal's rule
-    and shared by every graph of that size, so no mask or per-vertex bitmap
-    is made per graph.  Bit i of `heavy` is set when `masks[i]` is heavy: the
-    walk gives one flag per set in index order, and the flags are read into
-    `heavy` as one binary numeral, highest index first.
+    The binary numeral of `heavy` is read lowest bit first, one character
+    per set, in time linear in the index.
     """
-    masks, through = _r_sets(graph.n, params.r)
-    flags = _heavy_flags(graph, params, strict)
-    heavy = int(bytes(flags[::-1]).translate(_BINARY_DIGITS) or b"0", 2)
-    return masks, through, heavy
+    return [m for m, bit in zip(masks, bin(heavy)[:1:-1]) if bit == "1"]
 
 
 def _key_steps(graph: WeightedCompleteGraph, masks: tuple[int, ...], r: int) -> tuple[int, ...] | list[int]:
@@ -484,7 +491,8 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
         raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
+    index, _, heavy = _heavy_family(graph, params, strict=False)
+    masks = _heavy_masks(index, heavy)
     over = graph.threshold_masks(params.heavy_threshold)
     owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
@@ -528,7 +536,8 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     n = graph.n
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    masks = list(compress(_r_sets(n, params.r)[0], _heavy_flags(graph, params, strict=False)))
+    index, _, heavy = _heavy_family(graph, params, strict=False)
+    masks = _heavy_masks(index, heavy)
     heavy = set(masks)
     over = graph.threshold_masks(params.heavy_threshold)
 

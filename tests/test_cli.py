@@ -538,12 +538,24 @@ def test_verify_without_vertices_is_an_input_error(capsys):
     assert captured.err == "error: need at least one vertex, got n=0\n"
 
 
-def test_verify_negative_target_samples_on_the_grid(capsys):
-    """--margin=-1 puts the per-edge floor below 0; the draw stays on the grid."""
-    code = run_cli("verify", "--r", "3", "--t", "0", "--n", "12", "--margin=-1", "--trials", "2")
+def test_verify_refuses_a_negative_degree_target(tmp_path, capsys):
+    """1/2 + t/2 + margin < 0 is a target every weighting meets: exit 2 naming it, nothing written.
+
+    A zero target is still sampled.
+    """
+    out = tmp_path / "verify.json"
+    for t, margin, target in [("0", "-1", "-6/1"), ("1/3", "-1", "-4/1"), ("0", "-7/12", "-1/1")]:
+        code = run_cli("verify", "--r", "3", "--t", t, "--n", "12", f"--margin={margin}", "--trials", "2",
+                       "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: degree target {target} is negative"), captured.err
+        assert not out.exists()
+    code = run_cli("verify", "--r", "3", "--t", "0", "--n", "12", "--margin=-1/2", "--trials", "2")
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert captured.out.endswith("2/2 sampled graphs at degree >= -6/1 admitted a factor\n")
+    assert captured.out.endswith("2/2 sampled graphs at degree >= 0/1 admitted a factor\n")
 
 
 def test_verify_reports_each_violation_and_exits_1(tmp_path, capsys):

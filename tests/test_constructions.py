@@ -2,23 +2,25 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 from random import Random
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import heavyfactors
 from heavyfactors import (
     BudgetExceededError,
     ConstructionDescriptor,
     FactorParams,
+    WeightedCompleteGraph,
     build,
     dumps_canonical,
     counterexample_29_36,
     enumerate_all_factors,
+    find_heavy_factor,
     hs_sharpness_construction,
     hs_sharpness_parts,
     is_heavy,
@@ -28,6 +30,7 @@ from heavyfactors import (
     random_weighting,
     rebuild,
 )
+from heavyfactors import lab
 from heavyfactors.constructions import (
     KIND_COUNTEREXAMPLE,
     KIND_HS,
@@ -338,6 +341,63 @@ def test_a_negative_per_edge_floor_draws_from_the_whole_grid(seed):
     """Every grid value is at or above a negative floor, so the draw is the floor-0 one."""
     below = _sample_grid_floor(Random(seed), 12, 20, Fraction(-1))
     assert below == _sample_grid_floor(Random(seed), 12, 20, Fraction(0))
+
+
+def randint_draws(rng, n, d, per_edge):
+    """The grid sampler's draws, one `rng.randint(ceil(per_edge * d), d)` per pair in `pairs()` order, kept as the reference."""
+    lo = max(0, ceil(per_edge * d))
+    return [rng.randint(lo, d) for _ in combinations(range(n), 2)]
+
+
+def assert_graph_is_the_draws(graph, n, d, draws):
+    """`graph` has exactly the weights draws[k] / d, pairs in `pairs()` order, in lowest terms."""
+    plain = WeightedCompleteGraph.from_flat(n, [Fraction(x, d) for x in draws])
+    assert (graph.rows, graph.den) == (plain.rows, plain.den)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 20), d=st.integers(1, 24), seed=st.integers(0, 2**32),
+       floor=st.sampled_from(["zero", "verify", "one"]),
+       t=st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+       margin=st.sampled_from([Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)]))
+def test_grid_sampler_makes_the_draws_of_randint(n, d, seed, floor, t, margin):
+    """The same weights as a `randint` loop, and the stream left in the same state.
+
+    The floors: 0 (lo = 0, the whole grid), verify's (1/2 + t/2 + margin) n
+    / (n - 1), and exactly 1 (lo = d, one grid value, yet every draw takes
+    a bit).
+    """
+    per_edge = {"zero": Fraction(0), "one": Fraction(1),
+                "verify": (Fraction(1, 2) + t / 2 + margin) * n / (n - 1)}[floor]
+    assume(per_edge <= 1)
+    rng, reference = Random(seed), Random(seed)
+    graph = _sample_grid_floor(rng, n, d, per_edge)
+    assert_graph_is_the_draws(graph, n, d, randint_draws(reference, n, d, per_edge))
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("r,t,n,trials", [(3, Fraction(1, 3), 12, 4), (2, Fraction(0), 8, 3), (4, Fraction(1, 2), 16, 2)])
+def test_verify_trials_draw_from_one_stream_like_randint(monkeypatch, r, t, n, trials):
+    """Each trial's graph is the next one a `randint` loop over one seeded stream gives."""
+    solved = []
+
+    def record(graph, params, strict=False):
+        solved.append(graph)
+        return find_heavy_factor(graph, params, strict)
+
+    monkeypatch.setattr(lab, "find_heavy_factor", record)
+    report = lab.verify_theorem3_empirically(r, t, trials, n, seed=5, grid_denominator=20)
+    assert report.passes == trials == len(solved)
+    per_edge = (Fraction(1, 2) + t / 2 + Fraction(1, 10)) * n / (n - 1)
+    reference = Random(5)
+    for graph in solved:
+        assert_graph_is_the_draws(graph, n, 20, randint_draws(reference, n, 20, per_edge))
+
+
+def test_grid_sampler_refuses_a_floor_above_the_grid():
+    """No grid value is at or above a floor over 1: an error, not an endless draw."""
+    with pytest.raises(ValueError, match="no grid value k/20 at or above 21/20"):
+        _sample_grid_floor(Random(0), 6, 20, Fraction(21, 20))
 
 
 def test_package_exports_resolve_and_the_sampler_config_is_gone():

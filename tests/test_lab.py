@@ -109,11 +109,11 @@ def test_certification_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
-class ZeroRng:
-    """A stub stream that draws 0 from every range, ignoring the grid floor."""
+class BelowFloorRng:
+    """A stub stream whose every draw is -1, so each sampled weight lands one grid step below the floor."""
 
-    def randint(self, lo, hi):
-        return 0
+    def getrandbits(self, k):
+        return -1
 
 
 def test_degree_checks_raise_certification_errors(monkeypatch):
@@ -122,7 +122,7 @@ def test_degree_checks_raise_certification_errors(monkeypatch):
     with pytest.raises(CertificationError, match="closed form"):
         evaluate_lower_bounds(3, Fraction(2, 3), 9)
     with pytest.raises(CertificationError, match="below the target"):
-        _sample_grid_floor(ZeroRng(), 12, 20, Fraction(1, 2))
+        _sample_grid_floor(BelowFloorRng(), 12, 20, Fraction(1, 2))
 
 
 def test_degree_checks_survive_optimized_mode():
@@ -130,12 +130,12 @@ def test_degree_checks_survive_optimized_mode():
         "from fractions import Fraction\n"
         "from heavyfactors import CertificationError, lab\n"
         "from heavyfactors.constructions import _sample_grid_floor\n"
-        "class ZeroRng:\n"
-        "    def randint(self, lo, hi):\n"
-        "        return 0\n"
+        "class BelowFloorRng:\n"
+        "    def getrandbits(self, k):\n"
+        "        return -1\n"
         "lab.prop2_min_degree = lambda r, t, n: Fraction(0)\n"
         "for call in (lambda: lab.evaluate_lower_bounds(3, Fraction(2, 3), 9),\n"
-        "             lambda: _sample_grid_floor(ZeroRng(), 12, 20, Fraction(1, 2))):\n"
+        "             lambda: _sample_grid_floor(BelowFloorRng(), 12, 20, Fraction(1, 2))):\n"
         "    try:\n"
         "        call()\n"
         "    except CertificationError:\n"

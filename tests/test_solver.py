@@ -36,7 +36,6 @@ from heavyfactors.constructions import _sample_grid_floor
 from heavyfactors.solver import (
     HeavyCollection,
     _heavy_family,
-    _heavy_flags,
     _key_steps,
     _overweight_count,
     _r_sets,
@@ -386,12 +385,10 @@ def test_r_set_cache_is_invisible():
 
 
 def assert_family_is_the_plain_one(graph, table, params):
-    """The walk's flags, and the set bits of the heavy bitmap, are the Fraction build's sets on `table`, in order."""
+    """The set bits of the heavy bitmap are the Fraction build's sets on `table`, in order, and no bit lies past the index."""
     n, r = graph.n, params.r
     for strict in (False, True):
         plain = plain_heavy_sets(n, table, params, strict)
-        heavy_sets = set(plain)
-        assert _heavy_flags(graph, params, strict) == [s in heavy_sets for s in combinations(range(n), r)], strict
         masks, through, heavy = _heavy_family(graph, params, strict)
         assert (masks, through) == _r_sets(n, r)
         assert heavy >> len(masks) == 0
@@ -471,10 +468,11 @@ def graph_table(graph):
     return {p: graph.weight(*p) for p in combinations(range(graph.n), 2)}
 
 
-def plain_flags(graph, params, strict):
-    """One flag per r-set in lexicographic order, from the Fraction reference."""
+def plain_family(graph, params, strict):
+    """`_heavy_family` with the heavy bitmap read off the Fraction reference, bit i for the i-th r-set."""
     heavy = set(plain_heavy_sets(graph.n, graph_table(graph), params, strict))
-    return [s in heavy for s in combinations(range(graph.n), params.r)]
+    bits = sum(1 << i for i, s in enumerate(combinations(range(graph.n), params.r)) if s in heavy)
+    return _r_sets(graph.n, params.r) + (bits,)
 
 
 @contextmanager
@@ -486,17 +484,17 @@ def recorded_walk():
     node.
     """
     nodes = []
-    walk = solver._prefix_flags
+    walk = solver._prefix_bits
 
-    def recorded(flags, rows, need, lightest, heaviest, start, k, total, gain):
+    def recorded(rows, need, lightest, heaviest, start, k, total, gain):
         nodes.append((start, k))
-        walk(flags, rows, need, lightest, heaviest, start, k, total, gain)
+        return walk(rows, need, lightest, heaviest, start, k, total, gain)
 
-    solver._prefix_flags = recorded
+    solver._prefix_bits = recorded
     try:
         yield nodes
     finally:
-        solver._prefix_flags = walk
+        solver._prefix_bits = walk
 
 
 def settled_levels(nodes):
@@ -513,8 +511,8 @@ def test_heavy_walk_settles_a_tie_at_the_root(r):
             params = FactorParams(r=r, t=t)
             for strict in (False, True):
                 with recorded_walk() as nodes:
-                    flags = _heavy_flags(graph, params, strict)
-                assert flags == [not strict] * comb(n, r), (n, t, strict)
+                    heavy = _heavy_family(graph, params, strict)[2]
+                assert heavy == (0 if strict else (1 << comb(n, r)) - 1), (n, t, strict)
                 assert nodes == [(0, r)], (n, t, strict)
 
 
@@ -523,16 +521,15 @@ def test_heavy_walk_on_fewer_vertices_than_a_set():
     for n in range(1, 7):
         for r in range(n + 1, 8):
             with recorded_walk() as nodes:
-                assert _heavy_flags(WeightedCompleteGraph.constant(n, Fraction(1)), FactorParams(r, Fraction(0)),
-                                    strict=False) == []
+                masks, through, heavy = _heavy_family(WeightedCompleteGraph.constant(n, Fraction(1)),
+                                                      FactorParams(r, Fraction(0)), strict=False)
+            assert heavy == 0
             assert nodes == []
-            masks, through, heavy = _heavy_family(WeightedCompleteGraph.constant(n, Fraction(1)),
-                                                  FactorParams(r, Fraction(0)), strict=False)
-            assert (masks, through, heavy) == ((), (0,) * n, 0)
+            assert (masks, through) == ((), (0,) * n)
     pair = WeightedCompleteGraph.from_flat(2, [Fraction(1, 2)])
-    for t, strict, flag in [(Fraction(1, 2), False, True), (Fraction(1, 2), True, False), (Fraction(1, 3), True, True),
-                            (Fraction(2, 3), False, False)]:
-        assert _heavy_flags(pair, FactorParams(2, t), strict) == [flag]
+    for t, strict, bit in [(Fraction(1, 2), False, 1), (Fraction(1, 2), True, 0), (Fraction(1, 3), True, 1),
+                           (Fraction(2, 3), False, 0)]:
+        assert _heavy_family(pair, FactorParams(2, t), strict)[2] == bit
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -551,7 +548,7 @@ def test_heavy_walk_matches_the_plain_build_on_grid_floor_samples(seed, n, r, t,
     assert_family_is_the_plain_one(graph, graph_table(graph), params)
     for strict in (False, True):
         with recorded_walk() as nodes:
-            _heavy_flags(graph, params, strict)
+            _heavy_family(graph, params, strict)
         if n >= r and (floor > t or floor == t and not strict):
             assert nodes == [(0, r)], strict
 
@@ -617,7 +614,7 @@ def test_heavy_walk_settles_intervals_at_every_level_of_a_two_class_blow_up(r, n
     assert_family_is_the_plain_one(graph, table, params)
     for strict in (False, True):
         with recorded_walk() as nodes:
-            _heavy_flags(graph, params, strict)
+            _heavy_family(graph, params, strict)
         assert settled_levels(nodes) == set(range(3, r)), strict
         assert len(nodes) < sum(comb(n - r + j, j) for j in range(r - 1)), strict
 
@@ -642,26 +639,27 @@ def test_heavy_walk_matches_the_plain_build_on_large_extremal_inputs(graph, tabl
 
 
 @contextmanager
-def plain_flags_in_the_solver():
-    """The solver with its heavy-set walk replaced by the Fraction reference."""
-    walk = solver._heavy_flags
-    solver._heavy_flags = plain_flags
+def plain_bitmap_in_the_solver():
+    """The solver with its heavy-set walk replaced by the Fraction reference's bitmap."""
+    family = solver._heavy_family
+    solver._heavy_family = plain_family
     try:
         yield
     finally:
-        solver._heavy_flags = walk
+        solver._heavy_family = family
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(3, 9), r=st.integers(2, 4), t=st.sampled_from(LEVELS),
        tied=st.booleans(), offset=st.sampled_from([Fraction(-1, 3), Fraction(-1, 12), Fraction(0)]))
 def test_collections_are_the_ones_the_plain_flags_give(seed, n, r, t, tied, offset):
-    """The maximum-collection enumerator and the hill-climb read the walk's flags; the plain flags give the same result.
+    """The maximum-collection enumerator and the hill-climb read the walk's bitmap; the plain bitmap gives the same result.
 
-    The inputs are grid-floor samples and tied two-class blow-ups at n <= 9.
+    The inputs are grid-floor samples and tied two-class blow-ups at n <= 9;
+    a tie needs r <= n, so below that the input is a grid-floor sample.
     """
     rng = Random(seed)
-    if tied:
+    if tied and r <= n:
         size = rng.randint(1, n - 1)
         grid = [Fraction(rng.randint(0, 6), 6) for _ in range(3)]
         i = rng.randint(max(0, r - (n - size)), min(r, size))
@@ -672,7 +670,7 @@ def test_collections_are_the_ones_the_plain_flags_give(seed, n, r, t, tied, offs
     params = FactorParams(r=r, t=t)
     walked = (enumerate_maximum_heavy_collections(graph, params),
               local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
-    with plain_flags_in_the_solver():
+    with plain_bitmap_in_the_solver():
         plain = (enumerate_maximum_heavy_collections(graph, params),
                  local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
     assert walked == plain
