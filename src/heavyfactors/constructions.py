@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import (
-    BudgetExceededError,
     CertificationError,
     WeightedCompleteGraph,
     _check_block_shape,
@@ -192,9 +191,10 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     """Every edge uniform on the grid values k/d at or above `per_edge`.
 
     Every degree is then at least (n - 1) * per_edge on the one draw; the
-    degree check below keeps that a checked fact (CertificationError).  The
-    caller rejects per_edge > 1 first: for d >= 1 that is exactly when no
-    grid value is left, and an empty range raises ValueError here.
+    degree check below keeps that a checked fact (CertificationError).  A
+    grid denominator d < 1 and a floor per_edge > 1, which leaves no grid
+    value in [0, 1], raise ValueError before anything is drawn; for d >= 1
+    every floor up to 1 leaves at least the value d/d.
 
     Each weight is lo + x for x uniform below width = d + 1 - lo, drawn as
     `random.Random.randint(lo, d)` draws it: one `getrandbits` of
@@ -202,10 +202,16 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     values and the stream's state afterwards are randint's, without its
     three Python calls per edge.
     """
+    if d < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {d}")
+    target = (n - 1) * per_edge
+    if per_edge > 1:
+        raise ValueError(
+            f"sampling failure: degree target {format_rational(target)} needs "
+            f"per-edge weight {format_rational(per_edge)} > 1 at n={n}"
+        )
     lo = max(0, -((-per_edge.numerator * d) // per_edge.denominator))  # ceil(per_edge * d), at least 0
     width = d + 1 - lo
-    if width < 1:
-        raise ValueError(f"no grid value k/{d} at or above {format_rational(per_edge)}")
     bits = width.bit_length()
     draw = rng.getrandbits
     rows = [[0] * n for _ in range(n)]
@@ -215,7 +221,6 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
             x = draw(bits)
         rows[i][j] = rows[j][i] = lo + x
     graph = WeightedCompleteGraph._from_rows(n, rows, d)
-    target = (n - 1) * per_edge
     degree = graph.min_weighted_degree()
     if degree < target:
         raise CertificationError(
@@ -234,23 +239,14 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
     of the grid, at or above ceil(d * delta * n / (n - 1)) / d, so the one
     draw already has every degree at least delta * n; plain rejection would
     be hopeless for the targets this is used with.  A delta * n that needs a
-    per-edge weight above 1 raises BudgetExceededError.
+    per-edge weight above 1 raises the sampler's ValueError.
     """
-    if grid_denominator < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     md = None if min_degree is None else _exact(min_degree, "min degree")
     if md is not None and (md < 0 or md > 1):
         raise ValueError(f"min degree fraction {md} outside [0, 1]")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    per_edge = Fraction(0)
-    if md is not None:
-        per_edge = md * n / (n - 1)
-        if per_edge > 1:
-            raise BudgetExceededError(
-                f"min degree {format_rational(md)} * n is unreachable: "
-                f"needs per-edge weight {format_rational(per_edge)} > 1"
-            )
+    per_edge = Fraction(0) if md is None else md * n / (n - 1)
     return _sample_grid_floor(random.Random(seed), n, grid_denominator, per_edge)
 
 

@@ -8,8 +8,8 @@ predicates compare them with no floating point anywhere.  For clique size r
 and level t, an r-set is heavy when its total edge weight reaches
 t * C(r, 2); the strict variant demands strictly more.  The boundary
 matters: the two families of weightings that pin the extremal threshold
-differ exactly in whether ties count, so both predicates are first-class and
-every caller says which one it means.
+differ exactly in whether ties count, so `is_heavy` takes a `strict` flag
+and every caller says which one it means.
 
 Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
@@ -295,29 +295,21 @@ class FactorParams:
     def admits(self, weight: Fraction, strict: bool = False) -> bool:
         """True when `weight` meets the bar (strict: exceeds it).
 
-        The one heaviness comparison: block weights, single overweight edges
-        and the oracle all go through here.
+        The one heaviness comparison, called by `is_heavy` for blocks and
+        by `is_overweight_edge` for single edges.
         """
         if strict:
             return weight > self.heavy_threshold
         return weight >= self.heavy_threshold
 
 
-def _block_weight(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> Fraction:
+def is_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams,
+             strict: bool = False) -> bool:
+    """True when the r-set's total edge weight is at least t * C(r, 2) (strict: exceeds it)."""
     vs = tuple(vertices)
     if len(vs) != params.r:
         raise ValueError(f"expected {params.r} vertices, got {len(vs)}")
-    return graph.clique_weight(vs)
-
-
-def is_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> bool:
-    """True when the r-set's total edge weight is at least t * C(r, 2)."""
-    return params.admits(_block_weight(graph, vertices, params))
-
-
-def is_strictly_heavy(graph: WeightedCompleteGraph, vertices: Iterable[int], params: FactorParams) -> bool:
-    """True when the r-set's total edge weight exceeds t * C(r, 2)."""
-    return params.admits(_block_weight(graph, vertices, params), strict=True)
+    return params.admits(graph.clique_weight(vs), strict)
 
 
 def is_overweight_edge(graph: WeightedCompleteGraph, edge: tuple[int, int], params: FactorParams) -> bool:

@@ -117,33 +117,36 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
     )
 
 
-def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
-                       budget: int = 1000, *, solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
-    """Simulated annealing over grid weightings, feasibility = strict exhaustion.
-
-    Starts from the scaled two-class record and proposes single-edge moves to
-    random grid values; a move is even considered only if the strict solver
-    still finds no factor, so every state visited is a certified witness.
-    The objective is the minimum weighted degree.  With no improvement inside
-    the budget the seed record itself is returned.  So it is at t=0 and with
-    budget 0, uncertified when n is above the solver cap; only the annealing
-    needs the exact solver, and above the cap it raises CapExceededError.
-    """
+def _check_search_settings(grid_denominator: int, budget: int, solver_cap: int) -> None:
+    """Refuse a grid denominator below 1, a negative budget or a negative solver cap."""
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if solver_cap < 0:
+        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
+
+
+def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
+                       budget: int = 1000, *, solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
+    """Simulated annealing over grid weightings, feasibility = strict exhaustion.
+
+    Starts from `evaluate_lower_bounds`'s scaled two-class record and
+    proposes single-edge moves to random grid values; a move is even
+    considered only if the strict solver still finds no factor, so every
+    state visited is a certified witness, and the best is certified once
+    more before it is returned.  The objective is the minimum weighted
+    degree.  With no improvement inside the budget the seed record itself
+    is returned.  So it is at t=0 and with budget 0, uncertified when n is
+    above the solver cap; otherwise an uncertified seed record (n above the
+    cap) raises CapExceededError, since the annealing needs the exact solver.
+    """
+    _check_search_settings(grid_denominator, budget, solver_cap)
     seed_record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
-    return _anneal(seed_record, seed, grid_denominator, budget, solver_cap)
-
-
-def _anneal(seed_record: BoundRecord, seed: int, grid_denominator: int, budget: int,
-            solver_cap: int) -> BoundRecord:
-    """`adversarial_search`'s annealing from a seed record; the caller has checked the grid and budget."""
-    r, tt, n = seed_record.r, seed_record.t, seed_record.n
+    tt = seed_record.t
     if tt == 0 or budget == 0:
         return seed_record
-    if n > solver_cap:
+    if not seed_record.certified:
         raise CapExceededError(
             f"adversarial search needs the exact solver: n={n} above cap {solver_cap}"
         )
@@ -237,10 +240,11 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
 
     Edge weights are uniform on the top of the grid, at least
     ceil(D * target / (n-1)) / D, which already guarantees the degree floor
-    (the sampler checks it and raises CertificationError otherwise); an
-    unreachable floor (target / (n-1) > 1) raises, since no weighting in
-    [0, 1] can meet it, and so does a negative target, 1/2 + t/2 + margin
-    < 0, which every weighting meets.  Both are refused before anything is
+    (the sampler checks it and raises CertificationError otherwise).  A
+    negative target, 1/2 + t/2 + margin < 0, which every weighting meets,
+    raises ValueError here; the sampler itself refuses a grid denominator
+    below 1 and an unreachable floor (target / (n-1) > 1), which no
+    weighting in [0, 1] can meet.  All are refused before anything is
     drawn.  The sampler is `random_weighting`'s, fed from this function's
     own seeded stream.
 
@@ -256,19 +260,12 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     _check_block_shape(r, n)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if grid_denominator < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     delta = Fraction(1, 2) + tt / 2 + _exact(margin, "margin")
     target = delta * n
     if delta < 0:
         raise ValueError(f"degree target {format_rational(target)} is negative: "
                          f"1/2 + t/2 + margin = {format_rational(delta)} < 0")
     per_edge = target / (n - 1)
-    if per_edge > 1:
-        raise ValueError(
-            f"sampling failure: degree target {format_rational(target)} needs "
-            f"per-edge weight {format_rational(per_edge)} > 1 at n={n}"
-        )
     rng = random.Random(seed)
     params = FactorParams(r, tt)
     passes = 0
@@ -317,20 +314,17 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
     """Tabulate seed and adversarial bounds for every (r, t) pair.
 
-    An r below 2, a negative budget or a negative solver cap is rejected
-    before any cell is computed.  Pairs where r does not divide n are
-    skipped and flagged.  The default budget of 0 makes the adversarial
-    column equal the certified seed record; a positive budget needs n within
-    the solver cap.  Flags also call out any non-monotone trend in r (for
-    fixed t the normalized bound should not grow) and any cell whose
-    normalized bound reaches the conjectured line.
+    The grid, budget and cap refusals `adversarial_search` makes, and an r
+    below 2, come before any cell is computed.  Pairs where r does not
+    divide n are skipped and flagged.  The i-th computed cell holds the
+    record of `adversarial_search(r, t, n, seed + 9973 * i, ...)` next to
+    the scaled closed form its seed record is checked against.  The default
+    budget of 0 makes the adversarial column equal the certified seed
+    record; a positive budget needs n within the solver cap.  Flags also call out any non-monotone trend in r (for fixed
+    t the normalized bound should not grow) and any cell whose normalized
+    bound reaches the conjectured line.
     """
-    if grid_denominator < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    if solver_cap < 0:
-        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
+    _check_search_settings(grid_denominator, budget, solver_cap)
     rs = list(r_values)
     for r in rs:
         if isinstance(r, bool) or not isinstance(r, int):
@@ -350,20 +344,18 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
             if n % r != 0:
                 flags.append(f"{label}: skipped, r does not divide n={n}")
                 continue
-            base = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
-            adv = base
-            if budget > 0:
-                adv = _anneal(base, seed + 9973 * index, grid_denominator, budget, solver_cap)
+            adv = adversarial_search(r, t, n, seed + 9973 * index, grid_denominator, budget,
+                                     solver_cap=solver_cap)
             index += 1
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t
             upper = Fraction(1, 2) + t / 2
             cells.append(ScanCell(
                 r=r, t=t, n=n,
-                prop2_value=base.value,
+                prop2_value=DEFAULT_SCALE * prop2_min_degree(r, t, n),
                 adversarial_value=adv.value,
                 conjecture=conjecture,
                 upper_bound=upper,
-                certified=base.certified and adv.certified,
+                certified=adv.certified,
             ))
             if adv.value / n > conjecture:
                 flags.append(

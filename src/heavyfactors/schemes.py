@@ -37,6 +37,7 @@ from .core import (
     WeightedCompleteGraph,
     _check_block_shape,
     _exact,
+    is_heavy,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
 from .solver import DEFAULT_SOLVER_CAP, find_heavy_factor
@@ -286,7 +287,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         if sub is None:
             continue
         cliques = [frozenset(vmap[v] for v in block) for block in sub.blocks]
-        _require(all(sub_params.admits(graph.clique_weight(c)) for c in cliques),
+        _require(all(is_heavy(graph, c, sub_params) for c in cliques),
                  f"scheme2 sub-factor has a block below the bar at r={r - 1}")
         avg = build_bipartite_average(graph, cliques, b_side)
         match = bipartite_threshold_matching(avg, t)
@@ -296,7 +297,7 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
             avg.cliques[i] | {avg.vertices[match[i]]} for i in range(len(cliques))
         ]
         # heavy at r-1 plus an averaged-t partner is heavy at r, with no slack
-        _require(all(params.admits(graph.clique_weight(b)) for b in blocks),
+        _require(all(is_heavy(graph, b, params) for b in blocks),
                  f"scheme2 merge made a block below the bar at r={r}")
         factor = CliqueFactor.from_blocks(blocks)
         factor.validate(n, r)

@@ -204,11 +204,11 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
     is made per graph.  Bit i of `heavy` is set when `masks[i]` is heavy.
     Sums of the graph's integer rows meet the bar put over its denominator,
     so each comparison is between integers and decides exactly what
-    `params.admits(graph.clique_weight(s), strict)` decides.  `heavy` is
-    the bitmap of the root of `_prefix_bits`, whose walk ORs in a whole
-    index interval at once when its weight bounds lie on one side of the
-    bar.  `lightest[s]` and `heaviest[s]` are the extreme edge weights
-    inside range(s, n), built once from the top vertex down.
+    `is_heavy(graph, s, params, strict)` decides.  `heavy` is the bitmap
+    of the root of `_prefix_bits`, whose walk ORs in a whole index interval
+    at once when its weight bounds lie on one side of the bar.
+    `lightest[s]` and `heaviest[s]` are the extreme edge weights inside
+    range(s, n), built once from the top vertex down.
     """
     n, r = graph.n, params.r
     masks, through = _r_sets(n, r)
@@ -538,7 +538,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
         raise ValueError(f"need at least one restart, got {restarts}")
     index, _, heavy = _heavy_family(graph, params, strict=False)
     masks = _heavy_masks(index, heavy)
-    heavy = set(masks)
+    heavy_set = set(masks)
     over = graph.threshold_masks(params.heavy_threshold)
 
     def improving_swap(blocks: list[int], free: int) -> tuple[int, int] | None:
@@ -550,7 +550,7 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
             for u in _vertices(old):
                 for w in incoming:
                     candidate = old ^ 1 << u | 1 << w
-                    if candidate in heavy and _overweight_count(over, candidate) > old_count:
+                    if candidate in heavy_set and _overweight_count(over, candidate) > old_count:
                         return i, candidate
         return None
 

@@ -22,7 +22,6 @@ from heavyfactors import (
     find_heavy_factor,
     heavy_cliques_containing,
     is_heavy,
-    is_strictly_heavy,
     lemma1_bound,
     matching_base_case,
     prop2_construction,
@@ -67,7 +66,7 @@ def test_criterion_1_prop2_certification():
         count = 0
         for blocks in enumerate_all_factors(n, r):
             count += 1
-            assert not all(is_strictly_heavy(scaled, b, params) for b in blocks)
+            assert not all(is_heavy(scaled, b, params, strict=True) for b in blocks)
         assert count == partitions
     elapsed = time.monotonic() - started
     report(1, elapsed < 30,

@@ -110,10 +110,16 @@ def test_generate_missing_parameters_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_generate_unreachable_min_degree_exhausts_the_budget(tmp_path, capsys):
+def test_generate_unreachable_min_degree_is_an_input_error(tmp_path, capsys):
+    """19/20 of n = 6 needs per-edge weight 57/50 > 1: the sampler's refusal, exit 2, nothing written."""
+    out = tmp_path / "g.json"
     code = run_cli("generate", "--kind", "random", "--n", "6", "--grid", "12",
-                   "--min-degree", "19/20", "--out", str(tmp_path / "g.json"))
-    assert code == 3
+                   "--min-degree", "19/20", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sampling failure: degree target 57/10 needs per-edge weight 57/50 > 1 at n=6\n"
+    )
+    assert not out.exists()
 
 
 def test_decimal_rationals_are_rejected_at_the_parser():
@@ -520,9 +526,17 @@ def test_verify_samples_and_reports(tmp_path, capsys):
     code = run_cli("verify", "--r", "3", "--t", "1/3", "--n", "12",
                    "--trials", "3", "--out", str(out))
     assert code == 0
-    assert "3/3 sampled graphs" in capsys.readouterr().out
+    assert "3/3 sampled graphs" in capsys.readouterr().err
     doc = json.loads(out.read_text())
     assert doc["passes"] == 3 and doc["violations"] == []
+
+
+def test_verify_stdout_is_the_report_alone(capsys):
+    """Without --out the JSON report is all of stdout; the summary line goes to stderr."""
+    assert run_cli("verify", "--r", "3", "--t", "1/3", "--n", "6", "--trials", "2") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passes"] == 2
+    assert captured.err == "2/2 sampled graphs at degree >= 23/5 admitted a factor\n"
 
 
 def test_verify_unreachable_target_is_an_input_error(capsys):
@@ -555,7 +569,7 @@ def test_verify_refuses_a_negative_degree_target(tmp_path, capsys):
     code = run_cli("verify", "--r", "3", "--t", "0", "--n", "12", "--margin=-1/2", "--trials", "2")
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert captured.out.endswith("2/2 sampled graphs at degree >= 0/1 admitted a factor\n")
+    assert captured.err == "2/2 sampled graphs at degree >= 0/1 admitted a factor\n"
 
 
 def test_verify_reports_each_violation_and_exits_1(tmp_path, capsys):
@@ -564,7 +578,7 @@ def test_verify_reports_each_violation_and_exits_1(tmp_path, capsys):
     code = run_cli("verify", "--r", "3", "--t", "1", "--n", "6", "--margin=-1/2",
                    "--trials", "1", "--out", str(out))
     assert code == 1
-    assert capsys.readouterr().out == "0/1 sampled graphs at degree >= 3/1 admitted a factor\n"
+    assert capsys.readouterr().err == "0/1 sampled graphs at degree >= 3/1 admitted a factor\n"
     doc = json.loads(out.read_text())
     assert doc["passes"] == 0
     assert doc["violations"] == [{"min_degree": "15/4", "nodes_explored": 1, "trial": 0}]
@@ -633,10 +647,16 @@ PINNED_INPUTS = {
      "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
     (["scan", "--r", "3", "--t", "1/3,1/2", "--n", "6", "--grid", "3", "--budget", "50"], 0,
      "8b457114bdccdb51dc9c14f81f16e101cb5464733ffe4daa6bff13e40ace1aac"),
+    (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6", "--seed", "4", "--budget", "25"], 0,
+     "b37274c256230fc868251cce78cd5c28ec1edbca2c3ac12a55224f94e5c8f681"),
+    (["estimate", "--r", "3", "--t", "2/3", "--n", "9", "--budget", "40", "--seed", "3"], 0,
+     "63a62cdeb40235a6a617ce94651fe70860e37c939d5794e3703e2e75cc0ea20c"),
+    # the JSON report alone: the summary line goes to stderr
     (["verify", "--r", "3", "--t", "1/3", "--n", "12", "--trials", "4", "--seed", "1"], 0,
-     "ac74983380ce3ee3ac8faa45fb062b3849d440b587bd6ab6a9e355c13df823eb"),
+     "f3b0e22c9d130907cfa5ac14097868a20361788caf01e9dcbb8ecae99bc20a59"),
 ], ids=["solve-strict-prop2-exhausted", "solve-feasible", "scheme2-factor", "scheme2-none-found",
-        "localsearch", "estimate-adversarial", "scan-adversarial", "verify"])
+        "localsearch", "estimate-adversarial", "scan-adversarial", "scan-record-grid", "estimate-record",
+        "verify"])
 def test_command_stdout_is_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
     """sha256 of each document as first recorded, node counts and factors included."""
     monkeypatch.chdir(tmp_path)

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import heavyfactors
 from heavyfactors import (
-    BudgetExceededError,
     ConstructionDescriptor,
     FactorParams,
     WeightedCompleteGraph,
@@ -24,7 +23,6 @@ from heavyfactors import (
     hs_sharpness_construction,
     hs_sharpness_parts,
     is_heavy,
-    is_strictly_heavy,
     prop2_construction,
     prop2_min_degree,
     random_weighting,
@@ -83,7 +81,7 @@ def test_prop2_blocks_inside_b_sit_exactly_on_the_boundary():
         triple = (b[i], b[i + 1], b[i + 2])
         assert g.clique_weight(triple) == params.heavy_threshold
         assert is_heavy(g, triple, params)
-        assert not is_strictly_heavy(g, triple, params)
+        assert not is_heavy(g, triple, params, strict=True)
 
 
 def test_prop2_pigeonhole_every_factor_has_a_block_inside_b():
@@ -97,7 +95,7 @@ def test_prop2_pigeonhole_every_factor_has_a_block_inside_b():
         count += 1
         inside_b = [blk for blk in blocks if not (set(blk) & a)]
         assert inside_b, "some block must avoid the two clique-side vertices"
-        assert all(not is_strictly_heavy(g, blk, params) for blk in inside_b)
+        assert all(not is_heavy(g, blk, params, strict=True) for blk in inside_b)
     assert count == 280
 
 
@@ -308,7 +306,7 @@ def test_min_degree_conditioned_sampler_meets_the_target():
 
 
 def test_min_degree_conditioned_rejects_unreachable_targets():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError, match="sampling failure: degree target 6/1 needs per-edge weight 6/5 > 1 at n=6"):
         random_weighting(6, 4, seed=0, min_degree=Fraction(1))
 
 
@@ -395,9 +393,15 @@ def test_verify_trials_draw_from_one_stream_like_randint(monkeypatch, r, t, n, t
 
 
 def test_grid_sampler_refuses_a_floor_above_the_grid():
-    """No grid value is at or above a floor over 1: an error, not an endless draw."""
-    with pytest.raises(ValueError, match="no grid value k/20 at or above 21/20"):
-        _sample_grid_floor(Random(0), 6, 20, Fraction(21, 20))
+    """No grid value is at or above a floor over 1, and a grid below 1 has no values: errors before any draw."""
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="sampling failure: degree target 21/4 needs per-edge weight 21/20 > 1 at n=6"):
+        _sample_grid_floor(rng, 6, 20, Fraction(21, 20))
+    for d in (0, -3):
+        with pytest.raises(ValueError, match=f"grid denominator must be >= 1, got {d}"):
+            _sample_grid_floor(rng, 6, d, Fraction(0))
+    assert rng.getstate() == state
 
 
 def test_package_exports_resolve_and_the_sampler_config_is_gone():

@@ -22,7 +22,6 @@ from heavyfactors import (
     graph_to_json,
     is_heavy,
     is_overweight_edge,
-    is_strictly_heavy,
     load_graph,
     parse_rational,
     save_graph,
@@ -450,7 +449,7 @@ def test_heavy_boundary_separates_the_two_predicates():
     p = FactorParams(r=3, t=Fraction(2, 3))
     assert g.clique_weight([0, 1, 2]) == p.heavy_threshold
     assert is_heavy(g, [0, 1, 2], p)
-    assert not is_strictly_heavy(g, [0, 1, 2], p)
+    assert not is_heavy(g, [0, 1, 2], p, strict=True)
     with pytest.raises(ValueError):
         is_heavy(g, [0, 1], p)
 

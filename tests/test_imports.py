@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
-and JSON text and graph files each have one writer."""
+JSON text and graph files each have one writer, and heaviness and budget errors each have one home."""
 
 import ast
 from pathlib import Path
@@ -59,6 +59,14 @@ def test_package_exports_exactly_what_it_imports():
     assert all(hasattr(heavyfactors, name) for name in heavyfactors.__all__)
 
 
+def package_calls():
+    """(`module.top-level name`, call node) for every call in the package's modules."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    return [(f"{module}.{getattr(top, 'name', '<module>')}", node)
+            for module, tree in trees.items() for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.Call)]
+
+
 def opens_for_writing(call):
     """True for `open(...)` with a mode that writes (or one not spelled as a literal), and for Path writers."""
     func = call.func
@@ -79,15 +87,27 @@ def test_json_text_and_graph_files_are_written_in_one_place_each():
     no package code reads `graph_to_json`, so a graph's text comes from
     `save_graph` alone.
     """
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
-    calls = [(f"{module}.{getattr(top, 'name', '<module>')}", node)
-             for module, tree in trees.items() for top in tree.body
-             for node in ast.walk(top) if isinstance(node, ast.Call)]
+    calls = package_calls()
     dumps = [owner for owner, call in calls
              if isinstance(call.func, ast.Attribute) and call.func.attr in ("dump", "dumps")
              and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
     assert dumps == ["core.dumps_canonical"]
     assert sorted(owner for owner, call in calls if opens_for_writing(call)) == ["cli._write_text", "core.save_graph"]
-    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    nodes = [node for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))]
     assert not [node for node in nodes if isinstance(node, ast.ImportFrom) and node.module == "json"]
     assert not [node for node in nodes if isinstance(node, ast.Name) and node.id == "graph_to_json"]
+
+
+def callers(name):
+    """The owners of the package's calls to `name`, spelled as a plain name or as an attribute."""
+    return sorted(owner for owner, call in package_calls()
+                  if name == (call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)))
+
+
+def test_heaviness_and_budget_errors_each_have_one_home():
+    """`admits` is called only by `core.is_heavy` and `core.is_overweight_edge`; only `schemes` raises BudgetExceededError.
+
+    Every block check goes through `is_heavy`, and the split and retry budgets live in `schemes`.
+    """
+    assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
+    assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}

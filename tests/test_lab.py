@@ -292,6 +292,24 @@ def test_scan_with_a_budget_builds_each_seed_record_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("budget", [0, 50])
+def test_scan_cells_are_the_adversary_records(budget):
+    """Computed cell i is `adversarial_search` at seed + 9973 i; its prop2 column is the scaled closed form.
+
+    r = 4 does not divide 6, so it is skipped and takes no index; t = 0 gives degenerate, uncertified cells.
+    """
+    ts, n, seed = [Fraction(0), Fraction(1, 3), Fraction(1, 2)], 6, 0
+    report = scan_report([2, 3, 4], ts, n, seed, budget=budget, grid_denominator=3)
+    pairs = [(r, t) for r in (2, 3) for t in ts]
+    assert [(c.r, c.t) for c in report.cells] == pairs
+    records = [adversarial_search(r, t, n, seed + 9973 * i, 3, budget) for i, (r, t) in enumerate(pairs)]
+    assert [(c.adversarial_value, c.certified) for c in report.cells] == [(rec.value, rec.certified) for rec in records]
+    assert [c.prop2_value for c in report.cells] == [lab.DEFAULT_SCALE * prop2_min_degree(r, t, n) for r, t in pairs]
+    assert [c.certified for c in report.cells] == [t != 0 for _, t in pairs]
+    # at budget 50 the annealer improves cell 4 (r = 3, t = 1/3), so the re-certified record is compared too
+    assert [c.adversarial_value > c.prop2_value for c in report.cells] == [budget > 0 and i == 4 for i in range(6)]
+
+
 def test_scan_above_the_cap_reports_uncertified_cells():
     report = scan_report([3], [Fraction(2, 3)], 15, seed=0)
     (cell,) = report.cells

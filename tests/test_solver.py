@@ -24,7 +24,6 @@ from heavyfactors import (
     hs_sharpness_construction,
     is_heavy,
     is_overweight_edge,
-    is_strictly_heavy,
     lemma1_bound,
     local_search_heavy_collection,
     prop2_construction,
@@ -162,9 +161,8 @@ def test_search_agrees_with_the_oracle_on_random_sweeps():
         t = levels[trial % len(levels)]
         params = FactorParams(r=r, t=t)
         for strict in (False, True):
-            pred = is_strictly_heavy if strict else is_heavy
             oracle = any(
-                all(pred(g, b, params) for b in blocks)
+                all(is_heavy(g, b, params, strict) for b in blocks)
                 for blocks in enumerate_all_factors(n, r)
             )
             cert = find_heavy_factor(g, params, strict=strict)
@@ -172,7 +170,7 @@ def test_search_agrees_with_the_oracle_on_random_sweeps():
                 f"trial {trial}: n={n} r={r} t={t} strict={strict}"
             )
             if cert.factor is not None:
-                assert all(pred(g, b, params) for b in cert.factor.blocks)
+                assert all(is_heavy(g, b, params, strict) for b in cert.factor.blocks)
             checked += 1
     assert checked == 80
 
