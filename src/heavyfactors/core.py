@@ -17,8 +17,10 @@ replaced) are new objects, which keeps certificates trivially re-checkable.
 A weight is checked once, where it enters: in a public constructor or in
 `graph_from_json`, whose messages name `edges[k]`.  A graph file's weights
 are checked once per distinct text and land in integer rows, with no
-Fraction per edge.  Package code that holds integer weights over one
-denominator calls `_from_rows`, which trusts them.
+Fraction per edge.  An entry as `save_graph` writes it passes on its exact
+types alone; any other entry takes the checks that name its fault.  Package
+code that holds integer weights over one denominator calls `_from_rows`,
+which trusts them.
 
 A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
 two-space indent, every pair listed.  `save_graph` writes those bytes itself,
@@ -413,32 +415,41 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
     values = [Fraction(0)]
     index = [[0] * n for _ in range(n)]
     for pos, entry in enumerate(edges):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise GraphFormatError(f"edges[{pos}]: expected [i, j, \"num/den\"]")
-        i, j, wtext = entry
-        if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
-            raise GraphFormatError(f"edges[{pos}]: vertex indices must be integers")
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(f"edges[{pos}]: invalid pair ({i}, {j}) for n={n}")
-        if index[i][j]:
-            raise GraphFormatError(f"edges[{pos}]: duplicate pair ({min(i, j)}, {max(i, j)})")
         try:
-            # parse_rational reads only str(wtext), so a text that parsed once
-            # parses to the same weight again; a bad text raises at its first use.
+            i, j, key = entry
+        except (TypeError, ValueError):  # not three items
+            i = None
+        # an entry as `save_graph` writes it passes on exact types alone; any
+        # other entry takes the checks that name its fault
+        if not (type(entry) is list and type(i) is int and type(j) is int and 0 <= i < j < n
+                and type(key) is str):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise GraphFormatError(f"edges[{pos}]: expected [i, j, \"num/den\"]")
+            i, j, wtext = entry
+            if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
+                raise GraphFormatError(f"edges[{pos}]: vertex indices must be integers")
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise GraphFormatError(f"edges[{pos}]: invalid pair ({i}, {j}) for n={n}")
             key = str(wtext)
-            k = texts.get(key)
-            if k is None:
-                w = parse_rational(wtext)
+        row = index[i]
+        if row[j]:
+            raise GraphFormatError(f"edges[{pos}]: duplicate pair ({min(i, j)}, {max(i, j)})")
+        # parse_rational reads only str(wtext), so a text that parsed once
+        # parses to the same weight again; a bad text raises at its first use.
+        k = texts.get(key)
+        if k is None:
+            try:
+                w = parse_rational(entry[2])
                 if w < 0 or w > 1:
                     raise ValueError(f"weight {format_rational(w)} outside [0, 1]")
-                k = texts[key] = len(values)
-                values.append(w)
-        except ValueError as exc:
-            raise GraphFormatError(f"edges[{pos}]: {exc}") from exc
-        index[i][j] = index[j][i] = k
+            except ValueError as exc:
+                raise GraphFormatError(f"edges[{pos}]: {exc}") from exc
+            k = texts[key] = len(values)
+            values.append(w)
+        row[j] = index[j][i] = k
     den = lcm(*(w.denominator for w in values))
     nums = [w.numerator * (den // w.denominator) for w in values]
-    return WeightedCompleteGraph._from_rows(n, [[nums[k] for k in row] for row in index], den)
+    return WeightedCompleteGraph._from_rows(n, [list(map(nums.__getitem__, row)) for row in index], den)
 
 
 def save_graph(path, graph: WeightedCompleteGraph) -> None:

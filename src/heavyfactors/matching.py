@@ -27,18 +27,21 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"invalid edge ({u}, {v}) for n={n}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen_edges:
             continue
         seen_edges.add(key)
         adj[u].append(v)
         adj[v].append(u)
 
-    match = [-1] * n
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    blossom = [False] * n
+    vertices = range(n)
+    unused = [False] * n
+    orphans = [-1] * n
+    match = orphans.copy()
+    parent = orphans.copy()
+    base = list(vertices)
+    used = unused.copy()
+    blossom = unused.copy()
 
     def lowest_common_base(a: int, b: int) -> int:
         marked = [False] * n
@@ -63,10 +66,9 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
             v = parent[match[v]]
 
     def find_augmenting_path(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            parent[i] = -1
-            base[i] = i
+        used[:] = unused
+        parent[:] = orphans
+        base[:] = vertices
         used[root] = True
         queue = deque([root])
         while queue:
@@ -77,8 +79,7 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # odd cycle: contract the blossom at the common base
                     anchor = lowest_common_base(v, to)
-                    for i in range(n):
-                        blossom[i] = False
+                    blossom[:] = unused
                     mark_path(v, anchor, to)
                     mark_path(to, anchor, v)
                     for i in range(n):

@@ -13,9 +13,11 @@ Three ways to build factors without exhaustive search:
   marry blocks to B-vertices through a bipartite graph of averaged weights
   thresholded at t. A clique that is heavy at level t for r-1 vertices plus a
   partner of averaged weight at least t is heavy at level t for r vertices,
-  with no slack; the merge checks it.  When there are at most SPLIT_ATTEMPTS
-  B sides, all of them are checked before any draw, so a split that does
-  not exist is reported at once instead of after the whole draw budget.
+  with no slack; the merge checks it.  Each draw is the split that
+  `Random.sample` would draw, made with the same `getrandbits` calls.  When
+  there are at most SPLIT_ATTEMPTS B sides, the feasible ones are collected
+  as bitmasks before any draw: a split that does not exist is reported at
+  once instead of after the whole draw budget, and each draw is one lookup.
 
 All random choices flow from one seed.  A failed check raises
 CertificationError, so the checks hold under `python -O` as well.
@@ -26,8 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .core import (
     BudgetExceededError,
@@ -40,7 +44,7 @@ from .core import (
     is_heavy,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
-from .solver import DEFAULT_SOLVER_CAP, find_heavy_factor
+from .solver import DEFAULT_SOLVER_CAP, _vertices, find_heavy_factor
 
 # scheme2 budgets: random splits per `scheme2_partition` call, split retries per recursion level
 SPLIT_ATTEMPTS = 1000
@@ -55,11 +59,13 @@ def _require(ok: bool, what: str) -> None:
 
 def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     """Heavy 2-block factor via a perfect matching on the level-t threshold graph."""
-    if graph.n % 2 != 0:
-        raise ValueError(f"need an even vertex count, got n={graph.n}")
+    n = graph.n
+    if n % 2 != 0:
+        raise ValueError(f"need an even vertex count, got n={n}")
     tt = _exact(t, "t")
     masks = graph.threshold_masks(tt)
-    pairs = perfect_matching(graph.n, [(i, j) for i, j in graph.pairs() if masks[i] >> j & 1])
+    pairs = perfect_matching(n, [(i, j) for i, mask in enumerate(masks)
+                                 for j in range(i + 1, n) if mask >> j & 1])
     if pairs is None:
         return None
     _require(all(graph.weight(a, b) >= tt for a, b in pairs),
@@ -146,21 +152,31 @@ class BipartiteAverageGraph:
 
     weights[i][j] is the average weight from clique i to vertex j, so a
     matched pair at average >= t merges into a block heavy at level t one
-    size up.
+    size up.  It is Fraction(numerators[i][j], den): the integer sum of the
+    clique's rows at vertex j over p times the graph's denominator.
     """
 
     cliques: tuple
     vertices: tuple
-    weights: tuple  # weights[i][j]
+    numerators: tuple  # numerators[i][j]
+    den: int
+
+    @cached_property
+    def weights(self) -> tuple:
+        """weights[i][j] = Fraction(numerators[i][j], den)."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.numerators)
 
 
 def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
                             vertices) -> BipartiteAverageGraph:
+    n = graph.n
     cliques = tuple(frozenset(c) for c in cliques)
     vertices = tuple(sorted(vertices))
     if not cliques:
         raise ValueError("need at least one clique")
     p = len(cliques[0])
+    if p < 1:
+        raise ValueError("cliques must have at least one vertex")
     taken = set()
     for c in cliques:
         if len(c) != p:
@@ -168,13 +184,19 @@ def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
         if taken & c:
             raise ValueError("cliques must be pairwise disjoint")
         taken |= c
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("right-side vertices must be distinct")
+    if not taken.union(vertices) <= set(range(n)):
+        raise ValueError(f"clique members and right-side vertices must be vertices 0..{n - 1}")
     if taken & set(vertices):
         raise ValueError("right-side vertices must avoid the cliques")
-    averages = tuple(
-        tuple(Fraction(sum(graph.rows[u][v] for u in c), p * graph.den) for v in vertices)
-        for c in cliques
-    )
-    return BipartiteAverageGraph(cliques=cliques, vertices=vertices, weights=averages)
+    rows = graph.rows
+    numerators = []
+    for c in cliques:
+        column = list(map(sum, zip(*(rows[u] for u in c))))
+        numerators.append(tuple(map(column.__getitem__, vertices)))
+    return BipartiteAverageGraph(cliques=cliques, vertices=vertices,
+                                 numerators=tuple(numerators), den=p * graph.den)
 
 
 def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
@@ -188,9 +210,8 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
             f"need equal sides, got {k} cliques and {len(avg.vertices)} vertices"
         )
     tt = _exact(t, "t")
-    adjacency = [
-        [j for j in range(k) if avg.weights[i][j] >= tt] for i in range(k)
-    ]
+    cut = -(-tt.numerator * avg.den // tt.denominator)  # least numerator x with x / den >= t
+    adjacency = [[j for j, x in enumerate(row) if x >= cut] for row in avg.numerators]
     match = bipartite_maximum_matching(k, k, adjacency)
     if any(m == -1 for m in match):
         return None
@@ -202,7 +223,13 @@ class _NoSplit(BudgetExceededError):
 
 
 def _meets_targets(rows, degrees, b_side, need_a: int, need_b: int) -> bool:
-    """Every vertex sends at least need_b into `b_side` and need_a into the rest (numerators)."""
+    """Every vertex sends at least need_b into `b_side` and need_a into the rest (numerators).
+
+    The degree-target predicate, one side at a time: draws at large n call
+    it, and `_feasible_b_sides` decides it for every side of a small n at once.
+    A draw does not use the packed fields, because packing all n columns
+    costs more than this loop over the one side that is usually accepted.
+    """
     for row, degree in zip(rows, degrees):
         into_b = sum([row[u] for u in b_side])
         # A and B partition the other vertices, so the rest of v's degree goes into A
@@ -211,33 +238,90 @@ def _meets_targets(rows, degrees, b_side, need_a: int, need_b: int) -> bool:
     return True
 
 
+def _feasible_b_sides(rows, degrees, size_b: int, need_a: int, need_b: int) -> set[int]:
+    """Bitmasks of the `size_b`-vertex B sides that `_meets_targets` accepts.
+
+    Field v of one int (`width` bits from bit width * v) holds a sum for
+    vertex v.  Vertex u's packed column has rows[u][v] in field v, so the
+    sum of B's columns holds every vertex's weight into B, and one side is
+    decided by two additions: with H = 2^(width - 1) above every degree, the
+    top bit of field v in (sum + Σ (H - need_b)) and in (Σ (H + degree_v -
+    need_a) - sum) is set exactly when v meets its target on that side.
+    No field carries into the next, as each stays in [0, 2H).
+    """
+    if any(need_b > d or need_a > d for d in degrees):
+        return set()  # v's weight into either side lies between 0 and its degree
+    need_a, need_b = max(need_a, 0), max(need_b, 0)
+    width = max(degrees).bit_length() + 1
+    half = 1 << (width - 1)
+    columns = [sum(x << (width * v) for v, x in enumerate(row)) for row in rows]
+    low = high = tops = 0
+    for v, degree in enumerate(degrees):
+        low |= (half - need_b) << (width * v)
+        high |= (half + degree - need_a) << (width * v)
+        tops |= half << (width * v)
+    bits = [1 << u for u in range(len(rows))]
+    return {sum(side) for side, into_b in zip(combinations(bits, size_b),
+                                              map(sum, combinations(columns, size_b)))
+            if (into_b + low) & (high - into_b) & tops == tops}
+
+
+def _a_side_masks(rng: random.Random, n: int, size_a: int) -> Iterator[int]:
+    """The A side of each successive `rng.sample(range(n), size_a)`, as a bitmask.
+
+    Draws as `Random.sample` does in its pool branch, the one it takes
+    because size_a >= n/2 keeps n within its set size: for m = n, n - 1, ...
+    one `getrandbits(m.bit_length())` per try until an index j < m comes,
+    then pool[j] is taken and the pool's last live item moves into its
+    place.  The pool holds 1 << v for v, and the rng's state after each
+    yield is its state after that `sample` call.
+    """
+    draw = rng.getrandbits
+    tries = [(m, m.bit_length()) for m in range(n, n - size_a, -1)]
+    bits = [1 << v for v in range(n)]
+    while True:
+        pool = bits.copy()
+        a_mask = 0
+        for m, width in tries:
+            j = draw(width)
+            while j >= m:
+                j = draw(width)
+            a_mask |= pool[j]
+            pool[j] = pool[m - 1]
+        yield a_mask
+
+
 def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
                       target_a, target_b) -> tuple[tuple, tuple]:
     """Random split into |A| = (r-1)n/r and |B| = n/r meeting degree targets.
 
     Every vertex (on either side) must send weighted degree at least target_a
-    into A and target_b into B.  When there are at most SPLIT_ATTEMPTS B
-    sides, every one is checked first, and if none meets the targets the
-    call raises at once; a returned split is still the first random draw
-    that meets them.  Resampling past SPLIT_ATTEMPTS raises.
+    into A and target_b into B.  The split is the first of the draws
+    `Random(seed).sample(range(n), |A|)` makes that meets the targets.  When
+    there are at most SPLIT_ATTEMPTS B sides, the feasible ones are
+    collected first, and if there are none the call raises at once.
+    Resampling past SPLIT_ATTEMPTS raises.
     """
     n = graph.n
     _check_block_shape(r, n)
     need_a = graph.least_numerator(target_a)
     need_b = graph.least_numerator(target_b)
     rows, degrees = graph.rows, graph.degrees
-    sides = comb(n, n // r)
-    if sides <= SPLIT_ATTEMPTS and not any(
-            _meets_targets(rows, degrees, b_side, need_a, need_b)
-            for b_side in combinations(range(n), n // r)):
-        raise _NoSplit(f"none of the {sides} B sides meets the degree targets")
-    size_a = (r - 1) * n // r
-    rng = random.Random(seed)
-    for _ in range(SPLIT_ATTEMPTS):
-        a_side = sorted(rng.sample(range(n), size_a))
-        b_side = sorted(set(range(n)).difference(a_side))
-        if _meets_targets(rows, degrees, b_side, need_a, need_b):
-            return tuple(a_side), tuple(b_side)
+    size_b = n // r
+    sides = comb(n, size_b)
+    if sides <= SPLIT_ATTEMPTS:
+        feasible = _feasible_b_sides(rows, degrees, size_b, need_a, need_b)
+        if not feasible:
+            raise _NoSplit(f"none of the {sides} B sides meets the degree targets")
+        accept = feasible.__contains__
+    else:
+        def accept(b_mask: int) -> bool:
+            return _meets_targets(rows, degrees, _vertices(b_mask), need_a, need_b)
+    everyone = (1 << n) - 1
+    draws = _a_side_masks(random.Random(seed), n, n - size_b)
+    for _, a_mask in zip(range(SPLIT_ATTEMPTS), draws):
+        if accept(everyone ^ a_mask):
+            return _vertices(a_mask), _vertices(everyone ^ a_mask)
     raise BudgetExceededError(
         f"no split met the degree targets after {SPLIT_ATTEMPTS} attempts"
     )

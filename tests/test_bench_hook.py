@@ -8,8 +8,12 @@ from heavyfactors import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# eroded and random n = 12 inputs, found and missed, as the scheme2 workload runs them
-SCHEME2_KEYS = [f"{family}-{i}" for family in ("eroded", "random") for i in range(6)]
+# eroded and random n = 12 inputs, found and missed, as the scheme2 workload runs them; the loose
+# n = 36, 48 and 60 inputs, which reach the matchers and the averages; and random-11, whose first
+# split uses up all SPLIT_ATTEMPTS draws before its second one succeeds
+SCHEME2_KEYS = ([f"{family}-{i}" for family in ("eroded", "random") for i in range(6)]
+                + [f"{family}-{i}" for family in ("loose36", "loose48", "loose60") for i in range(2)]
+                + ["random-11"])
 
 # the certify workload's fixed inputs and the first lowered-prop2 ones, every one without a factor
 CERTIFY_KEYS = ["prop2-r3-n15", "prop2-r5-n15", "hs-r3-n18"] + [f"lowered-{i}" for i in range(8)]

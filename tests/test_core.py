@@ -645,6 +645,18 @@ def test_graph_from_json_parses_each_distinct_text_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= 21
 
 
+@pytest.mark.parametrize("entry,pair,weight", [
+    ([2, 0, "1/2"], (0, 2), Fraction(1, 2)), ((0, 2, "1/3"), (0, 2), Fraction(1, 3)),
+    ([0, 2, 1], (0, 2), Fraction(1)), ([0, 2, " 1/4"], (0, 2), Fraction(1, 4)),
+], ids=["reversed", "tuple", "int-text", "spaced-text"])
+def test_graph_from_json_reads_entries_save_graph_does_not_write(entry, pair, weight):
+    """An entry that fails the exact-type test takes the checked path to the same pair and weight."""
+    g = random_grid_graph(Random(47), 9, denominator=6)
+    doc = json.loads(dumps_canonical(graph_to_json(g)))
+    doc["edges"][1] = entry  # edges[1] is the pair (0, 2)
+    assert graph_from_json(doc) == g.with_weight(*pair, weight)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 10), denominator=st.integers(1, 13),
        factor=st.fractions(0, 1, max_denominator=12), w=grid_weights())

@@ -1,5 +1,6 @@
 """General and bipartite maximum matching against brute force."""
 
+from collections import deque
 from itertools import combinations, permutations
 from random import Random
 
@@ -156,3 +157,109 @@ def test_bipartite_random_sweep_agrees_with_brute_force():
             if v != -1:
                 assert v in adjacency[u]
         assert size == brute_force_bipartite_size(nl, nr, adjacency)
+
+
+def reference_maximum_matching(n, edges):
+    """The blossom matcher as it was before its resets became slice assignments, kept as the oracle.
+
+    Same adjacency order, BFS order and contraction, so it returns the same
+    match vector, not only a matching of the same size.
+    """
+    adj = [[] for _ in range(n)]
+    seen_edges = set()
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"invalid edge ({u}, {v}) for n={n}")
+        key = (min(u, v), max(u, v))
+        if key in seen_edges:
+            continue
+        seen_edges.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+
+    match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    blossom = [False] * n
+
+    def lowest_common_base(a, b):
+        marked = [False] * n
+        while True:
+            a = base[a]
+            marked[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if marked[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, anchor, child):
+        while base[v] != anchor:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting_path(root):
+        for i in range(n):
+            used[i] = False
+            parent[i] = -1
+            base[i] = i
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    anchor = lowest_common_base(v, to)
+                    for i in range(n):
+                        blossom[i] = False
+                    mark_path(v, anchor, to)
+                    mark_path(to, anchor, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = anchor
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            nxt = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = nxt
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_augmenting_path(v)
+    return match
+
+
+@pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 0.9])
+def test_maximum_matching_returns_the_reference_match_vector(density):
+    """Random graphs on up to 40 vertices, listed in a shuffled order with reversed and repeated edges."""
+    rng = Random(int(density * 100))
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in combinations(range(n), 2) if rng.random() < density]
+        edges += [rng.choice(edges)[::rng.choice([1, -1])] for _ in range(len(edges) // 4)]
+        rng.shuffle(edges)
+        match = maximum_matching(n, edges)
+        assert match == reference_maximum_matching(n, edges), (n, edges)
+        check_valid(match, edges, n)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import ceil, comb, log
 from random import Random
 
 import pytest
@@ -205,6 +205,37 @@ def test_bipartite_average_validation():
         build_bipartite_average(g, [[0, 1]], [1, 3])
 
 
+@pytest.mark.parametrize("cliques,vertices,message", [
+    ([[0, 1], [2, 3]], [4, 4], "right-side vertices must be distinct"),
+    ([[0, 1]], [-1], r"right-side vertices must be vertices 0\.\.5"),
+    ([[0, 1]], [9], r"right-side vertices must be vertices 0\.\.5"),
+    ([[0, 9]], [2], r"right-side vertices must be vertices 0\.\.5"),
+    ([[-1, 0]], [2], r"right-side vertices must be vertices 0\.\.5"),
+    ([[]], [2], "cliques must have at least one vertex"),
+], ids=["duplicate-right", "negative-right", "right-past-n", "member-past-n", "negative-member", "empty-clique"])
+def test_bipartite_average_rejects_vertices_outside_the_graph(cliques, vertices, message):
+    """A repeated right vertex would join two blocks, and -1 would read vertex 5 of the rows."""
+    g = WeightedCompleteGraph.constant(6, Fraction(1))
+    with pytest.raises(ValueError, match=message):
+        build_bipartite_average(g, cliques, vertices)
+
+
+def test_bipartite_average_is_the_fraction_average():
+    """Numerators over `den` are the weights, and each weight is the plain Fraction mean over the clique."""
+    rng = Random(71)
+    for p, k in [(1, 3), (2, 4), (3, 2), (4, 3)]:
+        n = (p + 1) * k
+        g = random_grid_graph(rng, n, denominator=rng.randint(1, 9))
+        perm = rng.sample(range(n), n)
+        cliques, vertices = [perm[i * p:(i + 1) * p] for i in range(k)], perm[p * k:]
+        avg = build_bipartite_average(g, cliques, vertices)
+        assert avg.vertices == tuple(sorted(vertices))
+        for i, c in enumerate(avg.cliques):
+            for j, v in enumerate(avg.vertices):
+                mean = sum((g.weight(u, v) for u in c), Fraction(0)) / p
+                assert avg.weights[i][j] == Fraction(avg.numerators[i][j], avg.den) == mean
+
+
 def test_threshold_matching_keeps_averages_at_or_above_t():
     g = WeightedCompleteGraph(6, {
         (0, 4): Fraction(1), (1, 4): Fraction(1),      # avg 1
@@ -225,6 +256,63 @@ def test_threshold_matching_keeps_averages_at_or_above_t():
 
 
 # ---------------------------------------------------------- randomized split
+
+
+def sample_takes_its_pool_branch(n, k):
+    """`Random.sample(range(n), k)` keeps a pool list, not a set of picks: its test, with its set size."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    return n <= setsize
+
+
+def test_split_draws_are_random_sample_draws():
+    """For every n <= 60 and r = 2..6: each draw's A side, its B side and the rng state after it are sample's."""
+    for n in range(2, 61):
+        for r in range(2, 7):
+            if n % r:
+                continue
+            size_a = (r - 1) * n // r
+            assert sample_takes_its_pool_branch(n, size_a)
+            rng, ref = Random(n * r), Random(n * r)
+            draws = schemes._a_side_masks(rng, n, size_a)
+            for _ in range(4):
+                a_mask = next(draws)
+                a_side = ref.sample(range(n), size_a)
+                assert [v for v in range(n) if a_mask >> v & 1] == sorted(a_side), (n, r)
+                assert [v for v in range(n) if not a_mask >> v & 1] == sorted(set(range(n)) - set(a_side))
+                assert rng.getstate() == ref.getstate(), (n, r)
+
+
+def feasible_reference(g, size_b, need_a, need_b):
+    """The B sides `_meets_targets` accepts, one side at a time."""
+    return {sum(1 << u for u in side) for side in combinations(range(g.n), size_b)
+            if schemes._meets_targets(g.rows, g.degrees, side, need_a, need_b)}
+
+
+def test_feasible_b_sides_are_the_sides_meeting_the_targets():
+    """Packed fields decide what `_meets_targets` decides, on /4 and wide /997 grids.
+
+    The needs run through nonpositive ones, a need_a above some vertex's
+    degree, a need_b no vertex reaches, one past the fields' top bit, and
+    random values below, where some sides pass and others fail.
+    """
+    rng = Random(29)
+    outcomes = set()
+    for n, r in ((4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (10, 2), (12, 3), (12, 4)):
+        for denominator in (4, 997):
+            g = random_grid_graph(rng, n, denominator)
+            degrees, size_b = g.degrees, n // r
+            low, top = min(degrees), max(degrees)
+            needs = [-3, 0, low, low + 1, top + 1, 2 * top + 1] + [rng.randint(0, top) for _ in range(3)]
+            into_b = [rng.randint(0, d * size_b // (n - 1)) for d in degrees[:4]]
+            pairs = [(a, b) for a in needs for b in needs]
+            pairs += [(d - x, x) for d, x in zip(degrees, into_b)]  # what one vertex sends each way
+            for need_a, need_b in pairs:
+                got = schemes._feasible_b_sides(g.rows, degrees, size_b, need_a, need_b)
+                assert got == feasible_reference(g, size_b, need_a, need_b), (n, r, need_a, need_b)
+                outcomes.add(0 < len(got) < comb(n, size_b))
+    assert outcomes == {False, True}
 
 
 def test_partition_shape_and_determinism():
@@ -286,10 +374,17 @@ def test_partition_matches_the_two_sided_degree_sums(monkeypatch):
             flat = [Fraction(int(centre in pair)) for pair in combinations(range(n), 2)]
             cases.append((WeightedCompleteGraph.from_flat(n, flat), pair_table(n, flat),
                           r, centre, Fraction(0), Fraction(1)))
+    draw_only = []  # n = 15..60, far more B sides than draws: targets at 3/4 and 9/10 of the min degree
+    for n, r in ((15, 3), (16, 2), (20, 4), (24, 3), (30, 5), (36, 3), (40, 2), (48, 4), (60, 3), (60, 6)):
+        for share in (Fraction(3, 4), Fraction(9, 10)):
+            flat = random_grid_weights(rng, n, denominator=4)
+            g = WeightedCompleteGraph.from_flat(n, flat)
+            delta = share * g.min_weighted_degree()
+            draw_only.append((g, pair_table(n, flat), r, n + r, delta * Fraction(r - 1, r), delta / r))
     outcomes = set()
-    for g, table, r, seed, ta, tb in cases:
+    for g, table, r, seed, ta, tb in cases + draw_only:
         sides = comb(g.n, g.n // r)
-        for attempts in (sides - 1, sides):
+        for attempts in ((sides - 1, sides) if sides <= 1000 else (30,)):
             monkeypatch.setattr(schemes, "SPLIT_ATTEMPTS", attempts)
             try:
                 got = scheme2_partition(g, r, seed, ta, tb)
