@@ -12,8 +12,6 @@ outputs are byte-identical across runs of the same invocation.  Exit codes:
 0 success, 1 no factor / nothing found, 2 invalid arguments or input,
 3 cap or budget exhausted, 4 a certification check failed (the exact solver
 found a factor where a record claims none, or a record's degree is off).
-HFL_SOLVER_CAP and HFL_RETRY_BUDGET override the default exact-solver cap
-and scheme retry budget; a flag (--cap, --solver-cap, --retries) overrides both.
 """
 
 from __future__ import annotations
@@ -58,24 +56,12 @@ from .solver import (
     local_search_heavy_collection,
 )
 
-ENV_SOLVER_CAP = "HFL_SOLVER_CAP"
-ENV_RETRY_BUDGET = "HFL_RETRY_BUDGET"
+# the options each --kind reads besides --n, --scale, --out and --descriptor
+GENERATE_OPTIONS = {KIND_PROP2: ("r", "t"), KIND_HS: ("r",), KIND_COUNTEREXAMPLE: (),
+                    "random": ("seed", "grid", "min_degree")}
 # exception type -> exit code, first match wins (GraphFormatError is a ValueError)
 EXIT_CODES = {ValueError: 2, OSError: 2, CapExceededError: 3, BudgetExceededError: 3,
               CertificationError: 4}
-
-
-def _setting(flag: int | None, env: str, default: int) -> int:
-    """The one rule for a tunable: the flag if given, else the variable `env`, else `default`."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env, "")
-    if raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
 
 
 def _rational(text: str) -> Fraction:
@@ -125,6 +111,9 @@ def _factor_doc(graph, factor: CliqueFactor | None) -> dict:
 
 
 def _cmd_generate(args) -> int:
+    for dest in ("r", "t", "seed", "grid", "min_degree"):
+        if getattr(args, dest) is not None and dest not in GENERATE_OPTIONS[args.kind]:
+            raise ValueError(f"--kind {args.kind} does not read --{dest.replace('_', '-')}")
     kind = KIND_RANDOM if args.kind == "random" else args.kind
     desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
     _refuse_same_file(args.out, desc_path, "--descriptor")
@@ -134,7 +123,7 @@ def _cmd_generate(args) -> int:
         r=args.r,
         t=args.t,
         seed=args.seed,
-        grid_denominator=args.grid,
+        grid_denominator=12 if args.grid is None else args.grid,
         min_degree=args.min_degree,
         scale=args.scale,
     )
@@ -158,7 +147,7 @@ def _cmd_solve(args) -> int:
         factor = cert.factor
         nodes = cert.nodes_explored
     else:  # oracle: filter the full partition stream
-        cap = _setting(args.cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
+        cap = DEFAULT_SOLVER_CAP if args.cap is None else args.cap
         factor = None
         nodes = 0
         for blocks in enumerate_all_factors(graph.n, params.r, cap=cap):
@@ -184,9 +173,8 @@ def _cmd_scheme2(args) -> int:
     _refuse_same_file(args.out, args.input, "--input")
     graph = load_graph(args.input)
     params = FactorParams(args.r, args.t)
-    retries = _setting(args.retries, ENV_RETRY_BUDGET, DEFAULT_RETRY_BUDGET)
     factor = scheme2_factor(
-        graph, params, args.seed, args.epsilon, retries=retries,
+        graph, params, args.seed, args.epsilon, retries=args.retries,
     )
     doc = {
         "outcome": "factor" if factor is not None else "none-found",
@@ -195,7 +183,7 @@ def _cmd_scheme2(args) -> int:
         "n": graph.n,
         "seed": args.seed,
         "epsilon": format_rational(args.epsilon),
-        "retries": retries,
+        "retries": args.retries,
     }
     doc.update(_factor_doc(graph, factor))
     _write_text(args.out, dumps_canonical(doc))
@@ -227,7 +215,6 @@ def _cmd_localsearch(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cap = _setting(args.solver_cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     weighting_path = args.weighting_out
     if args.out is not None:
         if weighting_path is None:
@@ -235,7 +222,7 @@ def _cmd_estimate(args) -> int:
         _refuse_same_file(args.out, weighting_path, "--weighting-out")
     record = adversarial_search(
         args.r, args.t, args.n, args.seed, args.grid, args.budget,
-        solver_cap=cap,
+        solver_cap=args.solver_cap,
     )
     if weighting_path is not None:
         save_graph(weighting_path, record.graph)
@@ -255,10 +242,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cap = _setting(args.solver_cap, ENV_SOLVER_CAP, DEFAULT_SOLVER_CAP)
     report = scan_report(
         args.r, args.t, args.n, args.seed, budget=args.budget,
-        grid_denominator=args.grid, solver_cap=cap,
+        grid_denominator=args.grid, solver_cap=args.solver_cap,
     )
     _write_text(args.out, conjecture_report_csv(report))
     for flag in report.flags:
@@ -287,19 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hfl",
         description="Heavy clique factors in edge-weighted complete graphs: "
                     "constructions, exact solving, factor schemes, and threshold scans.",
-        epilog="Rationals are written num/den (decimals rejected). "
-               f"{ENV_SOLVER_CAP} and {ENV_RETRY_BUDGET} override solver cap and retry budget.",
+        epilog="Rationals are written num/den (decimals rejected).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a construction to a JSON graph file")
-    p.add_argument("--kind", required=True,
-                   choices=[KIND_PROP2, KIND_HS, KIND_COUNTEREXAMPLE, "random"])
+    p.add_argument("--kind", required=True, choices=list(GENERATE_OPTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--t", type=_rational)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=12, help="grid denominator for random weights")
+    p.add_argument("--seed", type=int, help="seed for random weights (default 0)")
+    p.add_argument("--grid", type=int, help="grid denominator for random weights (default 12)")
     p.add_argument("--min-degree", type=_rational, dest="min_degree",
                    help="condition random weights on min degree >= this fraction of n")
     p.add_argument("--scale", type=_rational, help="scale all weights after construction")
@@ -325,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=_rational, default=Fraction(1, 10))
-    p.add_argument("--retries", type=int, help=f"retry budget (default {DEFAULT_RETRY_BUDGET})")
+    p.add_argument("--retries", type=int, default=DEFAULT_RETRY_BUDGET,
+                   help=f"retry budget (default {DEFAULT_RETRY_BUDGET})")
     p.add_argument("--out", help="result path (default: stdout)")
     p.set_defaults(func=_cmd_scheme2)
 
@@ -346,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=12)
     p.add_argument("--budget", type=int, default=0,
                    help="annealing proposals (0 = seed record only)")
-    p.add_argument("--solver-cap", type=int, dest="solver_cap")
+    p.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
     p.add_argument("--out", help="record path (default: stdout)")
     p.add_argument("--weighting-out", dest="weighting_out",
                    help="weighting path (default: derived from --out)")
@@ -360,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=0)
     p.add_argument("--grid", type=int, default=12)
-    p.add_argument("--solver-cap", type=int, dest="solver_cap")
+    p.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_scan)
 

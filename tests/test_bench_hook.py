@@ -37,10 +37,8 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
 
 @pytest.fixture
 def bench(monkeypatch):
-    """The benchmark's `check` and `workloads` modules, with the solver and retry settings cleared."""
+    """The benchmark's `check` and `workloads` modules."""
     monkeypatch.syspath_prepend(str(BENCH))
-    for name in ("HFL_SOLVER_CAP", "HFL_RETRY_BUDGET"):
-        monkeypatch.delenv(name, raising=False)
     import check
     import workloads
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,10 +18,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "heavyfactors.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, **kwargs,
     )
 
 
@@ -54,6 +55,39 @@ def test_generate_is_byte_identical_across_runs(tmp_path, capsys):
     assert run_cli("generate", "--kind", "random", "--n", "8", "--seed", "6",
                    "--grid", "6", "--out", str(different)) == 0
     assert a.read_bytes() != different.read_bytes()
+
+
+def test_generate_random_draws_at_seed_0_and_grid_12_by_default(tmp_path, capsys):
+    default, spelled = tmp_path / "default.json", tmp_path / "spelled.json"
+    assert run_cli("generate", "--kind", "random", "--n", "8", "--out", str(default)) == 0
+    assert run_cli("generate", "--kind", "random", "--n", "8", "--seed", "0", "--grid", "12",
+                   "--out", str(spelled)) == 0
+    assert default.read_bytes() == spelled.read_bytes()
+    assert ((tmp_path / "default.descriptor.json").read_bytes()
+            == (tmp_path / "spelled.descriptor.json").read_bytes())
+
+
+@pytest.mark.parametrize("kind,args,option", [
+    pytest.param(kind, args, option, id=f"{kind}-{option.lstrip('-')}")
+    for kind, args, unread in [
+        ("prop2", ["--r", "3", "--t", "2/3"], ["--seed", "--grid", "--min-degree"]),
+        ("hs-sharpness", ["--r", "3"], ["--t", "--seed", "--grid", "--min-degree"]),
+        ("counterexample-29-36", [], ["--r", "--t", "--seed", "--grid", "--min-degree"]),
+        ("random", [], ["--r", "--t"]),
+    ]
+    for option in unread
+])
+def test_generate_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, kind, args, option):
+    """Exit 2 naming the option and the kind, and neither the graph nor the descriptor is written."""
+    value = {"--r": "3", "--t": "1/2", "--seed": "1", "--grid": "6", "--min-degree": "1/2"}[option]
+    out = tmp_path / "g.json"
+    argv = ["generate", "--kind", kind, "--n", "36", *args, "--out", str(out)]
+    assert run_cli(*argv, option, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --kind {kind} does not read {option}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv) == 0
 
 
 def test_generate_random_conditioned_bytes_are_pinned(tmp_path, capsys):
@@ -189,32 +223,14 @@ def test_solve_oracle_respects_the_cap(prop2_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_solver_cap_env_knob(prop2_file, capsys, monkeypatch):
-    monkeypatch.setenv("HFL_SOLVER_CAP", "6")
-    code = run_cli("solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3",
-                   "--method", "oracle")
-    assert code == 3
-    monkeypatch.setenv("HFL_SOLVER_CAP", "12")
-    code = run_cli("solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3",
-                   "--method", "oracle")
-    assert code == 0
-    capsys.readouterr()
-
-
-def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, capsys, monkeypatch):
-    """The cap bounds only the oracle's enumeration: backtrack refuses --cap and ignores the variable."""
+def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, capsys):
+    """The cap bounds only the oracle's enumeration: backtrack refuses --cap."""
     argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--strict"]
     assert run_cli(*argv, "--cap", "1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --cap applies only to --method oracle\n"
     assert run_cli(*argv) == 1
-    expected = capsys.readouterr()
-    monkeypatch.setenv("HFL_SOLVER_CAP", "x")
-    assert run_cli(*argv) == 1
-    assert capsys.readouterr() == expected
-    assert run_cli(*argv, "--method", "oracle") == 2
-    assert capsys.readouterr().err == "error: HFL_SOLVER_CAP must be an integer, got 'x'\n"
 
 
 def test_solve_rejects_malformed_graph_files(tmp_path, capsys):
@@ -269,21 +285,20 @@ def test_scheme2_command_round_trip(tmp_path):
         assert code == 1 and doc["outcome"] == "none-found"
 
 
-def test_scheme2_none_found_exit_code(tmp_path, monkeypatch, capsys):
+def test_scheme2_none_found_exit_code(tmp_path, capsys):
     graph_path = tmp_path / "zeros.json"
     run_cli("generate", "--kind", "random", "--n", "6", "--grid", "1",
             "--seed", "0", "--out", str(graph_path))
     zeros = {"n": 6, "edges": []}
     graph_path.write_text(json.dumps(zeros))
-    monkeypatch.setenv("HFL_RETRY_BUDGET", "2")
     capsys.readouterr()
-    code = run_cli("scheme2", "--input", str(graph_path), "--r", "3", "--t", "1/2")
+    code = run_cli("scheme2", "--input", str(graph_path), "--r", "3", "--t", "1/2", "--retries", "2")
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["outcome"] == "none-found" and doc["retries"] == 2
 
 
-def test_scheme2_negative_retries_is_a_usage_error(tmp_path, monkeypatch, capsys):
+def test_scheme2_negative_retries_is_a_usage_error(tmp_path, capsys):
     graph_path = tmp_path / "ones.json"
     graph_path.write_text(json.dumps({"n": 6, "edges": [[i, j, "1"] for i in range(6)
                                                          for j in range(i + 1, 6)]}))
@@ -292,9 +307,6 @@ def test_scheme2_negative_retries_is_a_usage_error(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: retries must be nonnegative, got -1\n"
-    monkeypatch.setenv("HFL_RETRY_BUDGET", "-1")
-    assert run_cli(*argv) == 2
-    assert capsys.readouterr().err == "error: retries must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("r", ["2", "3"])
@@ -493,29 +505,20 @@ def test_scan_clique_size_below_two_is_a_usage_error(tmp_path, capsys, r_list):
     (["scan", "--r", "3", "--t", "1/2", "--n", "6"], "solver cap must be nonnegative, got -1"),
     (["scan", "--r", "4", "--t", "1/2", "--n", "6"], "solver cap must be nonnegative, got -1"),
 ])
-def test_negative_solver_cap_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
-    """From the flag or from the variable; r = 4 does not divide n = 6, so that scan has no cell."""
+def test_negative_solver_cap_is_a_usage_error(tmp_path, capsys, argv, message):
+    """r = 4 does not divide n = 6, so that scan has no cell."""
     out = tmp_path / "out.txt"
-    for source in ("flag", "env"):
-        if source == "flag":
-            code = run_cli(*argv, "--solver-cap", "-1", "--out", str(out))
-        else:
-            monkeypatch.setenv("HFL_SOLVER_CAP", "-1")
-            code = run_cli(*argv, "--out", str(out))
-        assert code == 2, source
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n"), source
-        assert list(tmp_path.iterdir()) == [], source
+    assert run_cli(*argv, "--solver-cap", "-1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_negative_oracle_cap_is_a_usage_error(prop2_file, monkeypatch, capsys):
+def test_negative_oracle_cap_is_a_usage_error(prop2_file, capsys):
     argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--method", "oracle"]
     assert run_cli(*argv, "--cap", "-1") == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: enumeration cap must be nonnegative, got -1\n")
-    monkeypatch.setenv("HFL_SOLVER_CAP", "-1")
-    assert run_cli(*argv) == 2
-    assert capsys.readouterr().err == "error: enumeration cap must be nonnegative, got -1\n"
 
 
 # -------------------------------------------------------------------- verify
@@ -632,36 +635,57 @@ PINNED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv,code,digest", [
-    (["solve", "--input", "p2s.json", "--r", "3", "--t", "2/3", "--strict"], 1,
-     "b634ed157cf90c3e9a9fd9db84d1654520e469eaa5e641eada13a4e77654413b"),
-    (["solve", "--input", "dense.json", "--r", "3", "--t", "1/2"], 0,
-     "a97884e33f3b7222a9acad8ab9bd445a5bffa1768ad6c7e22f9dbf28e61f9822"),
-    (["scheme2", "--input", "dense.json", "--r", "3", "--t", "1/3", "--seed", "0"], 0,
-     "860068683ef550d045a64da8b49096dd225a44213f51354ebe8ab350f470eb91"),
-    (["scheme2", "--input", "rnd.json", "--r", "3", "--t", "1/2", "--seed", "0", "--retries", "3"], 1,
-     "6024b6b37236e639ef02664771400f5cba3c6233345845b7a5fe9219a12ab871"),
-    (["localsearch", "--input", "rnd.json", "--r", "3", "--t", "1/3", "--seed", "1"], 0,
-     "189e8cbc44d435e9ae3242f5465715ae9f172fb46d4ea869ad415984d5134060"),
-    (["estimate", "--r", "3", "--t", "1/3", "--n", "6", "--grid", "3", "--budget", "300"], 0,
-     "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
-    (["scan", "--r", "3", "--t", "1/3,1/2", "--n", "6", "--grid", "3", "--budget", "50"], 0,
-     "8b457114bdccdb51dc9c14f81f16e101cb5464733ffe4daa6bff13e40ace1aac"),
-    (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6", "--seed", "4", "--budget", "25"], 0,
-     "b37274c256230fc868251cce78cd5c28ec1edbca2c3ac12a55224f94e5c8f681"),
-    (["estimate", "--r", "3", "--t", "2/3", "--n", "9", "--budget", "40", "--seed", "3"], 0,
-     "63a62cdeb40235a6a617ce94651fe70860e37c939d5794e3703e2e75cc0ea20c"),
+# id -> (argv, exit code, sha256 of stdout)
+PINNED_CASES = {
+    "solve-strict-prop2-exhausted": (["solve", "--input", "p2s.json", "--r", "3", "--t", "2/3", "--strict"], 1,
+                                     "b634ed157cf90c3e9a9fd9db84d1654520e469eaa5e641eada13a4e77654413b"),
+    "solve-feasible": (["solve", "--input", "dense.json", "--r", "3", "--t", "1/2"], 0,
+                       "a97884e33f3b7222a9acad8ab9bd445a5bffa1768ad6c7e22f9dbf28e61f9822"),
+    "scheme2-factor": (["scheme2", "--input", "dense.json", "--r", "3", "--t", "1/3", "--seed", "0"], 0,
+                       "860068683ef550d045a64da8b49096dd225a44213f51354ebe8ab350f470eb91"),
+    "scheme2-none-found": (["scheme2", "--input", "rnd.json", "--r", "3", "--t", "1/2", "--seed", "0",
+                            "--retries", "3"], 1,
+                           "6024b6b37236e639ef02664771400f5cba3c6233345845b7a5fe9219a12ab871"),
+    "localsearch": (["localsearch", "--input", "rnd.json", "--r", "3", "--t", "1/3", "--seed", "1"], 0,
+                    "189e8cbc44d435e9ae3242f5465715ae9f172fb46d4ea869ad415984d5134060"),
+    "estimate-adversarial": (["estimate", "--r", "3", "--t", "1/3", "--n", "6", "--grid", "3", "--budget", "300"], 0,
+                             "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
+    "scan-adversarial": (["scan", "--r", "3", "--t", "1/3,1/2", "--n", "6", "--grid", "3", "--budget", "50"], 0,
+                         "8b457114bdccdb51dc9c14f81f16e101cb5464733ffe4daa6bff13e40ace1aac"),
+    "scan-record-grid": (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6", "--seed", "4", "--budget", "25"], 0,
+                         "b37274c256230fc868251cce78cd5c28ec1edbca2c3ac12a55224f94e5c8f681"),
+    "estimate-record": (["estimate", "--r", "3", "--t", "2/3", "--n", "9", "--budget", "40", "--seed", "3"], 0,
+                        "63a62cdeb40235a6a617ce94651fe70860e37c939d5794e3703e2e75cc0ea20c"),
     # the JSON report alone: the summary line goes to stderr
-    (["verify", "--r", "3", "--t", "1/3", "--n", "12", "--trials", "4", "--seed", "1"], 0,
-     "f3b0e22c9d130907cfa5ac14097868a20361788caf01e9dcbb8ecae99bc20a59"),
-], ids=["solve-strict-prop2-exhausted", "solve-feasible", "scheme2-factor", "scheme2-none-found",
-        "localsearch", "estimate-adversarial", "scan-adversarial", "scan-record-grid", "estimate-record",
-        "verify"])
-def test_command_stdout_is_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
-    """sha256 of each document as first recorded, node counts and factors included."""
-    monkeypatch.chdir(tmp_path)
+    "verify": (["verify", "--r", "3", "--t", "1/3", "--n", "12", "--trials", "4", "--seed", "1"], 0,
+               "f3b0e22c9d130907cfa5ac14097868a20361788caf01e9dcbb8ecae99bc20a59"),
+}
+
+
+def write_pinned_inputs(capsys):
     for name, args in PINNED_INPUTS.items():
         assert run_cli("generate", *args, "--out", name) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code,digest", list(PINNED_CASES.values()), ids=list(PINNED_CASES))
+def test_command_stdout_is_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
+    """sha256 of each document as first recorded, node counts and factors included."""
+    monkeypatch.chdir(tmp_path)
+    write_pinned_inputs(capsys)
     assert run_cli(*argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["estimate-record", "scheme2-factor", "solve-strict-prop2-exhausted"])
+def test_documents_depend_only_on_argv(tmp_path, monkeypatch, capsys, case):
+    """Fresh interpreters at three hash seeds, with `HFL_SOLVER_CAP` and `HFL_RETRY_BUDGET` set to 0,
+    print the pinned document: no setting comes from the environment."""
+    monkeypatch.chdir(tmp_path)
+    write_pinned_inputs(capsys)
+    argv, code, digest = PINNED_CASES[case]
+    for hash_seed in ("0", "1", "31337"):
+        env = dict(os.environ, HFL_SOLVER_CAP="0", HFL_RETRY_BUDGET="0", PYTHONHASHSEED=hash_seed)
+        proc = run_subprocess(*argv, env=env)
+        assert proc.returncode == code, (hash_seed, proc.stderr)
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, hash_seed

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
-JSON text and graph files each have one writer, and heaviness and budget errors each have one home."""
+JSON text and graph files each have one writer, heaviness and budget errors each have one home, and
+no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,17 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     """
     assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
+
+
+def test_no_module_reads_the_environment():
+    """A document depends only on the command's arguments and input files, so no setting comes from a variable."""
+    environment = {"environ", "environb", "getenv", "putenv"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in environment
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in environment for alias in node.names)
+    ]
+    assert reads == []
