@@ -3,8 +3,8 @@
 Subcommands: generate (construction families to JSON), solve (exact search on
 a graph file), scheme2 (randomized recursive factoring), localsearch (hill-
 climbed heavy collections), estimate (seed + adversarial lower bounds), scan
-(CSV table across a parameter grid), verify (sampling check at the proven
-degree line).
+(CSV table of seed records across a parameter grid), verify (sampling check
+at the proven degree line).
 
 Conventions: rationals on the command line and in files are "num/den" (or a
 bare integer), never decimals; all randomness flows from --seed (default 0);
@@ -242,10 +242,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = scan_report(
-        args.r, args.t, args.n, args.seed, budget=args.budget,
-        grid_denominator=args.grid, solver_cap=args.solver_cap,
-    )
+    report = scan_report(args.r, args.t, args.n, solver_cap=args.solver_cap)
     _write_text(args.out, conjecture_report_csv(report))
     for flag in report.flags:
         print(f"flag: {flag}", file=sys.stderr)
@@ -337,14 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weighting path (default: derived from --out)")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("scan", help="CSV table of bounds across an (r, t) grid")
+    p = sub.add_parser("scan", help="CSV table of seed records across an (r, t) grid")
     p.add_argument("--r", type=_int_list, required=True, help="comma-separated, e.g. 2,3")
     p.add_argument("--t", type=_rational_list, required=True,
                    help="comma-separated rationals, e.g. 1/3,1/2")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--grid", type=int, default=12)
     p.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_scan)

@@ -29,6 +29,7 @@ from itertools import combinations
 from .core import (
     CertificationError,
     WeightedCompleteGraph,
+    _ceil_numerator,
     _check_block_shape,
     _exact,
     format_rational,
@@ -210,7 +211,7 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
             f"sampling failure: degree target {format_rational(target)} needs "
             f"per-edge weight {format_rational(per_edge)} > 1 at n={n}"
         )
-    lo = max(0, -((-per_edge.numerator * d) // per_edge.denominator))  # ceil(per_edge * d), at least 0
+    lo = max(0, _ceil_numerator(per_edge, d))
     width = d + 1 - lo
     bits = width.bit_length()
     draw = rng.getrandbits

@@ -94,6 +94,11 @@ def _exact(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+def _ceil_numerator(x: Fraction, den: int) -> int:
+    """Least integer k with k / den >= x, that is ceil(x * den), in integers."""
+    return -(-x.numerator * den // x.denominator)
+
+
 def _coerce_weight(w, where: str) -> Fraction:
     f = _exact(w, where)
     if f < 0 or f > 1:
@@ -174,7 +179,7 @@ class WeightedCompleteGraph:
         f = _exact(x, "bar")
         if strict:
             return f.numerator * self.den // f.denominator + 1
-        return -(-f.numerator * self.den // f.denominator)
+        return _ceil_numerator(f, self.den)
 
     def weight(self, i: int, j: int) -> Fraction:
         self._check_pair(i, j)

@@ -10,9 +10,9 @@ Pieces: closed-form evaluation of the two-class seed weighting (scaled a hair
 below 1 so its boundary blocks drop strictly under the bar), a simulated-
 annealing adversary that perturbs one grid-valued edge at a time while the
 strict solver keeps certifying infeasibility, a sampling check that graphs
-meeting the conjectured degree digest into factors, and a scan that tabulates
-everything against the conjectured asymptote 1/r + (1 - 1/r) t and the proven
-ceiling 1/2 + t/2.
+at the proven degree line plus a margin, (1/2 + t/2 + margin) n, digest into
+factors, and a scan that tabulates the seed records against the conjectured
+asymptote 1/r + (1 - 1/r) t and the proven ceiling 1/2 + t/2.
 
 The degree values in records are absolute (already multiplied by n); the
 conjecture and ceiling columns are densities in [0, 1].
@@ -117,18 +117,8 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
     )
 
 
-def _check_search_settings(grid_denominator: int, budget: int, solver_cap: int) -> None:
-    """Refuse a grid denominator below 1, a negative budget or a negative solver cap."""
-    if grid_denominator < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    if solver_cap < 0:
-        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
-
-
 def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
-                       budget: int = 1000, *, solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
+                       budget: int = 0, *, solver_cap: int = DEFAULT_SOLVER_CAP) -> BoundRecord:
     """Simulated annealing over grid weightings, feasibility = strict exhaustion.
 
     Starts from `evaluate_lower_bounds`'s scaled two-class record and
@@ -137,11 +127,15 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     state visited is a certified witness, and the best is certified once
     more before it is returned.  The objective is the minimum weighted
     degree.  With no improvement inside the budget the seed record itself
-    is returned.  So it is at t=0 and with budget 0, uncertified when n is
-    above the solver cap; otherwise an uncertified seed record (n above the
-    cap) raises CapExceededError, since the annealing needs the exact solver.
+    is returned.  So it is at t=0 and with budget 0 (the default),
+    uncertified when n is above the solver cap; otherwise an uncertified
+    seed record (n above the cap) raises CapExceededError, since the
+    annealing needs the exact solver.
     """
-    _check_search_settings(grid_denominator, budget, solver_cap)
+    if grid_denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     seed_record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
     tt = seed_record.t
     if tt == 0 or budget == 0:
@@ -293,7 +287,6 @@ class ScanCell:
     t: Fraction
     n: int
     prop2_value: Fraction
-    adversarial_value: Fraction
     conjecture: Fraction
     upper_bound: Fraction
     certified: bool
@@ -301,30 +294,28 @@ class ScanCell:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Grid of lower-bound records against the conjectured and proven lines."""
+    """Grid of seed records against the conjectured and proven lines."""
 
     n: int
-    seed: int
     cells: tuple
     flags: tuple
 
 
-def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
-                grid_denominator: int = 12,
+def scan_report(r_values, t_values, n: int, *,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
-    """Tabulate seed and adversarial bounds for every (r, t) pair.
+    """Tabulate the seed record of every (r, t) pair.
 
-    The grid, budget and cap refusals `adversarial_search` makes, and an r
-    below 2, come before any cell is computed.  Pairs where r does not
-    divide n are skipped and flagged.  The i-th computed cell holds the
-    record of `adversarial_search(r, t, n, seed + 9973 * i, ...)` next to
-    the scaled closed form its seed record is checked against.  The default
-    budget of 0 makes the adversarial column equal the certified seed
-    record; a positive budget needs n within the solver cap.  Flags also call out any non-monotone trend in r (for fixed
-    t the normalized bound should not grow) and any cell whose normalized
-    bound reaches the conjectured line.
+    A negative solver cap and an r below 2 are refused before any cell is
+    computed.  Pairs where r does not divide n are skipped and flagged.
+    Each computed cell is `evaluate_lower_bounds(r, t, n, solver_cap=...)`:
+    its prop2 column is the record's value, which the record has checked
+    against the scaled closed form, and it is certified when n is within the
+    cap.  Flags also call out any non-monotone trend in r (for fixed t the
+    normalized bound should not grow) and any cell whose normalized bound
+    exceeds the conjectured line.
     """
-    _check_search_settings(grid_denominator, budget, solver_cap)
+    if solver_cap < 0:
+        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
     rs = list(r_values)
     for r in rs:
         if isinstance(r, bool) or not isinstance(r, int):
@@ -337,43 +328,38 @@ def scan_report(r_values, t_values, n: int, seed: int, *, budget: int = 0,
         raise ValueError("need at least one r and one t")
     cells = []
     flags = []
-    index = 0
     for r in rs:
         for t in ts:
             label = f"r={r} t={format_rational(t)}"
             if n % r != 0:
                 flags.append(f"{label}: skipped, r does not divide n={n}")
                 continue
-            adv = adversarial_search(r, t, n, seed + 9973 * index, grid_denominator, budget,
-                                     solver_cap=solver_cap)
-            index += 1
+            record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t
-            upper = Fraction(1, 2) + t / 2
             cells.append(ScanCell(
                 r=r, t=t, n=n,
-                prop2_value=DEFAULT_SCALE * prop2_min_degree(r, t, n),
-                adversarial_value=adv.value,
+                prop2_value=record.value,
                 conjecture=conjecture,
-                upper_bound=upper,
-                certified=adv.certified,
+                upper_bound=Fraction(1, 2) + t / 2,
+                certified=record.certified,
             ))
-            if adv.value / n > conjecture:
+            if record.value / n > conjecture:
                 flags.append(
-                    f"{label}: normalized bound {format_rational(adv.value / n)} "
+                    f"{label}: normalized bound {format_rational(record.value / n)} "
                     f"exceeds the conjectured {format_rational(conjecture)}"
                 )
     for t in ts:
         column = [c for c in cells if c.t == t]
         for lo, hi in zip(column, column[1:]):
-            if hi.adversarial_value / n > lo.adversarial_value / n:
+            if hi.prop2_value / n > lo.prop2_value / n:
                 flags.append(
                     f"t={format_rational(t)}: normalized bound grows from "
                     f"r={lo.r} to r={hi.r}"
                 )
-    return ConjectureReport(n=n, seed=seed, cells=tuple(cells), flags=tuple(flags))
+    return ConjectureReport(n=n, cells=tuple(cells), flags=tuple(flags))
 
 
-CSV_HEADER = "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"
+CSV_HEADER = "r,t,n,prop2_value,conjecture,upper_bound,certified"
 
 
 def conjecture_report_csv(report: ConjectureReport) -> str:
@@ -385,7 +371,6 @@ def conjecture_report_csv(report: ConjectureReport) -> str:
             format_rational(c.t),
             str(c.n),
             format_rational(c.prop2_value),
-            format_rational(c.adversarial_value),
             format_rational(c.conjecture),
             format_rational(c.upper_bound),
             "true" if c.certified else "false",

@@ -39,6 +39,7 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
+    _ceil_numerator,
     _check_block_shape,
     _exact,
     is_heavy,
@@ -210,7 +211,7 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
             f"need equal sides, got {k} cliques and {len(avg.vertices)} vertices"
         )
     tt = _exact(t, "t")
-    cut = -(-tt.numerator * avg.den // tt.denominator)  # least numerator x with x / den >= t
+    cut = _ceil_numerator(tt, avg.den)
     adjacency = [[j for j, x in enumerate(row) if x >= cut] for row in avg.numerators]
     match = bipartite_maximum_matching(k, k, adjacency)
     if any(m == -1 for m in match):

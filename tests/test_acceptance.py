@@ -246,8 +246,7 @@ def test_criterion_7_facts_verification():
 
 def test_criterion_8_formula_fixtures():
     ok_t3 = t_r_threshold(3) == Fraction(1, 12)
-    rep = scan_report([2, 3], [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)],
-                      6, seed=0)
+    rep = scan_report([2, 3], [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)], 6)
     ok_pairs = all(
         c.conjecture == (1 + c.t) / 2 and c.upper_bound == (1 + c.t) / 2
         for c in rep.cells if c.r == 2
@@ -264,8 +263,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["generate", "--kind", "random", "--n", "10", "--seed", "9", "--grid", "8"],
         ["estimate", "--r", "3", "--t", "2/3", "--n", "6", "--seed", "2",
          "--budget", "20"],
-        ["scan", "--r", "2,3", "--t", "1/2,2/3", "--n", "6", "--seed", "3",
-         "--budget", "10"],
+        ["scan", "--r", "2,3", "--t", "1/2,2/3", "--n", "6"],
     ]
     companions = {"generate": ".descriptor.json", "estimate": ".weighting.json"}
     identical = 0

@@ -439,16 +439,15 @@ def test_scan_reference_csv(tmp_path):
                    "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"
+    assert lines[0] == "r,t,n,prop2_value,conjecture,upper_bound,certified"
     assert len(lines) == 7
-    assert lines[1] == "2,1/3,12,6993/1000,6993/1000,2/3,2/3,true"
-    assert lines[4] == "3,1/3,12,5661/1000,5661/1000,5/9,2/3,true"
+    assert lines[1] == "2,1/3,12,6993/1000,2/3,2/3,true"
+    assert lines[4] == "3,1/3,12,5661/1000,5/9,2/3,true"
 
 
 def test_scan_is_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["scan", "--r", "3", "--t", "1/2,2/3", "--n", "6", "--seed", "4",
-            "--budget", "25"]
+    argv = ["scan", "--r", "3", "--t", "1/2,2/3", "--n", "6"]
     assert run_cli(*argv, "--out", str(a)) == 0
     assert run_cli(*argv, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -459,30 +458,36 @@ def test_scan_flags_go_to_stderr(tmp_path, capsys):
     code = run_cli("scan", "--r", "5", "--t", "1/2", "--n", "12", "--out", str(out))
     assert code == 0
     assert "skipped" in capsys.readouterr().err
-    assert out.read_text().splitlines() == [
-        "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"
-    ]
+    assert out.read_text().splitlines() == ["r,t,n,prop2_value,conjecture,upper_bound,certified"]
 
 
 def test_scan_negative_budget_is_a_usage_error(capsys):
     assert run_cli("estimate", "--r", "3", "--t", "1/2", "--n", "12", "--budget", "-1") == 2
-    estimate_err = capsys.readouterr().err
-    assert run_cli("scan", "--r", "3", "--t", "1/2", "--n", "12", "--budget", "-1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == estimate_err == "error: budget must be nonnegative, got -1\n"
+    assert captured.err == "error: budget must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "5"])
 @pytest.mark.parametrize("r", ["3", "4"])
 def test_scan_zero_grid_is_a_usage_error_at_every_budget(capsys, budget, r):
-    """r = 4 does not divide n = 6, so every cell of that scan is skipped."""
-    assert run_cli("estimate", "--r", "3", "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
-    estimate_err = capsys.readouterr().err
-    assert run_cli("scan", "--r", r, "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
+    """The grid is refused before the record is built, so also for r = 4, which does not divide n = 6."""
+    assert run_cli("estimate", "--r", r, "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == estimate_err == "error: grid denominator must be >= 1, got 0\n"
+    assert captured.err == "error: grid denominator must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--budget", "5"], ["--grid", "3"]],
+                         ids=["seed", "budget", "grid"])
+def test_scan_takes_no_annealer_option(capsys, option):
+    """A scan tabulates seed records, so the annealer's options are unknown to it."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("scan", "--r", "3", "--t", "1/2", "--n", "6", *option)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
 
 @pytest.mark.parametrize("r_list", ["0,3", "3,1", "-3"])
@@ -650,10 +655,8 @@ PINNED_CASES = {
                     "189e8cbc44d435e9ae3242f5465715ae9f172fb46d4ea869ad415984d5134060"),
     "estimate-adversarial": (["estimate", "--r", "3", "--t", "1/3", "--n", "6", "--grid", "3", "--budget", "300"], 0,
                              "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
-    "scan-adversarial": (["scan", "--r", "3", "--t", "1/3,1/2", "--n", "6", "--grid", "3", "--budget", "50"], 0,
-                         "8b457114bdccdb51dc9c14f81f16e101cb5464733ffe4daa6bff13e40ace1aac"),
-    "scan-record-grid": (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6", "--seed", "4", "--budget", "25"], 0,
-                         "b37274c256230fc868251cce78cd5c28ec1edbca2c3ac12a55224f94e5c8f681"),
+    "scan-record-grid": (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6"], 0,
+                         "f5abeadb2a13f27bc50ca701fef2c45ccbec931fb9d8143dea52a1fe15084d1f"),
     "estimate-record": (["estimate", "--r", "3", "--t", "2/3", "--n", "9", "--budget", "40", "--seed", "3"], 0,
                         "63a62cdeb40235a6a617ce94651fe70860e37c939d5794e3703e2e75cc0ea20c"),
     # the JSON report alone: the summary line goes to stderr

@@ -420,7 +420,7 @@ HALF = FactorParams(3, Fraction(1, 2))
     lambda: hf.build("random-min-degree", n=6, grid_denominator=4, min_degree=0.5),
     lambda: hf.build("prop2", n=9, r=3, t=Fraction(1, 2), scale=0.5),
     lambda: hf.evaluate_lower_bounds(3, 2 / 3, 9),
-    lambda: hf.scan_report([3], [0.5], 6, 0),
+    lambda: hf.scan_report([3], [0.5], 6),
     lambda: hf.verify_theorem3_empirically(3, Fraction(1, 3), 1, 9, 0, margin=0.1),
     lambda: hf.scheme2_factor(ONES, HALF, 0, epsilon=0.1),
     lambda: hf.scheme2_partition(ONES, 3, 0, 0.5, 0),
@@ -429,7 +429,7 @@ HALF = FactorParams(3, Fraction(1, 2))
         hf.build_bipartite_average(ONES, [(0, 1)], [2]), 0.5),
     lambda: hf.lemma1_bound(0.9, 0.5, 3, 9),
     lambda: hf.format_rational(0.1),
-    lambda: hf.scan_report([3.7], [Fraction(1, 2)], 9, 0),
+    lambda: hf.scan_report([3.7], [Fraction(1, 2)], 9),
 ], ids=["scale", "threshold_masks", "least_numerator", "prop2_construction",
         "prop2_min_degree", "random_weighting", "build-min_degree", "build-scale",
         "evaluate_lower_bounds", "scan_report", "verify-margin", "scheme2_factor-epsilon",

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
-JSON text and graph files each have one writer, heaviness and budget errors each have one home, and
-no module reads the environment."""
+JSON text and graph files each have one writer, heaviness and budget errors each have one home, the
+annealer has one way in, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -112,6 +112,15 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     """
     assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
+
+
+def test_the_annealer_has_one_way_in():
+    """`adversarial_search` is called only by `cli._cmd_estimate`; the seed record only by it and `lab.scan_report`.
+
+    A scan tabulates seed records, so a second way into the annealer would add a configuration but no bound.
+    """
+    assert callers("adversarial_search") == ["cli._cmd_estimate"]
+    assert callers("evaluate_lower_bounds") == ["lab.adversarial_search", "lab.scan_report"]
 
 
 def test_no_module_reads_the_environment():

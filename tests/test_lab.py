@@ -1,7 +1,8 @@
-"""Lower-bound records, annealing adversary, degree-sampling trials, scans."""
+"""Lower-bound records, annealing adversary, degree-sampling trials, seed-record scans."""
 
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from heavyfactors import (
     conjecture_report_csv,
     evaluate_lower_bounds,
     find_heavy_factor,
+    format_rational,
     prop2_min_degree,
     scan_report,
     verify_theorem3_empirically,
@@ -155,6 +157,12 @@ def test_adversary_budget_zero_returns_the_seed_record():
     assert rec.value == Fraction(999, 1000) * Fraction(11, 3)
 
 
+def test_adversary_default_budget_returns_the_seed_record():
+    """The library's default budget is the command line's: no proposals."""
+    rec = adversarial_search(3, Fraction(2, 3), 6, seed=0)
+    assert rec == evaluate_lower_bounds(3, Fraction(2, 3), 6)
+
+
 def test_adversary_at_level_zero_returns_the_degenerate_record():
     rec = adversarial_search(3, Fraction(0), 6, seed=0, budget=100)
     assert "degenerate" in rec.note and not rec.certified
@@ -238,7 +246,7 @@ def test_trial_report_json_shape():
 
 
 def test_scan_reference_grid_and_csv():
-    report = scan_report([2, 3], [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], 12, seed=0)
+    report = scan_report([2, 3], [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], 12)
     assert report.flags == ()
     assert len(report.cells) == 6
     assert [(c.r, c.t) for c in report.cells] == [
@@ -252,66 +260,77 @@ def test_scan_reference_grid_and_csv():
         else:
             assert c.conjecture < c.upper_bound
     assert conjecture_report_csv(report) == (
-        "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified\n"
-        "2,1/3,12,6993/1000,6993/1000,2/3,2/3,true\n"
-        "2,1/2,12,999/125,999/125,3/4,3/4,true\n"
-        "2,2/3,12,8991/1000,8991/1000,5/6,5/6,true\n"
-        "3,1/3,12,5661/1000,5661/1000,5/9,2/3,true\n"
-        "3,1/2,12,6993/1000,6993/1000,2/3,3/4,true\n"
-        "3,2/3,12,333/40,333/40,7/9,5/6,true\n"
+        "r,t,n,prop2_value,conjecture,upper_bound,certified\n"
+        "2,1/3,12,6993/1000,2/3,2/3,true\n"
+        "2,1/2,12,999/125,3/4,3/4,true\n"
+        "2,2/3,12,8991/1000,5/6,5/6,true\n"
+        "3,1/3,12,5661/1000,5/9,2/3,true\n"
+        "3,1/2,12,6993/1000,2/3,3/4,true\n"
+        "3,2/3,12,333/40,7/9,5/6,true\n"
     )
 
 
 def test_scan_skips_and_flags_non_divisible_cells():
-    report = scan_report([5], [Fraction(1, 2)], 12, seed=0)
+    report = scan_report([5], [Fraction(1, 2)], 12)
     assert report.cells == ()
     assert len(report.flags) == 1 and "skipped" in report.flags[0]
 
 
 def test_scan_deduplicates_and_sorts_the_grid():
-    a = scan_report([3, 3, 2], [Fraction(1, 2), Fraction(1, 2)], 12, seed=0)
-    b = scan_report([2, 3], [Fraction(1, 2)], 12, seed=0)
+    a = scan_report([3, 3, 2], [Fraction(1, 2), Fraction(1, 2)], 12)
+    b = scan_report([2, 3], [Fraction(1, 2)], 12)
     assert a.cells == b.cells
 
 
-def test_scan_with_a_positive_budget_stays_certified():
-    report = scan_report([3], [Fraction(2, 3)], 6, seed=0, budget=50)
-    (cell,) = report.cells
-    assert cell.certified
-    assert cell.adversarial_value >= cell.prop2_value
+def test_scan_cells_are_the_seed_records():
+    """Each computed cell is `evaluate_lower_bounds`'s record for its (r, t), at the scan's solver cap.
 
-
-def test_scan_with_a_budget_builds_each_seed_record_once(monkeypatch):
-    """The annealing starts from the cell's own seed record: one build per cell."""
-    calls = []
-    evaluate = lab.evaluate_lower_bounds
-    monkeypatch.setattr(lab, "evaluate_lower_bounds",
-                        lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs))
-    report = scan_report([2, 3], [Fraction(1, 2), Fraction(2, 3)], 6, seed=0, budget=20)
-    assert len(report.cells) == 4
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize("budget", [0, 50])
-def test_scan_cells_are_the_adversary_records(budget):
-    """Computed cell i is `adversarial_search` at seed + 9973 i; its prop2 column is the scaled closed form.
-
-    r = 4 does not divide 6, so it is skipped and takes no index; t = 0 gives degenerate, uncertified cells.
+    r = 4 does not divide 6, so it is skipped; t = 0 gives degenerate, uncertified cells.
     """
-    ts, n, seed = [Fraction(0), Fraction(1, 3), Fraction(1, 2)], 6, 0
-    report = scan_report([2, 3, 4], ts, n, seed, budget=budget, grid_denominator=3)
+    ts, n = [Fraction(0), Fraction(1, 3), Fraction(1, 2)], 6
+    report = scan_report([2, 3, 4], ts, n)
     pairs = [(r, t) for r in (2, 3) for t in ts]
     assert [(c.r, c.t) for c in report.cells] == pairs
-    records = [adversarial_search(r, t, n, seed + 9973 * i, 3, budget) for i, (r, t) in enumerate(pairs)]
-    assert [(c.adversarial_value, c.certified) for c in report.cells] == [(rec.value, rec.certified) for rec in records]
-    assert [c.prop2_value for c in report.cells] == [lab.DEFAULT_SCALE * prop2_min_degree(r, t, n) for r, t in pairs]
+    records = [evaluate_lower_bounds(r, t, n) for r, t in pairs]
+    assert [(c.prop2_value, c.certified) for c in report.cells] == [(rec.value, rec.certified) for rec in records]
     assert [c.certified for c in report.cells] == [t != 0 for _, t in pairs]
-    # at budget 50 the annealer improves cell 4 (r = 3, t = 1/3), so the re-certified record is compared too
-    assert [c.adversarial_value > c.prop2_value for c in report.cells] == [budget > 0 and i == 4 for i in range(6)]
+    assert not any(c.certified for c in scan_report([2, 3], ts, n, solver_cap=5).cells)
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_seed_scans_raise_no_flag_but_skipped(n):
+    """A seed record's normalized value is 999/1000 (t + (1 - t)/r - 1/n).
+
+    t + (1 - t)/r is the conjectured line 1/r + (1 - 1/r) t, so the value lies
+    below it, and for fixed t it does not grow with r.  A flag other than
+    "skipped" therefore comes from a record that is not the seed, or from a bug.
+    The seed needs r < n (r = n leaves its clique side empty), so n = 6 stops at r = 5.
+    """
+    ts = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    rs = range(2, min(7, n))
+    report = scan_report(rs, ts, n)
+    skipped = [r for r in rs if n % r != 0]
+    assert report.flags == tuple(f"r={r} t={format_rational(t)}: skipped, r does not divide n={n}"
+                                 for r in skipped for t in ts)
+    assert len(report.cells) == (len(rs) - len(skipped)) * len(ts)
+    for c in report.cells:
+        assert c.prop2_value == lab.DEFAULT_SCALE * prop2_min_degree(c.r, c.t, n)
+
+
+def test_scan_flags_a_bound_above_the_conjecture_and_a_bound_that_grows_in_r(monkeypatch):
+    """Records at density r/3, t = 1/2: r = 3 reaches 1 > 2/3 and grows from r = 2, whose 2/3 stays below 3/4."""
+    evaluate = lab.evaluate_lower_bounds
+    monkeypatch.setattr(lab, "evaluate_lower_bounds",
+                        lambda r, t, n, **kwargs: replace(evaluate(r, t, n, **kwargs), value=Fraction(r * n, 3)))
+    report = scan_report([2, 3], [Fraction(1, 2)], 6)
+    assert report.flags == (
+        "r=3 t=1/2: normalized bound 1/1 exceeds the conjectured 2/3",
+        "t=1/2: normalized bound grows from r=2 to r=3",
+    )
 
 
 def test_scan_above_the_cap_reports_uncertified_cells():
-    report = scan_report([3], [Fraction(2, 3)], 15, seed=0)
+    report = scan_report([3], [Fraction(2, 3)], 15)
     (cell,) = report.cells
     assert not cell.certified
     assert conjecture_report_csv(report).strip().endswith("false")
@@ -319,28 +338,18 @@ def test_scan_above_the_cap_reports_uncertified_cells():
 
 def test_scan_validates_the_grid():
     with pytest.raises(ValueError):
-        scan_report([], [Fraction(1, 2)], 12, seed=0)
+        scan_report([], [Fraction(1, 2)], 12)
     with pytest.raises(ValueError):
-        scan_report([3], [], 12, seed=0)
-
-
-def test_scan_rejects_a_negative_budget_like_the_adversary():
-    with pytest.raises(ValueError) as adversary:
-        adversarial_search(3, Fraction(1, 2), 12, seed=0, budget=-1)
-    with pytest.raises(ValueError) as scan:
-        scan_report([3], [Fraction(1, 2)], 12, seed=0, budget=-1)
-    assert str(scan.value) == str(adversary.value) == "budget must be nonnegative, got -1"
+        scan_report([3], [], 12)
 
 
 @pytest.mark.parametrize("budget", [0, 5])
 @pytest.mark.parametrize("r_values", [[3], [4]])
 def test_scan_rejects_a_zero_grid_like_the_adversary(budget, r_values):
-    """Checked up front, so also at budget 0 and when every cell is skipped (r = 4 at n = 6)."""
+    """Checked before the record is built, so also at budget 0 and for r = 4, which does not divide n = 6."""
     with pytest.raises(ValueError) as adversary:
-        adversarial_search(3, Fraction(1, 2), 6, seed=0, grid_denominator=0, budget=budget)
-    with pytest.raises(ValueError) as scan:
-        scan_report(r_values, [Fraction(1, 2)], 6, seed=0, budget=budget, grid_denominator=0)
-    assert str(scan.value) == str(adversary.value) == "grid denominator must be >= 1, got 0"
+        adversarial_search(r_values[0], Fraction(1, 2), 6, seed=0, grid_denominator=0, budget=budget)
+    assert str(adversary.value) == "grid denominator must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("budget", [0, 5])
@@ -353,7 +362,7 @@ def test_a_negative_solver_cap_is_rejected_wherever_it_is_read(budget, r_values)
     with pytest.raises(ValueError, match=expected):
         adversarial_search(3, Fraction(1, 2), 6, seed=0, budget=budget, solver_cap=-1)
     with pytest.raises(ValueError, match=expected):
-        scan_report(r_values, [Fraction(1, 2)], 6, seed=0, budget=budget, solver_cap=-1)
+        scan_report(r_values, [Fraction(1, 2)], 6, solver_cap=-1)
     # a cap of 0 is a cap: the record is returned uncertified
     assert evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=0).note == "uncertified: n=6 above solver cap 0"
 
@@ -362,11 +371,11 @@ def test_a_negative_solver_cap_is_rejected_wherever_it_is_read(budget, r_values)
 def test_scan_rejects_a_clique_size_below_two(r_values):
     """Before any cell: r = 0 would otherwise reach n % r."""
     with pytest.raises(ValueError) as scan:
-        scan_report(r_values, [Fraction(1, 2)], 6, seed=0)
+        scan_report(r_values, [Fraction(1, 2)], 6)
     with pytest.raises(ValueError) as estimate:
         evaluate_lower_bounds(min(r_values), Fraction(1, 2), 6)
     assert str(scan.value) == str(estimate.value) == f"need r >= 2, got r={min(r_values)}"
 
 
 def test_csv_header_is_pinned():
-    assert CSV_HEADER == "r,t,n,prop2_value,adversarial_value,conjecture,upper_bound,certified"
+    assert CSV_HEADER == "r,t,n,prop2_value,conjecture,upper_bound,certified"
