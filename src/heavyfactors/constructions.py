@@ -27,11 +27,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import (
-    CertificationError,
     WeightedCompleteGraph,
     _ceil_numerator,
     _check_block_shape,
     _exact,
+    _require,
+    _unit,
     format_rational,
     parse_rational,
 )
@@ -101,9 +102,7 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
     _check_block_shape(r, n)
     if n <= r:
         raise ValueError(f"need n > r so the clique side is nonempty, got n={n}, r={r}")
-    tt = _exact(t, "t")
-    if tt < 0 or tt > 1:
-        raise ValueError(f"level t={tt} outside [0, 1]")
+    tt = _unit(t, "level t")
     k = n // r
     a_side = tuple(range(k - 1))
     b_side = tuple(range(k - 1, n))
@@ -223,11 +222,8 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
         rows[i][j] = rows[j][i] = lo + x
     graph = WeightedCompleteGraph._from_rows(n, rows, d)
     degree = graph.min_weighted_degree()
-    if degree < target:
-        raise CertificationError(
-            f"sampled min degree {format_rational(degree)} "
-            f"below the target {format_rational(target)}"
-        )
+    _require(degree >= target, f"sampled min degree {format_rational(degree)} "
+                               f"below the target {format_rational(target)}")
     return graph
 
 
@@ -242,9 +238,7 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
     be hopeless for the targets this is used with.  A delta * n that needs a
     per-edge weight above 1 raises the sampler's ValueError.
     """
-    md = None if min_degree is None else _exact(min_degree, "min degree")
-    if md is not None and (md < 0 or md > 1):
-        raise ValueError(f"min degree fraction {md} outside [0, 1]")
+    md = None if min_degree is None else _unit(min_degree, "min degree")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     per_edge = Fraction(0) if md is None else md * n / (n - 1)

@@ -15,9 +15,10 @@ Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
 
 A weight is checked once, where it enters: in a public constructor or in
-`graph_from_json`, whose messages name `edges[k]`.  A graph file's weights
-are checked once per distinct text and land in integer rows, with no
-Fraction per edge.  An entry as `save_graph` writes it passes on its exact
+`graph_from_json`, whose messages name `edges[k]`, and always by `_unit`,
+the one [0, 1] check of every weight, level, scale and density.  A graph
+file's weights are checked once per distinct text and land in integer rows,
+with no Fraction per edge.  An entry as `save_graph` writes it passes on its exact
 types alone; any other entry takes the checks that name its fault.  Package
 code that holds integer weights over one denominator calls `_from_rows`,
 which trusts them.
@@ -99,11 +100,25 @@ def _ceil_numerator(x: Fraction, den: int) -> int:
     return -(-x.numerator * den // x.denominator)
 
 
-def _coerce_weight(w, where: str) -> Fraction:
-    f = _exact(w, where)
+def _unit(value, what: str) -> Fraction:
+    """`value` as a Fraction in [0, 1]: the one range check of every weight, level, scale and density."""
+    f = _exact(value, what)
     if f < 0 or f > 1:
-        raise ValueError(f"{where}: weight {f} outside [0, 1]")
+        raise ValueError(f"{what} {format_rational(f)} outside [0, 1]")
     return f
+
+
+def _nonnegative(value, what: str):
+    """`value`, refused when negative: the one check of every cap, budget, retry count and epsilon."""
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
+def _require(ok: bool, what: str) -> None:
+    """Raise CertificationError unless `ok`: the one raise of a failed check, which `python -O` keeps."""
+    if not ok:
+        raise CertificationError(what)
 
 
 class WeightedCompleteGraph:
@@ -126,7 +141,7 @@ class WeightedCompleteGraph:
                 i, j = j, i
             if (i, j) in exact:
                 raise ValueError(f"pair ({i}, {j}) given twice")
-            exact[i, j] = _coerce_weight(w, f"edge ({i}, {j})")
+            exact[i, j] = _unit(w, f"edge ({i}, {j}): weight")
         den = lcm(*(w.denominator for w in exact.values()))
         rows = [[0] * n for _ in range(n)]
         for (i, j), w in exact.items():
@@ -162,7 +177,7 @@ class WeightedCompleteGraph:
 
     @classmethod
     def constant(cls, n: int, w) -> "WeightedCompleteGraph":
-        ww = _coerce_weight(w, "constant weight")
+        ww = _unit(w, "constant weight")
         rows = [[0 if i == j else ww.numerator for j in range(n)] for i in range(n)]
         return cls._from_rows(n, rows, ww.denominator)
 
@@ -198,8 +213,7 @@ class WeightedCompleteGraph:
 
     def weighted_degree_to(self, v: int, targets: Iterable[int]) -> Fraction:
         """Sum of weights from v into the vertex set `targets` (v excluded)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        self.weighted_degree(v)  # refuses a vertex out of range
         total = 0
         seen = set()
         for u in targets:
@@ -227,16 +241,14 @@ class WeightedCompleteGraph:
 
     def scale(self, factor) -> "WeightedCompleteGraph":
         """Multiply every weight by `factor` in [0, 1]; exact, no rounding."""
-        f = _exact(factor, "scale factor")
-        if f < 0 or f > 1:
-            raise ValueError(f"scale factor {f} outside [0, 1]")
+        f = _unit(factor, "scale factor")
         rows = [[x * f.numerator for x in row] for row in self.rows]
         return WeightedCompleteGraph._from_rows(self.n, rows, self.den * f.denominator)
 
     def with_weight(self, i: int, j: int, w) -> "WeightedCompleteGraph":
         """New graph equal to this one except for the single edge (i, j)."""
         self._check_pair(i, j)
-        ww = _coerce_weight(w, f"edge ({i}, {j})")
+        ww = _unit(w, f"edge ({i}, {j}): weight")
         den = lcm(self.den, ww.denominator)
         rows = [[x * (den // self.den) for x in row] for row in self.rows]
         rows[i][j] = rows[j][i] = ww.numerator * (den // ww.denominator)
@@ -291,11 +303,10 @@ class FactorParams:
     heavy_threshold: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 2:
-            raise ValueError(f"clique size r must be an integer >= 2, got {self.r!r}")
-        t = _exact(self.t, "t")
-        if t < 0 or t > 1:
-            raise ValueError(f"level t={t} outside [0, 1]")
+        if isinstance(self.r, bool) or not isinstance(self.r, int):
+            raise ValueError(f"r must be an exact integer, not a {type(self.r).__name__}")
+        _check_block_shape(self.r, self.r)  # r divides itself, so only r < 2 is refused
+        t = _unit(self.t, "level t")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "heavy_threshold", t * comb(self.r, 2))
 
@@ -337,6 +348,18 @@ def _check_block_shape(r: int, n: int) -> None:
         raise ValueError(f"r={r} does not divide n={n}")
 
 
+def _disjoint_blocks(blocks: Iterable[frozenset], size: int) -> set:
+    """The union of `blocks`; raise ValueError unless each has `size` vertices and misses the earlier ones."""
+    seen = set()
+    for b in blocks:
+        if len(b) != size:
+            raise ValueError(f"block {sorted(b)} does not have size {size}")
+        if not seen.isdisjoint(b):
+            raise ValueError(f"block {sorted(b)} overlaps an earlier block")
+        seen.update(b)
+    return seen
+
+
 @dataclass(frozen=True)
 class CliqueFactor:
     """Partition of the vertex set into equal-size blocks, one clique each.
@@ -360,18 +383,10 @@ class CliqueFactor:
 
     def validate(self, n: int, r: int) -> None:
         """Raise unless the blocks partition {0..n-1} into n/r sets of size r."""
-        if n % r != 0:
-            raise ValueError(f"r={r} does not divide n={n}")
+        _check_block_shape(r, n)
         if len(self.blocks) != n // r:
             raise ValueError(f"expected {n // r} blocks, got {len(self.blocks)}")
-        seen = set()
-        for b in self.blocks:
-            if len(b) != r:
-                raise ValueError(f"block {sorted(b)} does not have size {r}")
-            if seen & b:
-                raise ValueError(f"block {sorted(b)} overlaps an earlier block")
-            seen |= b
-        if seen != set(range(n)):
+        if _disjoint_blocks(self.blocks, r) != set(range(n)):
             raise ValueError("blocks do not cover every vertex exactly once")
 
     def block_weights(self, graph: WeightedCompleteGraph) -> tuple[Fraction, ...]:
@@ -444,9 +459,7 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
         k = texts.get(key)
         if k is None:
             try:
-                w = parse_rational(entry[2])
-                if w < 0 or w > 1:
-                    raise ValueError(f"weight {format_rational(w)} outside [0, 1]")
+                w = _unit(parse_rational(entry[2]), "weight")
             except ValueError as exc:
                 raise GraphFormatError(f"edges[{pos}]: {exc}") from exc
             k = texts[key] = len(values)

@@ -29,11 +29,13 @@ from itertools import combinations
 from .constructions import _sample_grid_floor, prop2_construction, prop2_min_degree
 from .core import (
     CapExceededError,
-    CertificationError,
     FactorParams,
     WeightedCompleteGraph,
     _check_block_shape,
     _exact,
+    _nonnegative,
+    _require,
+    _unit,
     format_rational,
 )
 from .solver import DEFAULT_SOLVER_CAP, SolveCertificate, find_heavy_factor
@@ -70,12 +72,10 @@ class BoundRecord:
 
 
 def _require_exhausted(certificate: SolveCertificate, what: str) -> None:
-    """Raise unless the strict search came back exhausted (a check `python -O` keeps)."""
-    if certificate.factor is not None:
-        raise CertificationError(
-            f"{what} weighting admits a strictly heavy factor "
-            f"{[sorted(b) for b in certificate.factor.blocks]}"
-        )
+    """Raise CertificationError unless the strict search came back exhausted."""
+    factor = certificate.factor
+    blocks = None if factor is None else [sorted(b) for b in factor.blocks]
+    _require(blocks is None, f"{what} weighting admits a strictly heavy factor {blocks}")
 
 
 def evaluate_lower_bounds(r: int, t, n: int, *,
@@ -90,18 +90,14 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
     block is heavy at level 0) and the record is flagged degenerate.  A
     negative cap is rejected.
     """
-    if solver_cap < 0:
-        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
+    _nonnegative(solver_cap, "solver cap")
     tt = _exact(t, "t")
     graph, _desc = prop2_construction(r, tt, n)
     scaled = graph.scale(DEFAULT_SCALE)
     value = scaled.min_weighted_degree()
     expected = DEFAULT_SCALE * prop2_min_degree(r, tt, n)
-    if value != expected:
-        raise CertificationError(
-            f"scaled prop2 weighting has min degree {format_rational(value)}, "
-            f"closed form gives {format_rational(expected)}"
-        )
+    _require(value == expected, f"scaled prop2 weighting has min degree {format_rational(value)}, "
+                                f"closed form gives {format_rational(expected)}")
     certificate = None
     note = ""
     if tt == 0:
@@ -134,8 +130,7 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     """
     if grid_denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _nonnegative(budget, "budget")
     seed_record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
     tt = seed_record.t
     if tt == 0 or budget == 0:
@@ -305,25 +300,20 @@ def scan_report(r_values, t_values, n: int, *,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
     """Tabulate the seed record of every (r, t) pair.
 
-    A negative solver cap and an r below 2 are refused before any cell is
-    computed.  Pairs where r does not divide n are skipped and flagged.
-    Each computed cell is `evaluate_lower_bounds(r, t, n, solver_cap=...)`:
-    its prop2 column is the record's value, which the record has checked
-    against the scaled closed form, and it is certified when n is within the
-    cap.  Flags also call out any non-monotone trend in r (for fixed t the
+    Every refusal comes before the first cell: a negative solver cap, an r
+    that `FactorParams` refuses (not an integer, or below 2) and a t outside
+    [0, 1].  Pairs the seed has no weighting for are skipped and flagged
+    with the reason: r does not divide n, or r >= n, which leaves its clique
+    side empty.  Each computed cell is
+    `evaluate_lower_bounds(r, t, n, solver_cap=...)`: its prop2 column is
+    the record's value, which the record has checked against the scaled
+    closed form, and it is certified when n is within the cap.  Flags also call out any non-monotone trend in r (for fixed t the
     normalized bound should not grow) and any cell whose normalized bound
     exceeds the conjectured line.
     """
-    if solver_cap < 0:
-        raise ValueError(f"solver cap must be nonnegative, got {solver_cap}")
-    rs = list(r_values)
-    for r in rs:
-        if isinstance(r, bool) or not isinstance(r, int):
-            raise ValueError(f"r must be an exact integer, not a {type(r).__name__}")
-        if r < 2:
-            raise ValueError(f"need r >= 2, got r={r}")
-    rs = sorted(set(rs))
-    ts = sorted(set(_exact(t, "t") for t in t_values))
+    _nonnegative(solver_cap, "solver cap")
+    rs = sorted({FactorParams(r, 0).r for r in r_values})
+    ts = sorted({_unit(t, "level t") for t in t_values})
     if not rs or not ts:
         raise ValueError("need at least one r and one t")
     cells = []
@@ -333,6 +323,9 @@ def scan_report(r_values, t_values, n: int, *,
             label = f"r={r} t={format_rational(t)}"
             if n % r != 0:
                 flags.append(f"{label}: skipped, r does not divide n={n}")
+                continue
+            if r >= n:
+                flags.append(f"{label}: skipped, r >= n={n} leaves the clique side empty")
                 continue
             record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t

@@ -19,8 +19,9 @@ Three ways to build factors without exhaustive search:
   as bitmasks before any draw: a split that does not exist is reported at
   once instead of after the whole draw budget, and each draw is one lookup.
 
-All random choices flow from one seed.  A failed check raises
-CertificationError, so the checks hold under `python -O` as well.
+All random choices flow from one seed.  Every check goes through
+`core._require`, which raises CertificationError, so the checks hold under
+`python -O` as well.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ from typing import Iterator
 
 from .core import (
     BudgetExceededError,
-    CertificationError,
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
     _ceil_numerator,
     _check_block_shape,
+    _disjoint_blocks,
     _exact,
+    _nonnegative,
+    _require,
     is_heavy,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
@@ -52,17 +55,12 @@ SPLIT_ATTEMPTS = 1000
 DEFAULT_RETRY_BUDGET = 16
 
 
-def _require(ok: bool, what: str) -> None:
-    """Raise CertificationError unless `ok` (a check that `python -O` keeps)."""
-    if not ok:
-        raise CertificationError(what)
-
-
 def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
-    """Heavy 2-block factor via a perfect matching on the level-t threshold graph."""
+    """Heavy 2-block factor via a perfect matching on the level-t threshold graph.
+
+    An odd n is refused by `perfect_matching`.
+    """
     n = graph.n
-    if n % 2 != 0:
-        raise ValueError(f"need an even vertex count, got n={n}")
     tt = _exact(t, "t")
     masks = graph.threshold_masks(tt)
     pairs = perfect_matching(n, [(i, j) for i, mask in enumerate(masks)
@@ -178,13 +176,7 @@ def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
     p = len(cliques[0])
     if p < 1:
         raise ValueError("cliques must have at least one vertex")
-    taken = set()
-    for c in cliques:
-        if len(c) != p:
-            raise ValueError("cliques must share one size")
-        if taken & c:
-            raise ValueError("cliques must be pairwise disjoint")
-        taken |= c
+    taken = _disjoint_blocks(cliques, p)
     if len(set(vertices)) != len(vertices):
         raise ValueError("right-side vertices must be distinct")
     if not taken.union(vertices) <= set(range(n)):
@@ -344,11 +336,8 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     """
     n, r, t = graph.n, params.r, params.t
     _check_block_shape(r, n)
-    if retries < 0:
-        raise ValueError(f"retries must be nonnegative, got {retries}")
-    eps = _exact(epsilon, "epsilon")
-    if eps < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    _nonnegative(retries, "retries")
+    eps = _nonnegative(_exact(epsilon, "epsilon"), "epsilon")
     if r == 2:
         return matching_base_case(graph, t)
     delta_prime = (1 + t) / 2

@@ -97,7 +97,9 @@ from .core import (
     FactorParams,
     WeightedCompleteGraph,
     _check_block_shape,
-    _exact,
+    _disjoint_blocks,
+    _nonnegative,
+    _unit,
     format_rational,
     is_heavy,
     is_overweight_edge,
@@ -151,8 +153,7 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     instead of silently enumerating forever, and a negative cap is rejected.
     """
     _check_block_shape(r, n)
-    if cap < 0:
-        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
+    _nonnegative(cap, "enumeration cap")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     return _partitions(tuple(range(n)), r)
@@ -402,8 +403,7 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
 def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
                              params: FactorParams, strict: bool = False) -> int:
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range for n={graph.n}")
+    graph.weighted_degree(v)  # refuses a vertex out of range
     _, through, heavy = _heavy_family(graph, params, strict)
     return (through[v] & heavy).bit_count()
 
@@ -418,11 +418,9 @@ def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
         raise ValueError(f"the counting bound needs r >= 3, got r={r}")
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    dd = _exact(delta, "delta")
-    tt = _exact(t, "t")
-    if not 0 <= dd <= 1:
-        raise ValueError(f"delta={dd} outside [0, 1]")
-    if not 0 <= tt < 1:
+    dd = _unit(delta, "delta")
+    tt = _unit(t, "t")
+    if tt == 1:
         raise ValueError(f"need 0 <= t < 1, got t={tt}")
     return (dd - tt) / (1 - tt) * comb(n - 1, r - 1)
 
@@ -432,12 +430,11 @@ def daykin_haggkvist_check(graph: WeightedCompleteGraph, params: FactorParams,
     """Degree test sufficient for a perfect matching of the heavy r-sets.
 
     True when every vertex lies in at least (1 - 1/r)(C(n-1, r-1) - 1) heavy
-    r-sets, read off the popcounts of the per-vertex bitmaps.  Sufficiency holds
-    when r divides n; the test itself is just the degree comparison.
+    r-sets, read off the popcounts of the per-vertex bitmaps.  A perfect
+    matching needs r to divide n, so any other r is refused.
     """
     n, r = graph.n, params.r
-    if n < r:
-        raise ValueError(f"need n >= r, got n={n}, r={r}")
+    _check_block_shape(r, n)
     bound = Fraction(r - 1, r) * (comb(n - 1, r - 1) - 1)
     _, through, heavy = _heavy_family(graph, params, strict)
     return all((sets & heavy).bit_count() >= bound for sets in through)
@@ -487,8 +484,7 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
     the empty collection.
     """
     n = graph.n
-    if cap < 0:
-        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
+    _nonnegative(cap, "enumeration cap")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
     index, _, heavy = _heavy_family(graph, params, strict=False)
@@ -634,15 +630,10 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
     * no L-vertex forms a heavy r-set with r-1 spare vertices.
     """
     n, r = graph.n, params.r
-    covered = set()
+    covered = _disjoint_blocks(collection.blocks, r)
     for block in collection.blocks:
-        if len(block) != r:
-            raise ValueError(f"block {sorted(block)} does not have size {r}")
-        if covered & block:
-            raise ValueError(f"block {sorted(block)} overlaps another block")
         if not is_heavy(graph, block, params):
             raise ValueError(f"block {sorted(block)} is not heavy")
-        covered |= block
     uncovered = set(range(n)) - covered
     if len(uncovered) < r:
         raise ValueError(

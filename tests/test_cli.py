@@ -137,6 +137,17 @@ def test_generate_scaled_counterexample(tmp_path):
     assert g.min_weighted_degree() == Fraction(29, 2)
 
 
+@pytest.mark.parametrize("scale", ["3/2", "-1/2"])
+def test_generate_refuses_a_scale_outside_the_unit_interval(tmp_path, capsys, scale):
+    """`_unit` refuses it before anything is written, as it does every weight, level and density."""
+    out = tmp_path / "g.json"
+    code = run_cli("generate", "--kind", "prop2", "--n", "9", "--r", "3", "--t", "2/3",
+                   f"--scale={scale}", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: scale factor {scale} outside [0, 1]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_missing_parameters_is_a_usage_error(tmp_path, capsys):
     code = run_cli("generate", "--kind", "prop2", "--n", "9",
                    "--out", str(tmp_path / "g.json"))
@@ -459,6 +470,29 @@ def test_scan_flags_go_to_stderr(tmp_path, capsys):
     assert code == 0
     assert "skipped" in capsys.readouterr().err
     assert out.read_text().splitlines() == ["r,t,n,prop2_value,conjecture,upper_bound,certified"]
+
+
+def test_scan_skips_an_r_that_leaves_the_clique_side_empty(capsys):
+    """r = n = 6 has no seed weighting, so it is skipped and flagged; the r = 2 row is the one `--r 2` writes."""
+    assert run_cli("scan", "--r", "2", "--t", "1/2", "--n", "6") == 0
+    alone = capsys.readouterr()
+    assert run_cli("scan", "--r", "2,6", "--t", "1/2", "--n", "6") == 0
+    both = capsys.readouterr()
+    assert both.out == alone.out and len(alone.out.splitlines()) == 2
+    assert (alone.err, both.err) == ("", "flag: r=6 t=1/2: skipped, r >= n=6 leaves the clique side empty\n")
+
+
+def test_scan_refuses_a_level_outside_the_unit_interval_before_any_cell(monkeypatch, capsys):
+    """t = 3/2 is refused up front: no seed record is built for the valid t = 1/2 first."""
+    calls = []
+    evaluate = lab.evaluate_lower_bounds
+    monkeypatch.setattr(lab, "evaluate_lower_bounds",
+                        lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs))
+    assert run_cli("scan", "--r", "2,3", "--t", "1/2,3/2", "--n", "6") == 2
+    assert capsys.readouterr() == ("", "error: level t 3/2 outside [0, 1]\n")
+    assert calls == []
+    assert run_cli("scan", "--r", "2,3", "--t", "1/2", "--n", "6") == 0
+    assert len(calls) == 2
 
 
 def test_scan_negative_budget_is_a_usage_error(capsys):

@@ -134,13 +134,13 @@ def test_constructor_rejects_a_pair_given_twice():
     (lambda: WeightedCompleteGraph(0), "need at least one vertex, got n=0"),
     (lambda: WeightedCompleteGraph(-2), "need at least one vertex, got n=-2"),
     (lambda: WeightedCompleteGraph.constant(0, 1), "need at least one vertex, got n=0"),
-    (lambda: WeightedCompleteGraph(3, {(0, 1): 0.5}), "edge (0, 1) must be an exact rational, not a float"),
+    (lambda: WeightedCompleteGraph(3, {(0, 1): 0.5}), "edge (0, 1): weight must be an exact rational, not a float"),
     (lambda: WeightedCompleteGraph(3, {(1, 0): Fraction(3, 2)}), "edge (0, 1): weight 3/2 outside [0, 1]"),
     (lambda: WeightedCompleteGraph(3, {(0, 2): Fraction(-1, 2)}), "edge (0, 2): weight -1/2 outside [0, 1]"),
     (lambda: WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1)}), "pair (0, 1) given twice"),
     (lambda: WeightedCompleteGraph(3, {(0, 3): 1}), "invalid vertex pair (0, 3) for n=3"),
     (lambda: WeightedCompleteGraph.from_flat(3, [1]), "flat weight vector has wrong length"),
-    (lambda: WeightedCompleteGraph.constant(3, 2), "constant weight: weight 2 outside [0, 1]"),
+    (lambda: WeightedCompleteGraph.constant(3, 2), "constant weight 2/1 outside [0, 1]"),
 ], ids=["n=0", "n<0", "constant-n=0", "float", "above-1", "below-0", "twice", "pair", "flat", "constant"])
 def test_constructor_messages_are_pinned(call, message):
     with pytest.raises(ValueError) as err:
@@ -149,18 +149,21 @@ def test_constructor_messages_are_pinned(call, message):
 
 
 def test_each_weight_is_checked_once_where_it_enters(tmp_path, monkeypatch):
-    """A file's weights are checked by the loader alone; a mapping's once per pair."""
+    """Every weight goes through `_unit`: a file's once per distinct weight text, a mapping's once per pair."""
     g = random_grid_graph(Random(41), 12, denominator=7)
     path = tmp_path / "g.json"
     save_graph(path, g)
+    texts = {text for _, _, text in graph_to_json(g)["edges"]}
     calls = []
-    coerce = core._coerce_weight
-    monkeypatch.setattr(core, "_coerce_weight", lambda w, where: calls.append(where) or coerce(w, where))
+    unit = core._unit
+    monkeypatch.setattr(core, "_unit", lambda value, what: calls.append(what) or unit(value, what))
     assert load_graph(path) == g
-    assert calls == []
+    assert calls == ["weight"] * len(texts)
+    assert 1 < len(texts) < 66
+    calls.clear()
     table = {p: g.weight(*p) for p in g.pairs()}
     assert WeightedCompleteGraph(12, table) == g
-    assert len(calls) == len(table) == 66
+    assert calls == [f"edge ({i}, {j}): weight" for i, j in table] and len(calls) == 66
 
 
 def test_degree_sum_identity_on_random_graphs():
@@ -442,6 +445,25 @@ def test_every_rational_entry_refuses_floats(call):
     """
     with pytest.raises(ValueError, match="must be an exact (rational|integer), not a float"):
         call()
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 2)], ids=["3/2", "-1/2"])
+@pytest.mark.parametrize("call", [
+    lambda v: WeightedCompleteGraph(3, {(0, 1): v}),
+    lambda v: WeightedCompleteGraph.constant(3, v),
+    lambda v: ONES.with_weight(0, 1, v),
+    lambda v: ONES.scale(v),
+    lambda v: FactorParams(3, v),
+    lambda v: graph_from_json({"n": 3, "edges": [[0, 1, format_rational(v)]]}),
+    lambda v: hf.prop2_construction(3, v, 9),
+    lambda v: hf.random_weighting(6, 4, 0, min_degree=v),
+    lambda v: hf.lemma1_bound(v, Fraction(1, 2), 3, 9),
+], ids=["constructor", "constant", "with_weight", "scale", "FactorParams", "graph_from_json",
+        "prop2_construction", "random_weighting-min_degree", "lemma1_bound-delta"])
+def test_every_unit_entry_refuses_values_outside_the_unit_interval(call, value):
+    """A weight, level, scale or density outside [0, 1] is refused by `_unit`, the only raise with this text."""
+    with pytest.raises(ValueError, match=rf"{format_rational(value)} outside \[0, 1\]$"):
+        call(value)
 
 
 def test_heavy_boundary_separates_the_two_predicates():

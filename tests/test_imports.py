@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
-JSON text and graph files each have one writer, heaviness and budget errors each have one home, the
-annealer has one way in, and no module reads the environment."""
+JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
+input rule is raised from one home, the annealer has one way in, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -112,6 +112,42 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     """
     assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
+
+
+def raise_texts():
+    """(`module.top-level name`, literal text of the raised message) for every `raise` in the package."""
+    return [(f"{path.stem}.{getattr(top, 'name', '<module>')}",
+             "".join(node.value for node in ast.walk(raised) if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)))
+            for path in sorted(PACKAGE.glob("*.py"))
+            for top in ast.parse(path.read_text(), filename=str(path)).body
+            for raised in ast.walk(top) if isinstance(raised, ast.Raise)]
+
+
+RULE_HOMES = {
+    "outside [0, 1]": ["core._unit"],
+    "must be nonnegative": ["core._nonnegative"],
+    "out of range for n=": ["core.WeightedCompleteGraph"],
+    "does not divide": ["core._check_block_shape"],
+    "overlaps": ["core._disjoint_blocks"],
+    "even vertex count": ["matching.perfect_matching"],
+    # the annealer refuses its grid before the seed record is built, which no
+    # function it shares with the sampler does; its copy goes with the annealer
+    "must be >= 1": ["constructions._sample_grid_floor", "lab.adversarial_search"],
+    "need r >= 2": ["core._check_block_shape"],
+    "need n >= r": ["solver.lemma1_bound"],
+}
+
+
+def test_each_input_rule_is_written_once():
+    """Each refusal's text is raised from one home, and only `core._require` constructs a CertificationError.
+
+    Every other site calls the home, so one rule cannot print two messages.
+    """
+    texts = raise_texts()
+    homes = {phrase: sorted(owner for owner, text in texts if phrase in text) for phrase in RULE_HOMES}
+    assert homes == RULE_HOMES
+    assert callers("CertificationError") == ["core._require"]
 
 
 def test_the_annealer_has_one_way_in():
