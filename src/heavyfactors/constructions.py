@@ -77,6 +77,9 @@ class ConstructionDescriptor:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConstructionDescriptor":
+        for key in ("kind", "n"):
+            if key not in doc:
+                raise ValueError(f"construction descriptor is missing field {key!r}")
         return cls(
             kind=doc["kind"],
             n=doc["n"],
@@ -90,6 +93,14 @@ class ConstructionDescriptor:
         )
 
 
+def _seed_shape(r: int, n: int) -> int:
+    """n / r, by the shape rule of both seeds: r >= 2 divides n, and n > r leaves n/r - 1 on the short side."""
+    _check_block_shape(r, n)
+    if n <= r:
+        raise ValueError(f"need n > r so the short side is nonempty, got n={n}, r={r}")
+    return n // r
+
+
 def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, ConstructionDescriptor]:
     """Two-class weighting: A = first n/r - 1 vertices, weight t inside B.
 
@@ -99,11 +110,8 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
     has n/r blocks but only n/r - 1 vertices outside B.  The minimum weighted
     degree is min{n - 1, k - 1 + t (n - k)} with k = n/r.
     """
-    _check_block_shape(r, n)
-    if n <= r:
-        raise ValueError(f"need n > r so the clique side is nonempty, got n={n}, r={r}")
+    k = _seed_shape(r, n)
     tt = _unit(t, "level t")
-    k = n // r
     a_side = tuple(range(k - 1))
     b_side = tuple(range(k - 1, n))
     rows = [[0 if i == j else tt.numerator if min(i, j) >= k - 1 else tt.denominator
@@ -124,10 +132,7 @@ def prop2_min_degree(r: int, t, n: int) -> Fraction:
 
 def hs_sharpness_parts(r: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Part sizes n/r + 1, then r - 2 parts of n/r, then n/r - 1, consecutive."""
-    _check_block_shape(r, n)
-    if n <= r:
-        raise ValueError(f"need n > r so the short part is nonempty, got n={n}, r={r}")
-    k = n // r
+    k = _seed_shape(r, n)
     sizes = [k + 1] + [k] * (r - 2) + [k - 1]
     parts = []
     start = 0

@@ -23,6 +23,9 @@ types alone; any other entry takes the checks that name its fault.  Package
 code that holds integer weights over one denominator calls `_from_rows`,
 which trusts them.
 
+A vertex set (a pair, a clique, degree targets, an induced set, a factor's
+union) is checked by `_vertex_set`, the one check of distinct vertices in range(n).
+
 A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
 two-space indent, every pair listed.  `save_graph` writes those bytes itself,
 one line pattern per pair joined once, because `json.dumps` with an indent
@@ -115,6 +118,23 @@ def _nonnegative(value, what: str):
     return value
 
 
+def _vertex_count(n: int) -> int:
+    """`n`, refused below 1: the one check that a vertex count leaves a graph to build."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got n={n}")
+    return n
+
+
+def _vertex_set(vertices, n: int, what: str) -> tuple[int, ...]:
+    """`vertices` sorted: the one check that they are distinct members of range(n)."""
+    vs = sorted(vertices)
+    if vs and (vs[0] < 0 or vs[-1] >= n):
+        raise ValueError(f"{what}: vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={n}")
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"{what}: repeats vertex {next(a for a, b in zip(vs, vs[1:]) if a == b)}")
+    return tuple(vs)
+
+
 def _require(ok: bool, what: str) -> None:
     """Raise CertificationError unless `ok`: the one raise of a failed check, which `python -O` keeps."""
     if not ok:
@@ -135,10 +155,7 @@ class WeightedCompleteGraph:
     def __init__(self, n: int, weights: Mapping[tuple[int, int], Fraction] | None = None):
         exact = {}
         for (i, j), w in (weights or {}).items():
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"invalid vertex pair ({i}, {j}) for n={n}")
-            if i > j:
-                i, j = j, i
+            i, j = _vertex_set((i, j), n, f"edge ({i}, {j})")
             if (i, j) in exact:
                 raise ValueError(f"pair ({i}, {j}) given twice")
             exact[i, j] = _unit(w, f"edge ({i}, {j}): weight")
@@ -164,8 +181,7 @@ class WeightedCompleteGraph:
 
     def _freeze(self, n: int, rows, den: int) -> None:
         """The one constructor: reduce rows/den to lowest terms, derive the degrees."""
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
+        _vertex_count(n)
         g = gcd(den, *chain.from_iterable(rows))
         if g > 1:
             den //= g
@@ -185,10 +201,6 @@ class WeightedCompleteGraph:
         """All unordered pairs (i, j) with i < j in lexicographic order."""
         return combinations(range(self.n), 2)
 
-    def _check_pair(self, i: int, j: int) -> None:
-        if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
-            raise ValueError(f"invalid vertex pair ({i}, {j}) for n={self.n}")
-
     def least_numerator(self, x, strict: bool = False) -> int:
         """Least integer k with k / den >= x (strict: > x): the bar for sums of `rows`."""
         f = _exact(x, "bar")
@@ -197,13 +209,12 @@ class WeightedCompleteGraph:
         return _ceil_numerator(f, self.den)
 
     def weight(self, i: int, j: int) -> Fraction:
-        self._check_pair(i, j)
+        _vertex_set((i, j), self.n, "edge")
         return Fraction(self.rows[i][j], self.den)
 
     def weighted_degree(self, v: int) -> Fraction:
         """Sum of the weights of all n-1 edges at v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        _vertex_set((v,), self.n, "degree")
         return Fraction(self.degrees[v], self.den)
 
     def min_weighted_degree(self) -> Fraction:
@@ -213,27 +224,15 @@ class WeightedCompleteGraph:
 
     def weighted_degree_to(self, v: int, targets: Iterable[int]) -> Fraction:
         """Sum of weights from v into the vertex set `targets` (v excluded)."""
-        self.weighted_degree(v)  # refuses a vertex out of range
-        total = 0
-        seen = set()
-        for u in targets:
-            if u == v:
-                raise ValueError(f"target set contains the source vertex {v}")
-            if u in seen:
-                raise ValueError(f"duplicate target vertex {u}")
-            self._check_pair(v, u)
-            seen.add(u)
-            total += self.rows[v][u]
-        return Fraction(total, self.den)
+        targets = tuple(targets)
+        _vertex_set((v, *targets), self.n, "source and targets")
+        return Fraction(sum(self.rows[v][u] for u in targets), self.den)
 
     def clique_weight(self, vertices: Iterable[int]) -> Fraction:
         """Total edge weight inside the vertex set (needs at least 2 vertices)."""
-        vs = sorted(vertices)
+        vs = _vertex_set(vertices, self.n, "clique")
         if len(vs) < 2:
             raise ValueError("clique weight needs at least two vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("clique vertex set contains duplicates")
-        self._check_pair(vs[0], vs[-1])
         return Fraction(sum(self.rows[a][b] for a, b in combinations(vs, 2)), self.den)
 
     def total_weight(self) -> Fraction:
@@ -247,7 +246,7 @@ class WeightedCompleteGraph:
 
     def with_weight(self, i: int, j: int, w) -> "WeightedCompleteGraph":
         """New graph equal to this one except for the single edge (i, j)."""
-        self._check_pair(i, j)
+        _vertex_set((i, j), self.n, f"edge ({i}, {j})")
         ww = _unit(w, f"edge ({i}, {j}): weight")
         den = lcm(self.den, ww.denominator)
         rows = [[x * (den // self.den) for x in row] for row in self.rows]
@@ -266,11 +265,7 @@ class WeightedCompleteGraph:
 
     def induced(self, vertices: Iterable[int]) -> tuple["WeightedCompleteGraph", tuple[int, ...]]:
         """Induced sub-weighting plus the sorted vertex map back to this graph."""
-        vs = tuple(sorted(vertices))
-        if len(vs) < 1 or len(set(vs)) != len(vs):
-            raise ValueError("induced vertex set must be nonempty and duplicate-free")
-        if vs[0] < 0 or vs[-1] >= self.n:
-            raise ValueError("induced vertex set out of range")
+        vs = _vertex_set(vertices, self.n, "induced set")
         rows = [[self.rows[a][b] for b in vs] for a in vs]
         return WeightedCompleteGraph._from_rows(len(vs), rows, self.den), vs
 
@@ -386,8 +381,8 @@ class CliqueFactor:
         _check_block_shape(r, n)
         if len(self.blocks) != n // r:
             raise ValueError(f"expected {n // r} blocks, got {len(self.blocks)}")
-        if _disjoint_blocks(self.blocks, r) != set(range(n)):
-            raise ValueError("blocks do not cover every vertex exactly once")
+        # n/r disjoint r-sets hold n distinct vertices, so they cover range(n) unless one is out of range
+        _vertex_set(_disjoint_blocks(self.blocks, r), n, "factor")
 
     def block_weights(self, graph: WeightedCompleteGraph) -> tuple[Fraction, ...]:
         return tuple(graph.clique_weight(b) for b in self.blocks)
@@ -448,12 +443,14 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
             i, j, wtext = entry
             if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
                 raise GraphFormatError(f"edges[{pos}]: vertex indices must be integers")
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise GraphFormatError(f"edges[{pos}]: invalid pair ({i}, {j}) for n={n}")
+            try:
+                i, j = _vertex_set((i, j), n, f"pair ({i}, {j})")
+            except ValueError as exc:
+                raise GraphFormatError(f"edges[{pos}]: {exc}") from exc
             key = str(wtext)
         row = index[i]
         if row[j]:
-            raise GraphFormatError(f"edges[{pos}]: duplicate pair ({min(i, j)}, {max(i, j)})")
+            raise GraphFormatError(f"edges[{pos}]: duplicate pair ({i}, {j})")
         # parse_rational reads only str(wtext), so a text that parsed once
         # parses to the same weight again; a bad text raises at its first use.
         k = texts.get(key)

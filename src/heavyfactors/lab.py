@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .constructions import _sample_grid_floor, prop2_construction, prop2_min_degree
+from .constructions import _sample_grid_floor, _seed_shape, prop2_construction, prop2_min_degree
 from .core import (
     CapExceededError,
     FactorParams,
@@ -36,6 +36,7 @@ from .core import (
     _nonnegative,
     _require,
     _unit,
+    _vertex_count,
     format_rational,
 )
 from .solver import DEFAULT_SOLVER_CAP, SolveCertificate, find_heavy_factor
@@ -300,18 +301,20 @@ def scan_report(r_values, t_values, n: int, *,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
     """Tabulate the seed record of every (r, t) pair.
 
-    Every refusal comes before the first cell: a negative solver cap, an r
-    that `FactorParams` refuses (not an integer, or below 2) and a t outside
-    [0, 1].  Pairs the seed has no weighting for are skipped and flagged
-    with the reason: r does not divide n, or r >= n, which leaves its clique
-    side empty.  Each computed cell is
+    Every refusal comes before the first cell: a negative solver cap, an
+    n below 1, an r that `FactorParams` refuses (not an integer, or below 2)
+    and a t outside [0, 1].  Pairs the seed has no weighting for are skipped
+    and flagged with the seed's own refusal: r does not divide n, or r >= n,
+    which leaves its short side empty.  Each computed cell is
     `evaluate_lower_bounds(r, t, n, solver_cap=...)`: its prop2 column is
     the record's value, which the record has checked against the scaled
-    closed form, and it is certified when n is within the cap.  Flags also call out any non-monotone trend in r (for fixed t the
-    normalized bound should not grow) and any cell whose normalized bound
-    exceeds the conjectured line.
+    closed form, and it is certified when n is within the cap.  Flags also
+    call out any non-monotone trend in r (for fixed t the normalized bound
+    should not grow) and any cell whose normalized bound exceeds the
+    conjectured line.
     """
     _nonnegative(solver_cap, "solver cap")
+    _vertex_count(n)
     rs = sorted({FactorParams(r, 0).r for r in r_values})
     ts = sorted({_unit(t, "level t") for t in t_values})
     if not rs or not ts:
@@ -321,11 +324,10 @@ def scan_report(r_values, t_values, n: int, *,
     for r in rs:
         for t in ts:
             label = f"r={r} t={format_rational(t)}"
-            if n % r != 0:
-                flags.append(f"{label}: skipped, r does not divide n={n}")
-                continue
-            if r >= n:
-                flags.append(f"{label}: skipped, r >= n={n} leaves the clique side empty")
+            try:
+                _seed_shape(r, n)
+            except ValueError as exc:
+                flags.append(f"{label}: skipped, {exc}")
                 continue
             record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator
 
@@ -45,6 +45,7 @@ from .core import (
     _exact,
     _nonnegative,
     _require,
+    _vertex_set,
     is_heavy,
 )
 from .matching import bipartite_maximum_matching, perfect_matching
@@ -168,7 +169,6 @@ class BipartiteAverageGraph:
 
 def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
                             vertices) -> BipartiteAverageGraph:
-    n = graph.n
     cliques = tuple(frozenset(c) for c in cliques)
     vertices = tuple(sorted(vertices))
     if not cliques:
@@ -176,13 +176,7 @@ def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
     p = len(cliques[0])
     if p < 1:
         raise ValueError("cliques must have at least one vertex")
-    taken = _disjoint_blocks(cliques, p)
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("right-side vertices must be distinct")
-    if not taken.union(vertices) <= set(range(n)):
-        raise ValueError(f"clique members and right-side vertices must be vertices 0..{n - 1}")
-    if taken & set(vertices):
-        raise ValueError("right-side vertices must avoid the cliques")
+    _vertex_set(chain(_disjoint_blocks(cliques, p), vertices), graph.n, "cliques and right side")
     rows = graph.rows
     numerators = []
     for c in cliques:

@@ -100,6 +100,7 @@ from .core import (
     _disjoint_blocks,
     _nonnegative,
     _unit,
+    _vertex_set,
     format_rational,
     is_heavy,
     is_overweight_edge,
@@ -414,8 +415,7 @@ def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
     Valid whenever the graph's minimum weighted degree is at least delta * n;
     t = 1 would divide by zero and is rejected.
     """
-    if r < 3:
-        raise ValueError(f"the counting bound needs r >= 3, got r={r}")
+    t_r_threshold(r)  # refuses r < 3
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     dd = _unit(delta, "delta")
@@ -639,9 +639,9 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
         raise ValueError(
             f"need at least r={r} uncovered vertices, got {len(uncovered)}"
         )
-    dset = sorted(designated)
-    if len(dset) != r or len(set(dset)) != r:
-        raise ValueError(f"designated set must contain r={r} distinct vertices")
+    dset = _vertex_set(designated, n, "designated set")
+    if len(dset) != r:
+        raise ValueError(f"designated set must contain r={r} vertices")
     if not set(dset) <= uncovered:
         raise ValueError("designated set must consist of uncovered vertices")
 
@@ -737,5 +737,5 @@ def t_r_threshold(r: int) -> Fraction:
     Closed form 4 / (C(r, 2) (r^3 - r^2 - 2r + 4)); defined for r >= 3.
     """
     if r < 3:
-        raise ValueError(f"need r >= 3, got r={r}")
+        raise ValueError(f"the counting bound needs r >= 3, got r={r}")
     return Fraction(4, comb(r, 2) * (r ** 3 - r ** 2 - 2 * r + 4))

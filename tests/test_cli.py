@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from heavyfactors import CliqueFactor, SolveCertificate, lab, load_graph, prop2_construction
+from heavyfactors import (
+    CliqueFactor,
+    FactorParams,
+    SolveCertificate,
+    enumerate_all_factors,
+    is_heavy,
+    lab,
+    load_graph,
+    prop2_construction,
+    random_weighting,
+    save_graph,
+)
 from heavyfactors.cli import main
 
 
@@ -232,6 +243,22 @@ def test_solve_oracle_respects_the_cap(prop2_file, capsys):
                    "--method", "oracle", "--cap", "6")
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_solve_oracle_finds_a_factor_at_its_place_in_the_partition_stream(tmp_path, capsys):
+    """`nodes_explored` counts the partitions the oracle read, up to and including the first heavy one."""
+    graph = random_weighting(9, 4, 2)
+    path = tmp_path / "g.json"
+    save_graph(path, graph)
+    params = FactorParams(3, Fraction(1, 2))
+    position = next(k for k, blocks in enumerate(enumerate_all_factors(9, 3), 1)
+                    if all(is_heavy(graph, b, params) for b in blocks))
+    assert position > 1
+    assert run_cli("solve", "--input", str(path), "--r", "3", "--t", "1/2", "--method", "oracle") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["outcome"], doc["nodes_explored"]) == ("factor", position)
+    CliqueFactor.from_blocks(doc["blocks"]).validate(9, 3)
+    assert all(is_heavy(graph, b, params) for b in doc["blocks"])
 
 
 def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, capsys):
@@ -472,6 +499,16 @@ def test_scan_flags_go_to_stderr(tmp_path, capsys):
     assert out.read_text().splitlines() == ["r,t,n,prop2_value,conjecture,upper_bound,certified"]
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_scan_refuses_a_vertex_count_below_one_before_any_cell(tmp_path, capsys, n):
+    """No seed exists on fewer than one vertex: exit 2 and nothing written, not a header-only table."""
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--r", "3", "--t", "1/2", "--n", n, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: need at least one vertex, got n={n}\n")
+    assert not out.exists()
+
+
 def test_scan_skips_an_r_that_leaves_the_clique_side_empty(capsys):
     """r = n = 6 has no seed weighting, so it is skipped and flagged; the r = 2 row is the one `--r 2` writes."""
     assert run_cli("scan", "--r", "2", "--t", "1/2", "--n", "6") == 0
@@ -479,7 +516,8 @@ def test_scan_skips_an_r_that_leaves_the_clique_side_empty(capsys):
     assert run_cli("scan", "--r", "2,6", "--t", "1/2", "--n", "6") == 0
     both = capsys.readouterr()
     assert both.out == alone.out and len(alone.out.splitlines()) == 2
-    assert (alone.err, both.err) == ("", "flag: r=6 t=1/2: skipped, r >= n=6 leaves the clique side empty\n")
+    skip = "flag: r=6 t=1/2: skipped, need n > r so the short side is nonempty, got n=6, r=6\n"
+    assert (alone.err, both.err) == ("", skip)
 
 
 def test_scan_refuses_a_level_outside_the_unit_interval_before_any_cell(monkeypatch, capsys):

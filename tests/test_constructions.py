@@ -170,6 +170,21 @@ def test_hs_rejects_bad_parameters(r, n):
         hs_sharpness_parts(r, n)
 
 
+@pytest.mark.parametrize("r,n,message", [
+    (3, 8, "r=3 does not divide n=8"),
+    (1, 4, "need r >= 2, got r=1"),
+    (3, 3, "need n > r so the short side is nonempty, got n=3, r=3"),
+    (3, 0, "need n > r so the short side is nonempty, got n=0, r=3"),
+])
+def test_both_seeds_refuse_one_shape_with_one_message(r, n, message):
+    """prop2's clique side and the hs-sharpness short part both hold n/r - 1 vertices."""
+    with pytest.raises(ValueError) as prop2:
+        prop2_construction(r, Fraction(1, 2), n)
+    with pytest.raises(ValueError) as hs:
+        hs_sharpness_construction(r, n)
+    assert str(prop2.value) == str(hs.value) == message
+
+
 # --------------------------------------------------- triangle counterexample
 
 
@@ -413,6 +428,17 @@ def test_package_exports_resolve_and_the_sampler_config_is_gone():
 
 
 # ------------------------------------------------- descriptors and rebuild
+
+
+@pytest.mark.parametrize("field", ["kind", "n"])
+def test_descriptor_without_kind_or_n_is_refused_naming_the_field(field):
+    """A descriptor is read from a file, so a missing field is an input error, not a KeyError."""
+    _, desc = prop2_construction(3, Fraction(2, 3), 9)
+    doc = desc.to_json()
+    del doc[field]
+    with pytest.raises(ValueError) as err:
+        ConstructionDescriptor.from_json(doc)
+    assert str(err.value) == f"construction descriptor is missing field {field!r}"
 
 
 def test_descriptor_json_round_trip():

@@ -138,7 +138,7 @@ def test_constructor_rejects_a_pair_given_twice():
     (lambda: WeightedCompleteGraph(3, {(1, 0): Fraction(3, 2)}), "edge (0, 1): weight 3/2 outside [0, 1]"),
     (lambda: WeightedCompleteGraph(3, {(0, 2): Fraction(-1, 2)}), "edge (0, 2): weight -1/2 outside [0, 1]"),
     (lambda: WeightedCompleteGraph(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1)}), "pair (0, 1) given twice"),
-    (lambda: WeightedCompleteGraph(3, {(0, 3): 1}), "invalid vertex pair (0, 3) for n=3"),
+    (lambda: WeightedCompleteGraph(3, {(0, 3): 1}), "edge (0, 3): vertex 3 out of range for n=3"),
     (lambda: WeightedCompleteGraph.from_flat(3, [1]), "flat weight vector has wrong length"),
     (lambda: WeightedCompleteGraph.constant(3, 2), "constant weight 2/1 outside [0, 1]"),
 ], ids=["n=0", "n<0", "constant-n=0", "float", "above-1", "below-0", "twice", "pair", "flat", "constant"])
@@ -466,6 +466,41 @@ def test_every_unit_entry_refuses_values_outside_the_unit_interval(call, value):
         call(value)
 
 
+AT_MAXIMUM = (ONES, FactorParams(3, Fraction(1)), hf.HeavyCollection((frozenset({0, 1, 2}),), overweight_count=0))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: WeightedCompleteGraph(3, {(1, 1): 1}), "edge (1, 1): repeats vertex 1"),
+    (lambda: ONES.weight(-1, 2), "edge: vertex -1 out of range for n=6"),
+    (lambda: ONES.weight(2, 2), "edge: repeats vertex 2"),
+    (lambda: ONES.with_weight(6, 0, 1), "edge (6, 0): vertex 6 out of range for n=6"),
+    (lambda: ONES.with_weight(4, 4, 1), "edge (4, 4): repeats vertex 4"),
+    (lambda: ONES.weighted_degree(6), "degree: vertex 6 out of range for n=6"),
+    (lambda: ONES.weighted_degree_to(0, [1, 7]), "source and targets: vertex 7 out of range for n=6"),
+    (lambda: ONES.weighted_degree_to(0, [1, 0]), "source and targets: repeats vertex 0"),
+    (lambda: ONES.weighted_degree_to(0, iter([2, 2])), "source and targets: repeats vertex 2"),
+    (lambda: ONES.clique_weight([0, 1, 6]), "clique: vertex 6 out of range for n=6"),
+    (lambda: ONES.clique_weight([3, 1, 3]), "clique: repeats vertex 3"),
+    (lambda: ONES.induced([-2, 0]), "induced set: vertex -2 out of range for n=6"),
+    (lambda: ONES.induced([5, 5]), "induced set: repeats vertex 5"),
+    (lambda: ONES.induced([]), "need at least one vertex, got n=0"),
+    (lambda: CliqueFactor.from_blocks([[0, 1], [2, 4]]).validate(4, 2), "factor: vertex 4 out of range for n=4"),
+    (lambda: hf.build_bipartite_average(ONES, [(1, 2)], [3, 3]), "cliques and right side: repeats vertex 3"),
+    (lambda: hf.build_bipartite_average(ONES, [(1, 2)], [2]), "cliques and right side: repeats vertex 2"),
+    (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 6)), "designated set: vertex 6 out of range for n=6"),
+    (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 4)), "designated set: repeats vertex 4"),
+], ids=["constructor-repeat", "weight-range", "weight-repeat", "with_weight-range",
+        "with_weight-repeat", "weighted_degree", "weighted_degree_to-range", "weighted_degree_to-source",
+        "weighted_degree_to-target", "clique_weight-range", "clique_weight-repeat", "induced-range",
+        "induced-repeat", "induced-empty", "validate", "bipartite-right", "bipartite-clique", "designated-range",
+        "designated-repeat"])
+def test_every_vertex_set_entry_refuses_a_vertex_out_of_range_and_a_repeat(call, message):
+    """Each entry refuses through `_vertex_set`, the only raise of both faults; an empty induced set is no graph."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_heavy_boundary_separates_the_two_predicates():
     g = WeightedCompleteGraph(3, {(0, 1): Fraction(1), (0, 2): Fraction(1), (1, 2): Fraction(0)})
     p = FactorParams(r=3, t=Fraction(2, 3))
@@ -569,8 +604,8 @@ MALFORMED_DOCUMENTS = [
     ({"n": 0}, "'n'", "field 'n' must be a positive integer, got 0"),
     ({"n": 3, "edges": {}}, "'edges'", "field 'edges' must be a list"),
     ({"n": 3, "edges": [[0, 1]]}, "edges[0]", 'edges[0]: expected [i, j, "num/den"]'),
-    ({"n": 3, "edges": [[0, 0, "1/2"]]}, "edges[0]", "edges[0]: invalid pair (0, 0) for n=3"),
-    ({"n": 3, "edges": [[0, 3, "1/2"]]}, "edges[0]", "edges[0]: invalid pair (0, 3) for n=3"),
+    ({"n": 3, "edges": [[0, 0, "1/2"]]}, "edges[0]", "edges[0]: pair (0, 0): repeats vertex 0"),
+    ({"n": 3, "edges": [[0, 3, "1/2"]]}, "edges[0]", "edges[0]: pair (0, 3): vertex 3 out of range for n=3"),
     ({"n": 3, "edges": [[0, True, "1/2"]]}, "edges[0]", "edges[0]: vertex indices must be integers"),
     ({"n": 3, "edges": [[0, 1, "0.5"]]}, "edges[0]", "edges[0]: decimal notation is not accepted: '0.5'"),
     ({"n": 3, "edges": [[0, 1, "3/2"]]}, "edges[0]", "edges[0]: weight 3/2 outside [0, 1]"),

@@ -127,7 +127,11 @@ def raise_texts():
 RULE_HOMES = {
     "outside [0, 1]": ["core._unit"],
     "must be nonnegative": ["core._nonnegative"],
-    "out of range for n=": ["core.WeightedCompleteGraph"],
+    "out of range for n=": ["core._vertex_set"],
+    "repeats vertex": ["core._vertex_set"],
+    "need at least one vertex": ["core._vertex_count"],
+    "need n > r": ["constructions._seed_shape"],
+    "needs r >= 3": ["solver.t_r_threshold"],
     "does not divide": ["core._check_block_shape"],
     "overlaps": ["core._disjoint_blocks"],
     "even vertex count": ["matching.perfect_matching"],

@@ -310,7 +310,7 @@ def test_seed_scans_raise_no_flag_but_skipped(n):
     rs = range(2, min(7, n))
     report = scan_report(rs, ts, n)
     skipped = [r for r in rs if n % r != 0]
-    assert report.flags == tuple(f"r={r} t={format_rational(t)}: skipped, r does not divide n={n}"
+    assert report.flags == tuple(f"r={r} t={format_rational(t)}: skipped, r={r} does not divide n={n}"
                                  for r in skipped for t in ts)
     assert len(report.cells) == (len(rs) - len(skipped)) * len(ts)
     for c in report.cells:
@@ -334,6 +334,14 @@ def test_scan_above_the_cap_reports_uncertified_cells():
     (cell,) = report.cells
     assert not cell.certified
     assert conjecture_report_csv(report).strip().endswith("false")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_scan_refuses_a_vertex_count_below_one(n):
+    """Refused like a graph with no vertex, instead of a table whose every cell is skipped."""
+    with pytest.raises(ValueError) as scan:
+        scan_report([2, 3], [Fraction(1, 2)], n)
+    assert str(scan.value) == f"need at least one vertex, got n={n}"
 
 
 def test_scan_validates_the_grid():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import ceil, comb, log
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,11 +207,11 @@ def test_bipartite_average_validation():
 
 
 @pytest.mark.parametrize("cliques,vertices,message", [
-    ([[0, 1], [2, 3]], [4, 4], "right-side vertices must be distinct"),
-    ([[0, 1]], [-1], r"right-side vertices must be vertices 0\.\.5"),
-    ([[0, 1]], [9], r"right-side vertices must be vertices 0\.\.5"),
-    ([[0, 9]], [2], r"right-side vertices must be vertices 0\.\.5"),
-    ([[-1, 0]], [2], r"right-side vertices must be vertices 0\.\.5"),
+    ([[0, 1], [2, 3]], [4, 4], "cliques and right side: repeats vertex 4"),
+    ([[0, 1]], [-1], "cliques and right side: vertex -1 out of range for n=6"),
+    ([[0, 1]], [9], "cliques and right side: vertex 9 out of range for n=6"),
+    ([[0, 9]], [2], "cliques and right side: vertex 9 out of range for n=6"),
+    ([[-1, 0]], [2], "cliques and right side: vertex -1 out of range for n=6"),
     ([[]], [2], "cliques must have at least one vertex"),
 ], ids=["duplicate-right", "negative-right", "right-past-n", "member-past-n", "negative-member", "empty-clique"])
 def test_bipartite_average_rejects_vertices_outside_the_graph(cliques, vertices, message):
@@ -477,6 +478,36 @@ def test_scheme2_falls_back_to_the_exact_solver_on_a_small_side(monkeypatch):
     assert calls == [(12, 3, False, True)]
     factor.validate(16, 4)
     assert all(is_heavy(g, b, params) for b in factor.blocks)
+
+
+@pytest.mark.parametrize("failures,calls", [
+    ({"scheme2_factor": None, "find_heavy_factor": SimpleNamespace(factor=None)},
+     ["scheme2_factor", "find_heavy_factor", "scheme2_factor"]),
+    ({"bipartite_threshold_matching": None}, ["bipartite_threshold_matching"] * 2),
+], ids=["sub-factor", "merge"])
+def test_scheme2_spends_one_retry_on_a_failed_sub_factor_or_merge(monkeypatch, failures, calls):
+    """Each named step fails on its first call: a sub-factor still None after the fallback, or a merge with no matching.
+
+    The next retry returns a validated factor; with one retry the call returns None.
+    """
+    real = {name: getattr(schemes, name) for name in failures}
+    g = WeightedCompleteGraph.constant(12, Fraction(1))
+    params = FactorParams(r=3, t=Fraction(1, 2))
+
+    def run(retries):
+        seen = []
+        for name, failure in failures.items():
+            def spy(*args, name=name, failure=failure, **kwargs):
+                seen.append(name)
+                return failure if seen.count(name) == 1 else real[name](*args, **kwargs)
+            monkeypatch.setattr(schemes, name, spy)
+        return scheme2_factor(g, params, seed=1, retries=retries), seen
+
+    factor, seen = run(2)
+    assert seen == calls
+    factor.validate(12, 3)
+    assert all(is_heavy(g, b, params) for b in factor.blocks)
+    assert run(1) == (None, list(failures))
 
 
 def test_scheme2_is_deterministic_per_seed():

@@ -973,6 +973,15 @@ def test_lemma1_bound_rejects_bad_parameters(delta, t, r, n):
         lemma1_bound(delta, t, r, n)
 
 
+@pytest.mark.parametrize("r", [2, 0])
+def test_the_counting_bound_and_its_level_refuse_r_below_three_alike(r):
+    with pytest.raises(ValueError) as bound:
+        lemma1_bound(Fraction(1, 2), Fraction(1, 4), r, 9)
+    with pytest.raises(ValueError) as level:
+        t_r_threshold(r)
+    assert str(bound.value) == str(level.value) == f"the counting bound needs r >= 3, got r={r}"
+
+
 def test_counting_floor_holds_on_seeded_weightings():
     """Whenever the scaled min degree clears t, every vertex clears the floor."""
     t = Fraction(1, 2)
