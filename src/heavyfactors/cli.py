@@ -22,13 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .constructions import (
-    KIND_COUNTEREXAMPLE,
-    KIND_HS,
-    KIND_PROP2,
-    KIND_RANDOM,
-    build,
-)
+from .constructions import KIND_RANDOM, KINDS, build
 from .core import (
     BudgetExceededError,
     CapExceededError,
@@ -56,9 +50,8 @@ from .solver import (
     local_search_heavy_collection,
 )
 
-# the options each --kind reads besides --n, --scale, --out and --descriptor
-GENERATE_OPTIONS = {KIND_PROP2: ("r", "t"), KIND_HS: ("r",), KIND_COUNTEREXAMPLE: (),
-                    "random": ("seed", "grid", "min_degree")}
+# the --kind spellings that are not a construction kind's own name
+KIND_ALIASES = {"random": KIND_RANDOM}
 # exception type -> exit code, first match wins (GraphFormatError is a ValueError)
 EXIT_CODES = {ValueError: 2, OSError: 2, CapExceededError: 3, BudgetExceededError: 3,
               CertificationError: 4}
@@ -111,10 +104,7 @@ def _factor_doc(graph, factor: CliqueFactor | None) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    for dest in ("r", "t", "seed", "grid", "min_degree"):
-        if getattr(args, dest) is not None and dest not in GENERATE_OPTIONS[args.kind]:
-            raise ValueError(f"--kind {args.kind} does not read --{dest.replace('_', '-')}")
-    kind = KIND_RANDOM if args.kind == "random" else args.kind
+    kind = KIND_ALIASES.get(args.kind, args.kind)
     desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
     _refuse_same_file(args.out, desc_path, "--descriptor")
     graph, desc = build(
@@ -123,7 +113,7 @@ def _cmd_generate(args) -> int:
         r=args.r,
         t=args.t,
         seed=args.seed,
-        grid_denominator=12 if args.grid is None else args.grid,
+        grid_denominator=args.grid,
         min_degree=args.min_degree,
         scale=args.scale,
     )
@@ -275,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a construction to a JSON graph file")
-    p.add_argument("--kind", required=True, choices=list(GENERATE_OPTIONS))
+    p.add_argument("--kind", required=True,
+                   choices=[kind for kind in KINDS if kind not in KIND_ALIASES.values()] + list(KIND_ALIASES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--t", type=_rational)

@@ -16,7 +16,12 @@ Three deterministic families and one seeded sampler:
   degree by drawing every edge from the top of the grid, so one draw meets it.
 
 Each deterministic generator also returns a descriptor that reproduces the
-graph bit-exactly, so files on disk can say where they came from.
+graph bit-exactly, so files on disk can say where they came from.  `KINDS`
+is the one table of which fields each kind reads besides `n` and `scale`,
+and which of them it may omit.  A descriptor is checked once, where it
+enters, by `_checked_descriptor`: from `build`'s keywords and from a JSON
+document.  `rebuild` goes through `build` and refuses a descriptor whose
+partition is not the one the rebuilt graph has.
 """
 
 from __future__ import annotations
@@ -76,21 +81,12 @@ class ConstructionDescriptor:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ConstructionDescriptor":
-        for key in ("kind", "n"):
-            if key not in doc:
-                raise ValueError(f"construction descriptor is missing field {key!r}")
-        return cls(
-            kind=doc["kind"],
-            n=doc["n"],
-            r=doc.get("r"),
-            t=parse_rational(doc["t"]) if "t" in doc else None,
-            seed=doc.get("seed"),
-            scale=parse_rational(doc["scale"]) if "scale" in doc else None,
-            grid_denominator=doc.get("grid_denominator"),
-            min_degree=parse_rational(doc["min_degree"]) if "min_degree" in doc else None,
-            partition={k: tuple(v) for k, v in doc.get("partition", {}).items()},
-        )
+    def from_json(cls, doc) -> "ConstructionDescriptor":
+        """The descriptor a JSON document holds, checked as `build` checks its keywords."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"construction descriptor must be a JSON object, got {type(doc).__name__}")
+        return _checked_descriptor({key: parse_rational(value) if key in _RATIONAL_FIELDS else value
+                                    for key, value in doc.items()})
 
 
 def _seed_shape(r: int, n: int) -> int:
@@ -250,45 +246,78 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
     return _sample_grid_floor(random.Random(seed), n, grid_denominator, per_edge)
 
 
+# kind -> (the fields it needs, {field it may omit: the value read in its place}, generator);
+# every kind also reads n and scale
+KINDS = {
+    KIND_PROP2: (("r", "t"), {}, lambda d: prop2_construction(d.r, d.t, d.n)),
+    KIND_HS: (("r",), {}, lambda d: hs_sharpness_construction(d.r, d.n)),
+    KIND_COUNTEREXAMPLE: ((), {}, lambda d: counterexample_29_36(d.n)),
+    KIND_RANDOM: ((), {"seed": 0, "grid_denominator": 12, "min_degree": None},
+                  lambda d: (random_weighting(d.n, d.grid_denominator, d.seed, d.min_degree), d)),
+}
+_DESCRIPTOR_FIELDS = ConstructionDescriptor.__dataclass_fields__.keys()
+_INTEGER_FIELDS = ("n", "r", "seed", "grid_denominator")
+_RATIONAL_FIELDS = ("t", "scale", "min_degree")
+
+
+def _checked_descriptor(fields: dict) -> ConstructionDescriptor:
+    """The descriptor the given `fields` hold, the kind's defaults filled in: the one check of a descriptor.
+
+    Each refusal is a ValueError naming the field; ranges and shapes are the
+    generators' own checks.
+    """
+    for name in ("kind", "n"):
+        if name not in fields:
+            raise ValueError(f"construction descriptor is missing field {name!r}")
+    for name in fields:
+        if name not in _DESCRIPTOR_FIELDS:
+            raise ValueError(f"construction descriptor has no field {name!r}")
+    kind = fields["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    needs, defaults, _ = KINDS[kind]
+    for name in fields:
+        if name not in ("kind", "n", "scale", "partition", *needs, *defaults):
+            raise ValueError(f"construction kind {kind!r} does not read field {name!r}")
+    for name in needs:
+        if name not in fields:
+            raise ValueError(f"construction descriptor is missing field {name!r}")
+    fields = {**defaults, **fields}
+    for name in _INTEGER_FIELDS:
+        if name in fields and type(fields[name]) is not int:
+            raise ValueError(f"construction descriptor field {name!r} must be an integer, got {fields[name]!r}")
+    for name in _RATIONAL_FIELDS:
+        if fields.get(name) is not None:
+            fields[name] = _exact(fields[name], f"construction descriptor field {name!r}")
+    partition = fields.get("partition", {})
+    if not isinstance(partition, dict) or not all(isinstance(vs, (list, tuple)) for vs in partition.values()):
+        raise ValueError("construction descriptor field 'partition' must map labels to vertex lists")
+    fields["partition"] = {label: tuple(vs) for label, vs in partition.items()}
+    return ConstructionDescriptor(**fields)
+
+
 def build(kind: str, *, n: int, r: int | None = None, t=None, seed: int | None = None,
           grid_denominator: int | None = None, min_degree=None,
           scale=None) -> tuple[WeightedCompleteGraph, ConstructionDescriptor]:
-    """Uniform front end over all generators; used by the CLI and `rebuild`."""
-    if kind == KIND_PROP2:
-        if r is None or t is None:
-            raise ValueError("prop2 needs r and t")
-        graph, desc = prop2_construction(r, t, n)
-    elif kind == KIND_HS:
-        if r is None:
-            raise ValueError("hs-sharpness needs r")
-        graph, desc = hs_sharpness_construction(r, n)
-    elif kind == KIND_COUNTEREXAMPLE:
-        graph, desc = counterexample_29_36(n)
-    elif kind == KIND_RANDOM:
-        if grid_denominator is None:
-            raise ValueError("random weighting needs a grid denominator")
-        if seed is None:
-            seed = 0
-        md = None if min_degree is None else _exact(min_degree, "min degree")
-        graph = random_weighting(n, grid_denominator, seed, md)
-        desc = ConstructionDescriptor(
-            kind=KIND_RANDOM, n=n, seed=seed,
-            grid_denominator=grid_denominator, min_degree=md,
-        )
-    else:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    if scale is not None:
-        f = _exact(scale, "scale factor")
-        graph = graph.scale(f)
-        desc = replace(desc, scale=f)
-    return graph, desc
+    """The graph of one construction kind and its descriptor; used by the CLI and `rebuild`.
+
+    A keyword left at None is not given.  The descriptor is checked and made
+    first, so a field the kind does not read, one it needs and lacks, or one
+    of the wrong type is refused before anything is generated; a random
+    weighting left without a seed or grid draws from seed 0 on grid 12.
+    """
+    given = dict(kind=kind, n=n, r=r, t=t, seed=seed, grid_denominator=grid_denominator,
+                 min_degree=min_degree, scale=scale)
+    desc = _checked_descriptor({name: value for name, value in given.items() if value is not None})
+    graph, made = KINDS[kind][2](desc)
+    if desc.scale is not None:
+        graph = graph.scale(desc.scale)
+    return graph, replace(desc, partition=made.partition)
 
 
 def rebuild(desc: ConstructionDescriptor) -> WeightedCompleteGraph:
-    """Reconstruct the exact weighting a descriptor came from."""
-    graph, _ = build(
-        desc.kind, n=desc.n, r=desc.r, t=desc.t, seed=desc.seed,
-        grid_denominator=desc.grid_denominator, min_degree=desc.min_degree,
-        scale=desc.scale,
-    )
+    """Reconstruct the exact weighting a descriptor came from; refuse a partition it does not have."""
+    graph, built = build(**{name: value for name, value in vars(desc).items() if name != "partition"})
+    if desc.partition != built.partition:
+        raise ValueError("construction descriptor field 'partition' is not the partition of the rebuilt graph")
     return graph

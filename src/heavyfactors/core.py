@@ -24,7 +24,8 @@ code that holds integer weights over one denominator calls `_from_rows`,
 which trusts them.
 
 A vertex set (a pair, a clique, degree targets, an induced set, a factor's
-union) is checked by `_vertex_set`, the one check of distinct vertices in range(n).
+union) is checked by `_vertex_set`, the one check of distinct integer vertices in
+range(n).
 
 A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
 two-space indent, every pair listed.  `save_graph` writes those bytes itself,
@@ -126,8 +127,11 @@ def _vertex_count(n: int) -> int:
 
 
 def _vertex_set(vertices, n: int, what: str) -> tuple[int, ...]:
-    """`vertices` sorted: the one check that they are distinct members of range(n)."""
+    """`vertices` sorted: the one check that they are distinct integers in range(n), bools refused."""
     vs = sorted(vertices)
+    for v in vs:
+        if type(v) is not int:
+            raise ValueError(f"{what}: vertex {v!r} is not an integer")
     if vs and (vs[0] < 0 or vs[-1] >= n):
         raise ValueError(f"{what}: vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={n}")
     if len(set(vs)) != len(vs):

@@ -404,7 +404,7 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
 def heavy_cliques_containing(graph: WeightedCompleteGraph, v: int,
                              params: FactorParams, strict: bool = False) -> int:
     """Count of heavy r-sets through v (the quantity the counting bound floors)."""
-    graph.weighted_degree(v)  # refuses a vertex out of range
+    _vertex_set((v,), graph.n, "heavy cliques containing")
     _, through, heavy = _heavy_family(graph, params, strict)
     return (through[v] & heavy).bit_count()
 

@@ -89,14 +89,19 @@ def test_generate_random_draws_at_seed_0_and_grid_12_by_default(tmp_path, capsys
     for option in unread
 ])
 def test_generate_refuses_an_option_its_kind_does_not_read(tmp_path, capsys, kind, args, option):
-    """Exit 2 naming the option and the kind, and neither the graph nor the descriptor is written."""
+    """Exit 2 naming the kind and the descriptor field, and neither the graph nor the descriptor is written.
+
+    The refusal is `build`'s, so it names the field the option sets.
+    """
     value = {"--r": "3", "--t": "1/2", "--seed": "1", "--grid": "6", "--min-degree": "1/2"}[option]
+    field = {"--grid": "grid_denominator", "--min-degree": "min_degree"}.get(option, option[2:])
     out = tmp_path / "g.json"
     argv = ["generate", "--kind", kind, "--n", "36", *args, "--out", str(out)]
     assert run_cli(*argv, option, value) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --kind {kind} does not read {option}\n"
+    kind_name = {"random": "random-min-degree"}.get(kind, kind)
+    assert captured.err == f"error: construction kind {kind_name!r} does not read field {field!r}\n"
     assert list(tmp_path.iterdir()) == []
     assert run_cli(*argv) == 0
 

@@ -502,12 +502,89 @@ def test_descriptor_json_round_trip_rebuilds_every_kind(arguments):
 
 
 def test_build_validates_kind_and_required_fields():
+    """A random weighting left without a seed or grid draws at seed 0 on grid 12, as `hfl generate` does."""
     with pytest.raises(ValueError):
         build("no-such-kind", n=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^construction descriptor is missing field 'r'$"):
         build(KIND_PROP2, n=6)
-    with pytest.raises(ValueError):
-        build(KIND_RANDOM, n=6)
+    with pytest.raises(ValueError, match="^construction kind 'random-min-degree' does not read field 'r'$"):
+        build(KIND_RANDOM, n=6, r=3)
+    assert build(KIND_RANDOM, n=6) == build(KIND_RANDOM, n=6, seed=0, grid_denominator=12)
+
+
+@pytest.mark.parametrize("kind,kwargs,unread", [
+    pytest.param(kind, kwargs, name, id=f"{kind}-{name}")
+    for kind, kwargs, unread in [
+        (KIND_PROP2, dict(n=36, r=3, t=Fraction(2, 3)), ["seed", "grid_denominator", "min_degree"]),
+        (KIND_HS, dict(n=36, r=3), ["t", "seed", "grid_denominator", "min_degree"]),
+        (KIND_COUNTEREXAMPLE, dict(n=36), ["r", "t", "seed", "grid_denominator", "min_degree"]),
+        (KIND_RANDOM, dict(n=36), ["r", "t"]),
+    ]
+    for name in unread
+])
+def test_build_refuses_a_field_its_kind_does_not_read(kind, kwargs, unread):
+    """The library side of `hfl generate`'s refusal: the same check, the same message."""
+    value = {"r": 3, "t": Fraction(1, 2), "seed": 1, "grid_denominator": 6, "min_degree": Fraction(1, 2)}[unread]
+    with pytest.raises(ValueError) as err:
+        build(kind, **kwargs, **{unread: value})
+    assert str(err.value) == f"construction kind {kind!r} does not read field {unread!r}"
+    build(kind, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(n="9", r=3, t=Fraction(2, 3)), "field 'n' must be an integer, got '9'"),
+    (dict(n=True, r=3, t=Fraction(2, 3)), "field 'n' must be an integer, got True"),
+    (dict(n=9, r=3.0, t=Fraction(2, 3)), "field 'r' must be an integer, got 3.0"),
+], ids=["n-string", "n-bool", "r-float"])
+def test_build_refuses_a_field_that_is_not_an_integer(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        build(KIND_PROP2, **kwargs)
+    assert str(err.value) == f"construction descriptor {message}"
+
+
+def test_build_refuses_a_seed_that_is_not_an_integer():
+    """A string seed used to seed the generator and draw a graph."""
+    with pytest.raises(ValueError) as err:
+        build(KIND_RANDOM, n=6, seed="x")
+    assert str(err.value) == "construction descriptor field 'seed' must be an integer, got 'x'"
+
+
+PROP2_DOC = build(KIND_PROP2, n=9, r=3, t=Fraction(2, 3))[1].to_json()
+HS_DOC = build(KIND_HS, n=8, r=4)[1].to_json()
+RANDOM_DOC = build(KIND_RANDOM, n=6, seed=1)[1].to_json()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**PROP2_DOC, "n": "9"}, "construction descriptor field 'n' must be an integer, got '9'"),
+    ({**PROP2_DOC, "n": True}, "construction descriptor field 'n' must be an integer, got True"),
+    ({**PROP2_DOC, "r": "3"}, "construction descriptor field 'r' must be an integer, got '3'"),
+    ({**RANDOM_DOC, "seed": "x"}, "construction descriptor field 'seed' must be an integer, got 'x'"),
+    ({**RANDOM_DOC, "grid_denominator": None},
+     "construction descriptor field 'grid_denominator' must be an integer, got None"),
+    ({**PROP2_DOC, "partition": 5}, "construction descriptor field 'partition' must map labels to vertex lists"),
+    ({**PROP2_DOC, "partition": {"A": 5}},
+     "construction descriptor field 'partition' must map labels to vertex lists"),
+    ({**PROP2_DOC, "colour": "red"}, "construction descriptor has no field 'colour'"),
+    ({**HS_DOC, "t": "1/2"}, "construction kind 'hs-sharpness' does not read field 't'"),
+    ({**PROP2_DOC, "seed": 0}, "construction kind 'prop2' does not read field 'seed'"),
+    ({k: v for k, v in PROP2_DOC.items() if k != "r"}, "construction descriptor is missing field 'r'"),
+    ({**PROP2_DOC, "kind": "prop3"}, "unknown construction kind 'prop3'"),
+    ({**PROP2_DOC, "kind": ["prop2"]}, "unknown construction kind ['prop2']"),
+    ([PROP2_DOC], "construction descriptor must be a JSON object, got list"),
+    ({**PROP2_DOC, "partition": {"A": [0], "B": list(range(1, 9))}},
+     "construction descriptor field 'partition' is not the partition of the rebuilt graph"),
+    ({k: v for k, v in PROP2_DOC.items() if k != "partition"},
+     "construction descriptor field 'partition' is not the partition of the rebuilt graph"),
+    ({**RANDOM_DOC, "partition": {"A": [0, 1, 2, 3, 4, 5]}},
+     "construction descriptor field 'partition' is not the partition of the rebuilt graph"),
+], ids=["n-string", "n-bool", "r-string", "seed-string", "grid-null", "partition-int", "partition-part-int",
+        "unknown-key", "hs-t", "prop2-seed", "prop2-no-r", "unknown-kind", "kind-list", "not-a-dict",
+        "partition-other", "partition-missing", "random-partition"])
+def test_a_mutated_descriptor_document_is_refused_naming_the_field(doc, message):
+    """A descriptor file is outside input: every fault is a ValueError, never a TypeError or AttributeError."""
+    with pytest.raises(ValueError) as err:
+        rebuild(ConstructionDescriptor.from_json(doc))
+    assert str(err.value) == message
 
 
 def test_build_applies_the_scale_to_graph_and_descriptor():

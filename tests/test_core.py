@@ -489,13 +489,22 @@ AT_MAXIMUM = (ONES, FactorParams(3, Fraction(1)), hf.HeavyCollection((frozenset(
     (lambda: hf.build_bipartite_average(ONES, [(1, 2)], [2]), "cliques and right side: repeats vertex 2"),
     (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 6)), "designated set: vertex 6 out of range for n=6"),
     (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 4)), "designated set: repeats vertex 4"),
+    (lambda: hf.heavy_cliques_containing(ONES, 6, HALF), "heavy cliques containing: vertex 6 out of range for n=6"),
+    (lambda: ONES.weight(1.0, 2), "edge: vertex 1.0 is not an integer"),
+    (lambda: ONES.clique_weight([0, 1, 2.0]), "clique: vertex 2.0 is not an integer"),
+    (lambda: ONES.induced([0.5, 1]), "induced set: vertex 0.5 is not an integer"),
+    (lambda: ONES.weighted_degree(True), "degree: vertex True is not an integer"),
 ], ids=["constructor-repeat", "weight-range", "weight-repeat", "with_weight-range",
         "with_weight-repeat", "weighted_degree", "weighted_degree_to-range", "weighted_degree_to-source",
         "weighted_degree_to-target", "clique_weight-range", "clique_weight-repeat", "induced-range",
         "induced-repeat", "induced-empty", "validate", "bipartite-right", "bipartite-clique", "designated-range",
-        "designated-repeat"])
+        "designated-repeat", "heavy_cliques_containing-range", "weight-float", "clique_weight-float",
+        "induced-float", "weighted_degree-bool"])
 def test_every_vertex_set_entry_refuses_a_vertex_out_of_range_and_a_repeat(call, message):
-    """Each entry refuses through `_vertex_set`, the only raise of both faults; an empty induced set is no graph."""
+    """Each entry refuses through `_vertex_set`, the only raise of these faults; an empty induced set is no graph.
+
+    A vertex that is not an int (a float, or a bool) is refused by name before any row is read.
+    """
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

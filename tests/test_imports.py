@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
 JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
-input rule is raised from one home, the annealer has one way in, and no module reads the environment."""
+input rule is raised from one home, `cli` holds no table of construction kinds, the annealer has one way
+in, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,7 @@ RULE_HOMES = {
     "must be >= 1": ["constructions._sample_grid_floor", "lab.adversarial_search"],
     "need r >= 2": ["core._check_block_shape"],
     "need n >= r": ["solver.lemma1_bound"],
+    "does not read": ["constructions._checked_descriptor"],
 }
 
 
@@ -152,6 +154,18 @@ def test_each_input_rule_is_written_once():
     homes = {phrase: sorted(owner for owner, text in texts if phrase in text) for phrase in RULE_HOMES}
     assert homes == RULE_HOMES
     assert callers("CertificationError") == ["core._require"]
+
+
+def test_cli_holds_no_table_of_construction_kinds():
+    """Which fields each construction kind reads is written once, in `constructions.KINDS`.
+
+    `hfl generate` passes its options straight to `build`, so `cli` names no
+    per-kind option table and no kind but the one its `--kind random` spells.
+    """
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {name for name, _ in imported_names(tree)}
+    assert names & {"GENERATE_OPTIONS", "KIND_PROP2", "KIND_HS", "KIND_COUNTEREXAMPLE"} == set()
 
 
 def test_the_annealer_has_one_way_in():
