@@ -36,10 +36,10 @@ from .core import (
     _ceil_numerator,
     _check_block_shape,
     _exact,
+    _integer,
     _require,
     _unit,
     format_rational,
-    parse_rational,
 )
 
 KIND_PROP2 = "prop2"
@@ -85,8 +85,7 @@ class ConstructionDescriptor:
         """The descriptor a JSON document holds, checked as `build` checks its keywords."""
         if not isinstance(doc, dict):
             raise ValueError(f"construction descriptor must be a JSON object, got {type(doc).__name__}")
-        return _checked_descriptor({key: parse_rational(value) if key in _RATIONAL_FIELDS else value
-                                    for key, value in doc.items()})
+        return _checked_descriptor(doc)
 
 
 def _seed_shape(r: int, n: int) -> int:
@@ -256,15 +255,16 @@ KINDS = {
                   lambda d: (random_weighting(d.n, d.grid_denominator, d.seed, d.min_degree), d)),
 }
 _DESCRIPTOR_FIELDS = ConstructionDescriptor.__dataclass_fields__.keys()
-_INTEGER_FIELDS = ("n", "r", "seed", "grid_denominator")
-_RATIONAL_FIELDS = ("t", "scale", "min_degree")
+# field -> its check; `_exact` also reads rational text as the command line does
+_FIELD_CHECKS = {"n": _integer, "r": _integer, "seed": _integer, "grid_denominator": _integer,
+                 "t": _exact, "scale": _exact, "min_degree": _exact}
 
 
 def _checked_descriptor(fields: dict) -> ConstructionDescriptor:
     """The descriptor the given `fields` hold, the kind's defaults filled in: the one check of a descriptor.
 
-    Each refusal is a ValueError naming the field; ranges and shapes are the
-    generators' own checks.
+    Each refusal is a ValueError, which names the field unless it is text
+    `parse_rational` refuses; ranges and shapes are the generators' own checks.
     """
     for name in ("kind", "n"):
         if name not in fields:
@@ -282,13 +282,9 @@ def _checked_descriptor(fields: dict) -> ConstructionDescriptor:
     for name in needs:
         if name not in fields:
             raise ValueError(f"construction descriptor is missing field {name!r}")
-    fields = {**defaults, **fields}
-    for name in _INTEGER_FIELDS:
-        if name in fields and type(fields[name]) is not int:
-            raise ValueError(f"construction descriptor field {name!r} must be an integer, got {fields[name]!r}")
-    for name in _RATIONAL_FIELDS:
-        if fields.get(name) is not None:
-            fields[name] = _exact(fields[name], f"construction descriptor field {name!r}")
+    checked = {name: check(fields[name], f"construction descriptor field {name!r}")
+               for name, check in _FIELD_CHECKS.items() if name in fields}
+    fields = {**defaults, **fields, **checked}
     partition = fields.get("partition", {})
     if not isinstance(partition, dict) or not all(isinstance(vs, (list, tuple)) for vs in partition.values()):
         raise ValueError("construction descriptor field 'partition' must map labels to vertex lists")

@@ -23,9 +23,10 @@ types alone; any other entry takes the checks that name its fault.  Package
 code that holds integer weights over one denominator calls `_from_rows`,
 which trusts them.
 
-A vertex set (a pair, a clique, degree targets, an induced set, a factor's
-union) is checked by `_vertex_set`, the one check of distinct integer vertices in
-range(n).
+A rational is read by `_exact` (text by `parse_rational`), an integer (a
+vertex count, r, a seed, a vertex) by `_integer`, which takes an `int` and no
+other type, and a vertex set (a pair, a clique, degree targets, an induced set,
+a factor's union) by `_vertex_set`, the one check of distinct vertices in range(n).
 
 A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
 two-space indent, every pair listed.  `save_graph` writes those bytes itself,
@@ -67,23 +68,25 @@ class CertificationError(RuntimeError):
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer string) into a Fraction.
 
-    Decimal and scientific notation are rejected: weights travel end-to-end as
-    exact rationals and a silent float would defeat every boundary test.
+    Decimal and scientific notation ("0.5", "1e3": text `Fraction` reads) are
+    rejected: weights travel end-to-end as exact rationals and a silent float
+    would defeat every boundary test.
     """
     s = str(text).strip()
     if not s:
         raise ValueError("empty rational")
-    if any(c in s for c in ".eE"):
-        raise ValueError(f"decimal notation is not accepted: {text!r}")
+    num, slash, den = s.partition("/")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        return Fraction(int(num), int(den)) if slash else Fraction(int(s))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator: {text!r}") from exc
-    except ValueError as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    except ValueError:
+        pass
+    try:
+        Fraction(s)
+    except ValueError:
+        raise ValueError(f"not a rational: {text!r}") from None
+    raise ValueError(f"decimal notation is not accepted: {text!r}")
 
 
 def format_rational(value) -> str:
@@ -93,10 +96,14 @@ def format_rational(value) -> str:
 
 
 def _exact(value, what: str) -> Fraction:
-    """`value` as a Fraction; the one float check of every public entry taking a rational."""
-    if isinstance(value, float):
-        raise ValueError(f"{what} must be an exact rational, not a float")
-    return Fraction(value)
+    """`value` as a Fraction, text as `parse_rational` reads it: the one reader of a rational, refusing other types."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(f"{what} must be an exact rational, not a {type(value).__name__}")
 
 
 def _ceil_numerator(x: Fraction, den: int) -> int:
@@ -119,19 +126,27 @@ def _nonnegative(value, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """`value`, refused unless its type is `int` (a bool is not): the one integer check of every count, size, seed and vertex."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _vertex_count(n: int) -> int:
-    """`n`, refused below 1: the one check that a vertex count leaves a graph to build."""
-    if n < 1:
+    """`n`, refused unless an integer of at least 1: the one check that a vertex count leaves a graph to build."""
+    if _integer(n, "vertex count") < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     return n
 
 
 def _vertex_set(vertices, n: int, what: str) -> tuple[int, ...]:
-    """`vertices` sorted: the one check that they are distinct integers in range(n), bools refused."""
-    vs = sorted(vertices)
+    """`vertices` sorted: the one check that they are distinct integers in range(n), each type checked before the sort."""
+    vs = list(vertices)
     for v in vs:
-        if type(v) is not int:
-            raise ValueError(f"{what}: vertex {v!r} is not an integer")
+        if type(v) is not int:  # an all-int set pays one type test per vertex, not a call
+            _integer(v, f"{what}: vertex")
+    vs.sort()
     if vs and (vs[0] < 0 or vs[-1] >= n):
         raise ValueError(f"{what}: vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={n}")
     if len(set(vs)) != len(vs):
@@ -302,9 +317,7 @@ class FactorParams:
     heavy_threshold: Fraction = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.r, bool) or not isinstance(self.r, int):
-            raise ValueError(f"r must be an exact integer, not a {type(self.r).__name__}")
-        _check_block_shape(self.r, self.r)  # r divides itself, so only r < 2 is refused
+        _check_block_shape(_integer(self.r, "r"), self.r)  # r divides itself, so only r < 2 is refused
         t = _unit(self.t, "level t")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "heavy_threshold", t * comb(self.r, 2))
@@ -424,9 +437,10 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
             raise GraphFormatError(f"unexpected field {key!r}: a graph document has only 'n' and 'edges'")
     if "n" not in doc:
         raise GraphFormatError("missing field 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise GraphFormatError(f"field 'n' must be a positive integer, got {n!r}")
+    try:
+        n = _vertex_count(doc["n"])
+    except ValueError as exc:
+        raise GraphFormatError(f"field 'n': {exc}") from exc
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list")
@@ -445,8 +459,6 @@ def graph_from_json(doc) -> WeightedCompleteGraph:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise GraphFormatError(f"edges[{pos}]: expected [i, j, \"num/den\"]")
             i, j, wtext = entry
-            if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
-                raise GraphFormatError(f"edges[{pos}]: vertex indices must be integers")
             try:
                 i, j = _vertex_set((i, j), n, f"pair ({i}, {j})")
             except ValueError as exc:

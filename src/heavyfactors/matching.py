@@ -121,10 +121,14 @@ def perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int
 
 
 def bipartite_maximum_matching(n_left: int, n_right: int,
-                               adjacency: Sequence[Iterable[int]]) -> list[int]:
+                               adjacency: Sequence[Sequence[int]]) -> list[int]:
     """Kuhn's algorithm; returns match_left[i] = right index or -1."""
     if len(adjacency) != n_left:
         raise ValueError("adjacency must list neighbors for every left vertex")
+    for row in adjacency:
+        for v in row:
+            if not 0 <= v < n_right:
+                raise ValueError(f"right vertex {v} out of range")
     match_left = [-1] * n_left
     match_right = [-1] * n_right
     for u in range(n_left):
@@ -132,12 +136,10 @@ def bipartite_maximum_matching(n_left: int, n_right: int,
     return match_left
 
 
-def _try_augment(u: int, adjacency: Sequence[Iterable[int]], match_left: list[int],
+def _try_augment(u: int, adjacency: Sequence[Sequence[int]], match_left: list[int],
                  match_right: list[int], visited: list[bool]) -> bool:
     """Kuhn's augmenting-path step from left vertex u; flips the path when found."""
     for v in adjacency[u]:
-        if not 0 <= v < len(match_right):
-            raise ValueError(f"right vertex {v} out of range")
         if visited[v]:
             continue
         visited[v] = True

@@ -150,14 +150,19 @@ def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iter
     Canonical form: each block is a sorted tuple led by the smallest vertex
     not in any earlier block.  This is the independent oracle the backtracking
     search is tested against, so it deliberately shares no code with it.
-    The count for n, r is (n)! / ((r!)^(n/r) (n/r)!); n above `cap` raises
-    instead of silently enumerating forever, and a negative cap is rejected.
+    The count for n, r is (n)! / ((r!)^(n/r) (n/r)!), so `_enumeration_cap`
+    raises for n above `cap` instead of silently enumerating forever.
     """
     _check_block_shape(r, n)
+    _enumeration_cap(n, cap)
+    return _partitions(tuple(range(n)), r)
+
+
+def _enumeration_cap(n: int, cap: int) -> None:
+    """Refuse a negative cap, and raise CapExceededError for n above it: the one cap check of both enumerations."""
     _nonnegative(cap, "enumeration cap")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    return _partitions(tuple(range(n)), r)
 
 
 def _partitions(remaining: tuple, r: int) -> Iterator[tuple]:
@@ -478,15 +483,11 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: Fa
                                         cap: int = DEFAULT_ENUMERATION_CAP) -> list[HeavyCollection]:
     """All collections maximizing (size, within-block overweight edges).
 
-    Complete enumeration over subsets of disjoint heavy blocks; n above `cap`
-    raises rather than starting an infeasible enumeration, and a negative cap
-    is rejected.  When no heavy block exists at all, the unique maximum is
-    the empty collection.
+    Complete enumeration over subsets of disjoint heavy blocks, refused by
+    `_enumeration_cap` for n above `cap`.  When no heavy block exists at all,
+    the unique maximum is the empty collection.
     """
-    n = graph.n
-    _nonnegative(cap, "enumeration cap")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
+    _enumeration_cap(graph.n, cap)
     index, _, heavy = _heavy_family(graph, params, strict=False)
     masks = _heavy_masks(index, heavy)
     over = graph.threshold_masks(params.heavy_threshold)

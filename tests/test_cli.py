@@ -190,6 +190,13 @@ def test_decimal_rationals_are_rejected_at_the_parser():
     assert "decimal notation" in proc.stderr
 
 
+def test_rational_text_that_is_not_a_number_is_not_called_decimal(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("generate", "--kind", "prop2", "--n", "9", "--r", "3", "--t", "one", "--out", "unused.json")
+    assert exit_.value.code == 2
+    assert "argument --t: not a rational: 'one'" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- solve
 
 
@@ -282,6 +289,17 @@ def test_solve_rejects_malformed_graph_files(tmp_path, capsys):
     code = run_cli("solve", "--input", str(bad), "--r", "3", "--t", "1/2")
     assert code == 2
     assert "edges[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ('[0, 1, "three"]', "edges[0]: not a rational: 'three'"),
+    ('[0, "x", "1/2"]', "edges[0]: pair (0, x): vertex must be an integer, got 'x'"),
+], ids=["weight-text", "vertex-text"])
+def test_solve_names_a_graph_file_fault_with_exit_2(tmp_path, capsys, entry, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"n": 3, "edges": [{entry}]}}')
+    assert run_cli("solve", "--input", str(bad), "--r", "3", "--t", "1/2") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_refuses_a_descriptor_as_its_input(tmp_path, capsys):

@@ -577,9 +577,16 @@ RANDOM_DOC = build(KIND_RANDOM, n=6, seed=1)[1].to_json()
      "construction descriptor field 'partition' is not the partition of the rebuilt graph"),
     ({**RANDOM_DOC, "partition": {"A": [0, 1, 2, 3, 4, 5]}},
      "construction descriptor field 'partition' is not the partition of the rebuilt graph"),
+    ({**PROP2_DOC, "t": None}, "construction descriptor field 't' must be an exact rational, not a NoneType"),
+    ({**RANDOM_DOC, "min_degree": None},
+     "construction descriptor field 'min_degree' must be an exact rational, not a NoneType"),
+    ({**PROP2_DOC, "t": "0.5"}, "decimal notation is not accepted: '0.5'"),
+    ({**PROP2_DOC, "t": 0.5}, "construction descriptor field 't' must be an exact rational, not a float"),
+    ({**PROP2_DOC, "scale": True}, "construction descriptor field 'scale' must be an exact rational, not a bool"),
 ], ids=["n-string", "n-bool", "r-string", "seed-string", "grid-null", "partition-int", "partition-part-int",
         "unknown-key", "hs-t", "prop2-seed", "prop2-no-r", "unknown-kind", "kind-list", "not-a-dict",
-        "partition-other", "partition-missing", "random-partition"])
+        "partition-other", "partition-missing", "random-partition", "t-null", "min-degree-null", "t-decimal-text",
+        "t-float", "scale-bool"])
 def test_a_mutated_descriptor_document_is_refused_naming_the_field(doc, message):
     """A descriptor file is outside input: every fault is a ValueError, never a TypeError or AttributeError."""
     with pytest.raises(ValueError) as err:

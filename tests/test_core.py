@@ -54,6 +54,46 @@ def test_parse_rational_rejects_non_rational_text(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.5", "decimal notation is not accepted: '0.5'"),
+    ("-1E3", "decimal notation is not accepted: '-1E3'"),
+    (".5", "decimal notation is not accepted: '.5'"),
+    ("one", "not a rational: 'one'"),
+    ("inf", "not a rational: 'inf'"),
+    ("1.0/2", "not a rational: '1.0/2'"),
+    (None, "not a rational: None"),
+    (True, "not a rational: True"),
+], ids=["decimal", "exponent", "bare-point", "one", "inf", "decimal-numerator", "none", "true"])
+def test_parse_rational_calls_text_decimal_only_when_it_reads_as_a_decimal_number(text, message):
+    """An `e` alone does not make text decimal: "one", None and True are not rationals."""
+    with pytest.raises(ValueError) as err:
+        parse_rational(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FactorParams(3, "0.5"), "decimal notation is not accepted: '0.5'"),
+    (lambda: FactorParams(3, True), "level t must be an exact rational, not a bool"),
+    (lambda: FactorParams(3, None), "level t must be an exact rational, not a NoneType"),
+    (lambda: FactorParams(True, Fraction(1, 2)), "r must be an integer, got True"),
+    (lambda: FactorParams("3", Fraction(1, 2)), "r must be an integer, got '3'"),
+    (lambda: hf.build("prop2", n=9, r=3, t="0.5"), "decimal notation is not accepted: '0.5'"),
+    (lambda: WeightedCompleteGraph.constant(3, True), "constant weight must be an exact rational, not a bool"),
+], ids=["t-decimal-text", "t-bool", "t-none", "r-bool", "r-text", "build-t-decimal-text", "constant-bool"])
+def test_integers_and_rationals_are_read_by_one_check_each(call, message):
+    """Text is read as the command line reads it; a bool or None is a ValueError, never a TypeError or a number."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_rational_text_reads_as_the_fraction_it_spells():
+    assert FactorParams(3, "1/2") == FactorParams(3, Fraction(1, 2))
+    assert FactorParams(3, 1).t == Fraction(1)
+    assert hf.build("prop2", n=9, r=3, t="2/3") == hf.build("prop2", n=9, r=3, t=Fraction(2, 3))
+    assert WeightedCompleteGraph.constant(3, " 1/3 ") == WeightedCompleteGraph.constant(3, Fraction(1, 3))
+
+
 def test_format_rational_always_prints_denominator():
     assert format_rational(Fraction(2, 3)) == "2/3"
     assert format_rational(1) == "1/1"
@@ -441,9 +481,9 @@ HALF = FactorParams(3, Fraction(1, 2))
 def test_every_rational_entry_refuses_floats(call):
     """A float would round every boundary; each entry refuses it through one check.
 
-    An r is an integer, so scan_report names it an exact integer instead.
+    An r is an integer, so scan_report refuses it through the integer check instead.
     """
-    with pytest.raises(ValueError, match="must be an exact (rational|integer), not a float"):
+    with pytest.raises(ValueError, match="must be an exact rational, not a float|r must be an integer, got 3.7"):
         call()
 
 
@@ -490,20 +530,22 @@ AT_MAXIMUM = (ONES, FactorParams(3, Fraction(1)), hf.HeavyCollection((frozenset(
     (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 6)), "designated set: vertex 6 out of range for n=6"),
     (lambda: hf.check_facts_at_maximum(*AT_MAXIMUM, (3, 4, 4)), "designated set: repeats vertex 4"),
     (lambda: hf.heavy_cliques_containing(ONES, 6, HALF), "heavy cliques containing: vertex 6 out of range for n=6"),
-    (lambda: ONES.weight(1.0, 2), "edge: vertex 1.0 is not an integer"),
-    (lambda: ONES.clique_weight([0, 1, 2.0]), "clique: vertex 2.0 is not an integer"),
-    (lambda: ONES.induced([0.5, 1]), "induced set: vertex 0.5 is not an integer"),
-    (lambda: ONES.weighted_degree(True), "degree: vertex True is not an integer"),
+    (lambda: ONES.weight(1.0, 2), "edge: vertex must be an integer, got 1.0"),
+    (lambda: ONES.clique_weight([0, 1, 2.0]), "clique: vertex must be an integer, got 2.0"),
+    (lambda: ONES.induced([0.5, 1]), "induced set: vertex must be an integer, got 0.5"),
+    (lambda: ONES.weighted_degree(True), "degree: vertex must be an integer, got True"),
+    (lambda: core._vertex_set((0, "x"), 3, "pair"), "pair: vertex must be an integer, got 'x'"),
+    (lambda: WeightedCompleteGraph(3, {(0, "a"): Fraction(1, 2)}), "edge (0, a): vertex must be an integer, got 'a'"),
 ], ids=["constructor-repeat", "weight-range", "weight-repeat", "with_weight-range",
         "with_weight-repeat", "weighted_degree", "weighted_degree_to-range", "weighted_degree_to-source",
         "weighted_degree_to-target", "clique_weight-range", "clique_weight-repeat", "induced-range",
         "induced-repeat", "induced-empty", "validate", "bipartite-right", "bipartite-clique", "designated-range",
         "designated-repeat", "heavy_cliques_containing-range", "weight-float", "clique_weight-float",
-        "induced-float", "weighted_degree-bool"])
+        "induced-float", "weighted_degree-bool", "vertex-set-text", "constructor-text"])
 def test_every_vertex_set_entry_refuses_a_vertex_out_of_range_and_a_repeat(call, message):
     """Each entry refuses through `_vertex_set`, the only raise of these faults; an empty induced set is no graph.
 
-    A vertex that is not an int (a float, or a bool) is refused by name before any row is read.
+    A vertex that is not an int (a float, a bool or text) is refused by name before the set is sorted.
     """
     with pytest.raises(ValueError) as err:
         call()
@@ -609,13 +651,13 @@ def test_graph_json_reads_sparse_documents():
 MALFORMED_DOCUMENTS = [
     ([1, 2], "object", "graph document must be a JSON object"),
     ({"edges": []}, "'n'", "missing field 'n'"),
-    ({"n": True}, "'n'", "field 'n' must be a positive integer, got True"),
-    ({"n": 0}, "'n'", "field 'n' must be a positive integer, got 0"),
+    ({"n": True}, "'n'", "field 'n': vertex count must be an integer, got True"),
+    ({"n": 0}, "'n'", "field 'n': need at least one vertex, got n=0"),
     ({"n": 3, "edges": {}}, "'edges'", "field 'edges' must be a list"),
     ({"n": 3, "edges": [[0, 1]]}, "edges[0]", 'edges[0]: expected [i, j, "num/den"]'),
     ({"n": 3, "edges": [[0, 0, "1/2"]]}, "edges[0]", "edges[0]: pair (0, 0): repeats vertex 0"),
     ({"n": 3, "edges": [[0, 3, "1/2"]]}, "edges[0]", "edges[0]: pair (0, 3): vertex 3 out of range for n=3"),
-    ({"n": 3, "edges": [[0, True, "1/2"]]}, "edges[0]", "edges[0]: vertex indices must be integers"),
+    ({"n": 3, "edges": [[0, True, "1/2"]]}, "edges[0]", "edges[0]: pair (0, True): vertex must be an integer, got True"),
     ({"n": 3, "edges": [[0, 1, "0.5"]]}, "edges[0]", "edges[0]: decimal notation is not accepted: '0.5'"),
     ({"n": 3, "edges": [[0, 1, "3/2"]]}, "edges[0]", "edges[0]: weight 3/2 outside [0, 1]"),
     ({"n": 3, "edges": [[0, 1, "1/2"], [1, 0, "1/2"]]}, "edges[1]", "edges[1]: duplicate pair (0, 1)"),
@@ -633,12 +675,17 @@ MALFORMED_DOCUMENTS = [
     ({"n": 4, "edges": [[0, 1, "1/2"], [0, 2, "x"], [1, 2, "x"], [0, 3, "x"]]},
      "edges[1]", "edges[1]: not a rational: 'x'"),
     ({"n": 3, "edges": [[0, 1, "1/2"], [0, 2, 0.5]]}, "edges[1]", "edges[1]: decimal notation is not accepted: 0.5"),
-    ({"n": 3, "edges": [[0, 1, 1], [0, 2, True]]}, "edges[1]", "edges[1]: decimal notation is not accepted: True"),
+    ({"n": 3, "edges": [[0, 1, 1], [0, 2, True]]}, "edges[1]", "edges[1]: not a rational: True"),
     # a construction descriptor has an `n` but is not a graph
     ({"kind": "prop2", "n": 6, "r": 3, "t": "2/3"}, "'kind'",
      "unexpected field 'kind': a graph document has only 'n' and 'edges'"),
     ({"n": 3, "edges": [], "weights": []}, "'weights'",
      "unexpected field 'weights': a graph document has only 'n' and 'edges'"),
+    # a vertex that is not an int is refused before the pair is sorted
+    ({"n": 3, "edges": [[0, "x", "1/2"]]}, "edges[0]", "edges[0]: pair (0, x): vertex must be an integer, got 'x'"),
+    ({"n": 3, "edges": [[0, 1, None]]}, "edges[0]", "edges[0]: not a rational: None"),
+    ({"n": 3, "edges": [[0, 1, "three"]]}, "edges[0]", "edges[0]: not a rational: 'three'"),
+    ({"n": "3", "edges": []}, "'n'", "field 'n': vertex count must be an integer, got '3'"),
 ]
 
 

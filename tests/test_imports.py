@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
 JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
-input rule is raised from one home, `cli` holds no table of construction kinds, the annealer has one way
-in, and no module reads the environment."""
+input rule is raised from one home, rational text is read where it enters, `cli` holds no table of
+construction kinds, the annealer has one way in, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -142,6 +142,10 @@ RULE_HOMES = {
     "need r >= 2": ["core._check_block_shape"],
     "need n >= r": ["solver.lemma1_bound"],
     "does not read": ["constructions._checked_descriptor"],
+    "must be an integer": ["core._integer"],
+    "must be an exact rational": ["core._exact"],
+    "decimal notation": ["core.parse_rational"],
+    "exceeds enumeration cap": ["solver._enumeration_cap"],
 }
 
 
@@ -154,6 +158,15 @@ def test_each_input_rule_is_written_once():
     homes = {phrase: sorted(owner for owner, text in texts if phrase in text) for phrase in RULE_HOMES}
     assert homes == RULE_HOMES
     assert callers("CertificationError") == ["core._require"]
+
+
+def test_rational_text_is_read_where_it_enters():
+    """`parse_rational` reads a command-line option, a graph file's weight and, through `core._exact`, any other text.
+
+    A descriptor document's rational fields reach `_exact` unparsed, so text
+    there is read once, as everywhere else.
+    """
+    assert callers("parse_rational") == ["cli._rational", "core._exact", "core.graph_from_json"]
 
 
 def test_cli_holds_no_table_of_construction_kinds():

@@ -120,6 +120,9 @@ def test_bipartite_no_edges_and_validation():
         bipartite_maximum_matching(2, 2, [[0]])
     with pytest.raises(ValueError):
         bipartite_maximum_matching(1, 1, [[5]])
+    for row in ([0, 5], [5, 0]):  # every index is checked, not only the ones an augmenting path visits
+        with pytest.raises(ValueError, match="^right vertex 5 out of range$"):
+            bipartite_maximum_matching(1, 1, [row])
 
 
 def brute_force_bipartite_size(n_left, n_right, adjacency):
