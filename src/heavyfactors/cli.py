@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: generate (construction families to JSON), solve (exact search on
-a graph file), scheme2 (randomized recursive factoring), localsearch (hill-
-climbed heavy collections), estimate (seed + adversarial lower bounds), scan
-(CSV table of seed records across a parameter grid), verify (sampling check
-at the proven degree line).
+Subcommands: generate (construction families to JSON), solve (the one exact
+search on a graph file; its certificate, with the blocks' weights and n),
+scheme2 (randomized recursive factoring), localsearch (hill-climbed heavy
+collections), estimate (seed + adversarial lower bounds), scan (CSV table of
+seed records across a parameter grid), verify (sampling check at the proven
+degree line).
 
 Conventions: rationals on the command line and in files are "num/den" (or a
 bare integer), never decimals; all randomness flows from --seed (default 0);
@@ -31,7 +32,6 @@ from .core import (
     FactorParams,
     dumps_canonical,
     format_rational,
-    is_heavy,
     load_graph,
     parse_rational,
     save_graph,
@@ -45,7 +45,6 @@ from .lab import (
 from .schemes import DEFAULT_RETRY_BUDGET, scheme2_factor
 from .solver import (
     DEFAULT_SOLVER_CAP,
-    enumerate_all_factors,
     find_heavy_factor,
     local_search_heavy_collection,
 )
@@ -129,34 +128,12 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     _refuse_same_file(args.out, args.input, "--input")
     graph = load_graph(args.input)
-    params = FactorParams(args.r, args.t)
-    if args.method == "backtrack":
-        if args.cap is not None:
-            raise ValueError("--cap applies only to --method oracle")
-        cert = find_heavy_factor(graph, params, strict=args.strict)
-        factor = cert.factor
-        nodes = cert.nodes_explored
-    else:  # oracle: filter the full partition stream
-        cap = DEFAULT_SOLVER_CAP if args.cap is None else args.cap
-        factor = None
-        nodes = 0
-        for blocks in enumerate_all_factors(graph.n, params.r, cap=cap):
-            nodes += 1
-            if all(is_heavy(graph, b, params, args.strict) for b in blocks):
-                factor = CliqueFactor.from_blocks(blocks)
-                break
-    doc = {
-        "method": args.method,
-        "outcome": "factor" if factor is not None else "exhausted",
-        "strict": args.strict,
-        "r": params.r,
-        "t": format_rational(params.t),
-        "n": graph.n,
-        "nodes_explored": nodes,
-    }
-    doc.update(_factor_doc(graph, factor))
+    cert = find_heavy_factor(graph, FactorParams(args.r, args.t), strict=args.strict)
+    doc = cert.to_json()
+    del doc["factor"]
+    doc.update(n=graph.n, **_factor_doc(graph, cert.factor))
     _write_text(args.out, dumps_canonical(doc))
-    return 0 if factor is not None else 1
+    return 0 if cert.factor is not None else 1
 
 
 def _cmd_scheme2(args) -> int:
@@ -285,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--strict", action="store_true",
                    help="demand block weights strictly above the bar")
-    p.add_argument("--method", choices=["backtrack", "oracle"],
-                   default="backtrack")
-    p.add_argument("--cap", type=int, help="enumeration cap for the oracle method")
     p.add_argument("--out", help="certificate path (default: stdout)")
     p.set_defaults(func=_cmd_solve)
 

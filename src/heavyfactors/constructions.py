@@ -63,19 +63,12 @@ class ConstructionDescriptor:
     partition: dict = field(default_factory=dict)  # label -> sorted vertex tuple
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "n": self.n}
-        if self.r is not None:
-            doc["r"] = self.r
-        if self.t is not None:
-            doc["t"] = format_rational(self.t)
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        if self.scale is not None:
-            doc["scale"] = format_rational(self.scale)
-        if self.grid_denominator is not None:
-            doc["grid_denominator"] = self.grid_denominator
-        if self.min_degree is not None:
-            doc["min_degree"] = format_rational(self.min_degree)
+        """Each field that is set, a rational `_FIELD_CHECKS` reads with `_exact` written as text."""
+        doc = {"kind": self.kind}
+        for name, check in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if value is not None:
+                doc[name] = format_rational(value) if check is _exact else value
         if self.partition:
             doc["partition"] = {label: list(vs) for label, vs in self.partition.items()}
         return doc
@@ -89,8 +82,8 @@ class ConstructionDescriptor:
 
 
 def _seed_shape(r: int, n: int) -> int:
-    """n / r, by the shape rule of both seeds: r >= 2 divides n, and n > r leaves n/r - 1 on the short side."""
-    _check_block_shape(r, n)
+    """n / r, by the shape rule of both seeds: integers r >= 2 dividing n, and n > r leaving n/r - 1 short."""
+    _check_block_shape(_integer(r, "r"), _integer(n, "vertex count"))
     if n <= r:
         raise ValueError(f"need n > r so the short side is nonempty, got n={n}, r={r}")
     return n // r
@@ -166,7 +159,7 @@ def counterexample_29_36(n: int) -> tuple[WeightedCompleteGraph, ConstructionDes
     of weight 3, fewer than a 5/9-level lower bound for triangle factors
     requires.
     """
-    if n % 36 != 0 or n <= 0:
+    if _integer(n, "vertex count") % 36 != 0 or n <= 0:
         raise ValueError(f"need n divisible by 36, got n={n}")
     a_size = 29 * n // 36
     offset_max = 11 * n // 36
@@ -202,7 +195,7 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     values and the stream's state afterwards are randint's, without its
     three Python calls per edge.
     """
-    if d < 1:
+    if _integer(d, "grid denominator") < 1:
         raise ValueError(f"grid denominator must be >= 1, got {d}")
     target = (n - 1) * per_edge
     if per_edge > 1:
@@ -239,10 +232,10 @@ def random_weighting(n: int, grid_denominator: int, seed: int,
     per-edge weight above 1 raises the sampler's ValueError.
     """
     md = None if min_degree is None else _unit(min_degree, "min degree")
-    if n < 2:
+    if _integer(n, "vertex count") < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     per_edge = Fraction(0) if md is None else md * n / (n - 1)
-    return _sample_grid_floor(random.Random(seed), n, grid_denominator, per_edge)
+    return _sample_grid_floor(random.Random(_integer(seed, "seed")), n, grid_denominator, per_edge)
 
 
 # kind -> (the fields it needs, {field it may omit: the value read in its place}, generator);

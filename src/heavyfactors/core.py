@@ -172,6 +172,7 @@ class WeightedCompleteGraph:
     __slots__ = ("n", "rows", "den", "degrees")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], Fraction] | None = None):
+        _vertex_count(n)
         exact = {}
         for (i, j), w in (weights or {}).items():
             i, j = _vertex_set((i, j), n, f"edge ({i}, {j})")
@@ -212,6 +213,7 @@ class WeightedCompleteGraph:
 
     @classmethod
     def constant(cls, n: int, w) -> "WeightedCompleteGraph":
+        _vertex_count(n)
         ww = _unit(w, "constant weight")
         rows = [[0 if i == j else ww.numerator for j in range(n)] for i in range(n)]
         return cls._from_rows(n, rows, ww.denominator)

@@ -2,9 +2,11 @@
 
 For clique size r and level t, the threshold is the least minimum weighted
 degree above which a heavy factor can no longer be avoided.  Lower bounds
-come from exhibiting weightings where every factor keeps a block strictly
-below the bar; the strict-mode exact solver certifies exactly that, so every
-certified record here is a finite-n theorem, not an estimate.
+come from exhibiting weightings where every factor keeps a block at or below
+the bar; the strict-mode exact solver certifies exactly that, so every
+certified record here is a finite-n theorem, not an estimate.  It says that
+no factor of strictly heavy blocks exists, not that no factor of blocks at
+or above the bar does: an annealed record can still admit one.
 
 Pieces: closed-form evaluation of the two-class seed weighting (scaled a hair
 below 1 so its boundary blocks drop strictly under the bar), a simulated-

@@ -15,6 +15,8 @@ from heavyfactors import (
     FactorParams,
     SolveCertificate,
     enumerate_all_factors,
+    find_heavy_factor,
+    format_rational,
     is_heavy,
     lab,
     load_graph,
@@ -237,49 +239,44 @@ def test_solve_strict_exhausts_the_boundary_instance(prop2_file, capsys):
 
 
 def test_solve_methods_agree(scaled_prop2_file, tmp_path):
-    for method in ("backtrack", "oracle"):
-        code = run_cli("solve", "--input", str(scaled_prop2_file), "--r", "3",
-                       "--t", "2/3", "--method", method,
-                       "--out", str(tmp_path / f"{method}.json"))
-        assert code == 1, method
-        doc = json.loads((tmp_path / f"{method}.json").read_text())
-        assert doc["outcome"] == "exhausted"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("solve", "--input", str(scaled_prop2_file), "--r", "3",
-                "--t", "2/3", "--method", "hypergraph")
-    assert exc.value.code == 2
+    """`hfl solve`'s one method, the backtracking search, agrees with the partition oracle."""
+    graph = load_graph(scaled_prop2_file)
+    params = FactorParams(3, Fraction(2, 3))
+    assert not any(all(is_heavy(graph, b, params) for b in blocks) for blocks in enumerate_all_factors(9, 3))
+    out = tmp_path / "cert.json"
+    assert run_cli("solve", "--input", str(scaled_prop2_file), "--r", "3", "--t", "2/3", "--out", str(out)) == 1
+    assert json.loads(out.read_text())["outcome"] == "exhausted"
 
 
-def test_solve_oracle_respects_the_cap(prop2_file, capsys):
-    code = run_cli("solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3",
-                   "--method", "oracle", "--cap", "6")
-    assert code == 3
-    assert "cap" in capsys.readouterr().err
-
-
-def test_solve_oracle_finds_a_factor_at_its_place_in_the_partition_stream(tmp_path, capsys):
-    """`nodes_explored` counts the partitions the oracle read, up to and including the first heavy one."""
-    graph = random_weighting(9, 4, 2)
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("graph,t,outcome", [
+    (random_weighting(9, 4, 5), "1/2", "factor"),
+    (prop2_construction(3, Fraction(2, 3), 9)[0].scale(Fraction(999, 1000)), "2/3", "exhausted"),
+], ids=["feasible", "exhausted"])
+def test_solve_document_is_the_certificate_with_weighed_blocks(tmp_path, capsys, graph, t, outcome, strict):
+    """The document is `SolveCertificate.to_json` with `factor` swapped for `blocks` and `block_weights`, plus `n`."""
     path = tmp_path / "g.json"
     save_graph(path, graph)
-    params = FactorParams(3, Fraction(1, 2))
-    position = next(k for k, blocks in enumerate(enumerate_all_factors(9, 3), 1)
-                    if all(is_heavy(graph, b, params) for b in blocks))
-    assert position > 1
-    assert run_cli("solve", "--input", str(path), "--r", "3", "--t", "1/2", "--method", "oracle") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert (doc["outcome"], doc["nodes_explored"]) == ("factor", position)
-    CliqueFactor.from_blocks(doc["blocks"]).validate(9, 3)
-    assert all(is_heavy(graph, b, params) for b in doc["blocks"])
+    cert = find_heavy_factor(graph, FactorParams(3, Fraction(t)), strict=strict)
+    expected = cert.to_json()
+    blocks = expected.pop("factor")
+    weights = None if blocks is None else [format_rational(graph.clique_weight(b)) for b in blocks]
+    expected.update(n=9, blocks=blocks, block_weights=weights)
+    code = run_cli("solve", "--input", str(path), "--r", "3", "--t", t, *(["--strict"] if strict else []))
+    assert (code, cert.outcome) == (0 if outcome == "factor" else 1, outcome)
+    assert json.loads(capsys.readouterr().out) == expected
 
 
-def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, capsys):
-    """The cap bounds only the oracle's enumeration: backtrack refuses --cap."""
+def test_backtrack_neither_takes_nor_reads_a_cap(prop2_file, tmp_path, capsys):
+    """`solve` has one decider and no cap: `--method` and `--cap` are usage errors that write nothing."""
     argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--strict"]
-    assert run_cli(*argv, "--cap", "1") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --cap applies only to --method oracle\n"
+    out = tmp_path / "cert.json"
+    for extra in (["--method", "oracle"], ["--method", "backtrack"], ["--method", "hypergraph"], ["--cap", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *extra, "--out", str(out))
+        assert exc.value.code == 2, extra
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
     assert run_cli(*argv) == 1
 
 
@@ -612,13 +609,6 @@ def test_negative_solver_cap_is_a_usage_error(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_negative_oracle_cap_is_a_usage_error(prop2_file, capsys):
-    argv = ["solve", "--input", str(prop2_file), "--r", "3", "--t", "2/3", "--method", "oracle"]
-    assert run_cli(*argv, "--cap", "-1") == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: enumeration cap must be nonnegative, got -1\n")
 
 
 # -------------------------------------------------------------------- verify

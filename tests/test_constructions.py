@@ -549,6 +549,25 @@ def test_build_refuses_a_seed_that_is_not_an_integer():
     assert str(err.value) == "construction descriptor field 'seed' must be an integer, got 'x'"
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: WeightedCompleteGraph(3.0), "vertex count must be an integer, got 3.0"),
+    (lambda: WeightedCompleteGraph.constant(3.0, 1), "vertex count must be an integer, got 3.0"),
+    (lambda: prop2_construction(3, Fraction(1, 2), 9.0), "vertex count must be an integer, got 9.0"),
+    (lambda: prop2_construction(3.0, Fraction(1, 2), 9), "r must be an integer, got 3.0"),
+    (lambda: hs_sharpness_construction(3, 9.0), "vertex count must be an integer, got 9.0"),
+    (lambda: counterexample_29_36(36.0), "vertex count must be an integer, got 36.0"),
+    (lambda: random_weighting(6.0, 4, 0), "vertex count must be an integer, got 6.0"),
+    (lambda: random_weighting(6, 4.0, 0), "grid denominator must be an integer, got 4.0"),
+    (lambda: random_weighting(6, 4, "x"), "seed must be an integer, got 'x'"),
+], ids=["graph", "constant", "prop2-n", "prop2-r", "hs", "counterexample", "random-n", "random-grid",
+        "random-seed"])
+def test_public_constructors_refuse_a_count_grid_or_seed_that_is_not_an_integer(call, message):
+    """Each count, grid and seed goes through `core._integer`, as `build`'s descriptor fields do."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 PROP2_DOC = build(KIND_PROP2, n=9, r=3, t=Fraction(2, 3))[1].to_json()
 HS_DOC = build(KIND_HS, n=8, r=4)[1].to_json()
 RANDOM_DOC = build(KIND_RANDOM, n=6, seed=1)[1].to_json()

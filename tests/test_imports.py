@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
 JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
 input rule is raised from one home, rational text is read where it enters, `cli` holds no table of
-construction kinds, the annealer has one way in, and no module reads the environment."""
+construction kinds, the annealer has one way in, `hfl solve` has one decider, and no module reads the
+environment."""
 
 import ast
 from pathlib import Path
@@ -113,6 +114,23 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     """
     assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
+
+
+def test_solve_has_one_decider_and_one_node_count_writer():
+    """`cli` calls neither the partition oracle nor `is_heavy`; two writers hold the `"nodes_explored"` key.
+
+    `hfl solve` writes `SolveCertificate.to_json`, and verify's violations are
+    written by `TrialReport.to_json`, so moving the count out of the documents
+    edits these two writers only.
+    """
+    assert [owner for name in ("enumerate_all_factors", "is_heavy") for owner in callers(name)
+            if owner.startswith("cli.")] == []
+    writers = sorted(f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                     for path in sorted(PACKAGE.glob("*.py"))
+                     for top in ast.parse(path.read_text(), filename=str(path)).body
+                     if any(isinstance(node, ast.Constant) and node.value == "nodes_explored"
+                            for node in ast.walk(top)))
+    assert writers == ["lab.TrialReport", "solver.SolveCertificate"]
 
 
 def raise_texts():
