@@ -7,6 +7,10 @@ collections), estimate (seed + adversarial lower bounds), scan (CSV table of
 seed records across a parameter grid), verify (sampling check at the proven
 degree line).
 
+Options that several subcommands share (--r/--t, the graph file --input,
+--seed, --n, --solver-cap, and --out with stdout as its default) are declared
+once each, in `build_parser`'s parent parsers, and mean the same everywhere.
+
 Conventions: rationals on the command line and in files are "num/den" (or a
 bare integer), never decimals; all randomness flows from --seed (default 0);
 outputs are byte-identical across runs of the same invocation.  Exit codes:
@@ -28,7 +32,6 @@ from .core import (
     BudgetExceededError,
     CapExceededError,
     CertificationError,
-    CliqueFactor,
     FactorParams,
     dumps_canonical,
     format_rational,
@@ -74,15 +77,25 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _sidecar_path(out: str, kind: str) -> str:
-    """`out` with its final ".json" suffix, if any, replaced by ".<kind>.json"."""
-    return out.removesuffix(".json") + f".{kind}.json"
-
-
 def _refuse_same_file(out: str | None, other: str, flag: str) -> None:
     """Raise before anything is written when `other` resolves to the file --out names (no --out: stdout)."""
     if out is not None and os.path.realpath(out) == os.path.realpath(other):
         raise ValueError(f"--out and {flag} name the same file: {other}")
+
+
+def _sidecar(out: str | None, path: str | None, kind: str, flag: str) -> str | None:
+    """`path`, else `out` with its last ".json" (if any) swapped for ".<kind>.json", else None; refused if it is --out."""
+    if path is None and out is not None:
+        path = out.removesuffix(".json") + f".{kind}.json"
+    if path is not None:
+        _refuse_same_file(out, path, flag)
+    return path
+
+
+def _graph_input(args) -> tuple:
+    """The graph --input names, read once it is known not to be --out's file, and the (r, t) to factor it at."""
+    _refuse_same_file(args.out, args.input, "--input")
+    return load_graph(args.input), FactorParams(args.r, args.t)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -93,19 +106,19 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _factor_doc(graph, factor: CliqueFactor | None) -> dict:
-    if factor is None:
+def _factor_doc(graph, found) -> dict:
+    """The blocks of `found`, a factor or a heavy collection, each sorted, and their weights; both None without one."""
+    if found is None:
         return {"blocks": None, "block_weights": None}
     return {
-        "blocks": [sorted(b) for b in factor.blocks],
-        "block_weights": [format_rational(w) for w in factor.block_weights(graph)],
+        "blocks": [sorted(b) for b in found.blocks],
+        "block_weights": [format_rational(graph.clique_weight(b)) for b in found.blocks],
     }
 
 
 def _cmd_generate(args) -> int:
     kind = KIND_ALIASES.get(args.kind, args.kind)
-    desc_path = args.descriptor or _sidecar_path(args.out, "descriptor")
-    _refuse_same_file(args.out, desc_path, "--descriptor")
+    desc_path = _sidecar(args.out, args.descriptor or None, "descriptor", "--descriptor")
     graph, desc = build(
         kind,
         n=args.n,
@@ -126,9 +139,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _refuse_same_file(args.out, args.input, "--input")
-    graph = load_graph(args.input)
-    cert = find_heavy_factor(graph, FactorParams(args.r, args.t), strict=args.strict)
+    graph, params = _graph_input(args)
+    cert = find_heavy_factor(graph, params, strict=args.strict)
     doc = cert.to_json()
     del doc["factor"]
     doc.update(n=graph.n, **_factor_doc(graph, cert.factor))
@@ -137,9 +149,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scheme2(args) -> int:
-    _refuse_same_file(args.out, args.input, "--input")
-    graph = load_graph(args.input)
-    params = FactorParams(args.r, args.t)
+    graph, params = _graph_input(args)
     factor = scheme2_factor(
         graph, params, args.seed, args.epsilon, retries=args.retries,
     )
@@ -158,9 +168,7 @@ def _cmd_scheme2(args) -> int:
 
 
 def _cmd_localsearch(args) -> int:
-    _refuse_same_file(args.out, args.input, "--input")
-    graph = load_graph(args.input)
-    params = FactorParams(args.r, args.t)
+    graph, params = _graph_input(args)
     collection = local_search_heavy_collection(
         graph, params, args.seed, restarts=args.restarts
     )
@@ -172,21 +180,14 @@ def _cmd_localsearch(args) -> int:
         "restarts": args.restarts,
         "size": collection.size,
         "overweight_count": collection.overweight_count,
-        "blocks": [sorted(b) for b in collection.blocks],
-        "block_weights": [
-            format_rational(graph.clique_weight(b)) for b in collection.blocks
-        ],
+        **_factor_doc(graph, collection),
     }
     _write_text(args.out, dumps_canonical(doc))
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    weighting_path = args.weighting_out
-    if args.out is not None:
-        if weighting_path is None:
-            weighting_path = _sidecar_path(args.out, "weighting")
-        _refuse_same_file(args.out, weighting_path, "--weighting-out")
+    weighting_path = _sidecar(args.out, args.weighting_out, "weighting", "--weighting-out")
     record = adversarial_search(
         args.r, args.t, args.n, args.seed, args.grid, args.budget,
         solver_cap=args.solver_cap,
@@ -232,7 +233,7 @@ def _cmd_verify(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `hfl` parser, built on first use and then shared by every `main` call."""
+    """The `hfl` parser, built on first use and then shared by every `main` call; shared options sit in parents."""
     parser = argparse.ArgumentParser(
         prog="hfl",
         description="Heavy clique factors in edge-weighted complete graphs: "
@@ -241,10 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a construction to a JSON graph file")
+    r_t = argparse.ArgumentParser(add_help=False)
+    r_t.add_argument("--r", type=int, required=True)
+    r_t.add_argument("--t", type=_rational, required=True)
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("--input", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default: stdout)")
+    n = argparse.ArgumentParser(add_help=False)
+    n.add_argument("--n", type=int, required=True)
+    solver_cap = argparse.ArgumentParser(add_help=False)
+    solver_cap.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
+
+    p = sub.add_parser("generate", parents=[n], help="write a construction to a JSON graph file")
     p.add_argument("--kind", required=True,
                    choices=[kind for kind in KINDS if kind not in KIND_ALIASES.values()] + list(KIND_ALIASES))
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--t", type=_rational)
     p.add_argument("--seed", type=int, help="seed for random weights (default 0)")
@@ -256,67 +270,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", help="descriptor path (default: <out>.descriptor.json)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="exact search for a heavy factor in a graph file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=_rational, required=True)
+    p = sub.add_parser("solve", parents=[graph_input, r_t, out],
+                       help="exact search for a heavy factor in a graph file")
     p.add_argument("--strict", action="store_true",
                    help="demand block weights strictly above the bar")
-    p.add_argument("--out", help="certificate path (default: stdout)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("scheme2", help="randomized recursive factor construction")
-    p.add_argument("--input", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("scheme2", parents=[graph_input, r_t, seed, out],
+                       help="randomized recursive factor construction")
     p.add_argument("--epsilon", type=_rational, default=Fraction(1, 10))
     p.add_argument("--retries", type=int, default=DEFAULT_RETRY_BUDGET,
                    help=f"retry budget (default {DEFAULT_RETRY_BUDGET})")
-    p.add_argument("--out", help="result path (default: stdout)")
     p.set_defaults(func=_cmd_scheme2)
 
-    p = sub.add_parser("localsearch", help="hill-climb a maximum-ish heavy collection")
-    p.add_argument("--input", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("localsearch", parents=[graph_input, r_t, seed, out],
+                       help="hill-climb a maximum-ish heavy collection")
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--out", help="result path (default: stdout)")
     p.set_defaults(func=_cmd_localsearch)
 
-    p = sub.add_parser("estimate", help="seed + adversarial lower-bound record")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("estimate", parents=[r_t, n, seed, solver_cap, out],
+                       help="seed + adversarial lower-bound record")
     p.add_argument("--grid", type=int, default=12)
     p.add_argument("--budget", type=int, default=0,
                    help="annealing proposals (0 = seed record only)")
-    p.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
-    p.add_argument("--out", help="record path (default: stdout)")
     p.add_argument("--weighting-out", dest="weighting_out",
                    help="weighting path (default: derived from --out)")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("scan", help="CSV table of seed records across an (r, t) grid")
+    p = sub.add_parser("scan", parents=[n, solver_cap, out],
+                       help="CSV table of seed records across an (r, t) grid")
     p.add_argument("--r", type=_int_list, required=True, help="comma-separated, e.g. 2,3")
     p.add_argument("--t", type=_rational_list, required=True,
                    help="comma-separated rationals, e.g. 1/3,1/2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--solver-cap", type=int, dest="solver_cap", default=DEFAULT_SOLVER_CAP)
-    p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("verify", help="sample at the proven degree line, expect factors")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("verify", parents=[r_t, n, seed, out],
+                       help="sample at the proven degree line, expect factors")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=_rational, default=Fraction(1, 10))
     p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -180,6 +180,13 @@ def counterexample_29_36(n: int) -> tuple[WeightedCompleteGraph, ConstructionDes
     return graph, desc
 
 
+def _grid_denominator(d: int) -> int:
+    """`d`, refused unless an integer of at least 1: the grid rule of the sampler and the annealer."""
+    if _integer(d, "grid denominator") < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {d}")
+    return d
+
+
 def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -> WeightedCompleteGraph:
     """Every edge uniform on the grid values k/d at or above `per_edge`.
 
@@ -195,8 +202,7 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
     values and the stream's state afterwards are randint's, without its
     three Python calls per edge.
     """
-    if _integer(d, "grid denominator") < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {d}")
+    _grid_denominator(d)
     target = (n - 1) * per_edge
     if per_edge > 1:
         raise ValueError(

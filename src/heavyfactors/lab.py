@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .constructions import _sample_grid_floor, _seed_shape, prop2_construction, prop2_min_degree
+from .constructions import _grid_denominator, _sample_grid_floor, _seed_shape, prop2_construction, prop2_min_degree
 from .core import (
     CapExceededError,
     FactorParams,
     WeightedCompleteGraph,
     _check_block_shape,
     _exact,
+    _integer,
     _nonnegative,
     _require,
     _unit,
@@ -131,9 +132,9 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     seed record (n above the cap) raises CapExceededError, since the
     annealing needs the exact solver.
     """
-    if grid_denominator < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
-    _nonnegative(budget, "budget")
+    d = _grid_denominator(grid_denominator)
+    _nonnegative(_integer(budget, "budget"), "budget")
+    _integer(seed, "seed")
     seed_record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
     tt = seed_record.t
     if tt == 0 or budget == 0:
@@ -145,7 +146,6 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
     params = FactorParams(r, tt)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
-    d = grid_denominator
     current, current_val = seed_record.graph, seed_record.value
     best, best_val = current, current_val
     for step in range(budget):
@@ -249,8 +249,8 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     the report carries no verdict beyond the list.
     """
     tt = _exact(t, "t")
-    _check_block_shape(r, n)
-    if trials < 1:
+    _check_block_shape(_integer(r, "r"), _integer(n, "vertex count"))
+    if _integer(trials, "trials") < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     delta = Fraction(1, 2) + tt / 2 + _exact(margin, "margin")
     target = delta * n
@@ -258,7 +258,7 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
         raise ValueError(f"degree target {format_rational(target)} is negative: "
                          f"1/2 + t/2 + margin = {format_rational(delta)} < 0")
     per_edge = target / (n - 1)
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     params = FactorParams(r, tt)
     passes = 0
     violations = []

@@ -91,8 +91,6 @@ def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> Quotie
     if not base.blocks:
         raise ValueError("base factor has no blocks")
     p = len(base.blocks[0])
-    if p < 2:
-        raise ValueError("blocks must have at least two vertices")
     base.validate(graph.n, p)
     blocks = base.blocks
     q_n = len(blocks)

@@ -24,7 +24,7 @@ from heavyfactors import (
     random_weighting,
     save_graph,
 )
-from heavyfactors.cli import main
+from heavyfactors.cli import DEFAULT_RETRY_BUDGET, DEFAULT_SOLVER_CAP, build_parser, main
 
 
 def run_cli(*argv):
@@ -553,7 +553,7 @@ def test_scan_refuses_a_level_outside_the_unit_interval_before_any_cell(monkeypa
     assert len(calls) == 2
 
 
-def test_scan_negative_budget_is_a_usage_error(capsys):
+def test_estimate_negative_budget_is_a_usage_error(capsys):
     assert run_cli("estimate", "--r", "3", "--t", "1/2", "--n", "12", "--budget", "-1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -562,12 +562,21 @@ def test_scan_negative_budget_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("budget", ["0", "5"])
 @pytest.mark.parametrize("r", ["3", "4"])
-def test_scan_zero_grid_is_a_usage_error_at_every_budget(capsys, budget, r):
+def test_estimate_zero_grid_is_a_usage_error_at_every_budget(capsys, budget, r):
     """The grid is refused before the record is built, so also for r = 4, which does not divide n = 6."""
     assert run_cli("estimate", "--r", r, "--t", "1/2", "--n", "6", "--budget", budget, "--grid", "0") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: grid denominator must be >= 1, got 0\n"
+
+
+def test_scan_refuses_a_clique_size_list_that_is_not_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("scan", "--r", "a,b", "--t", "1/2", "--n", "6")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --r: not a comma-separated integer list: 'a,b'" in captured.err
 
 
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--budget", "5"], ["--grid", "3"]],
@@ -692,7 +701,10 @@ def test_module_entry_point_runs_in_a_clean_interpreter(tmp_path):
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
-    """The parser and its seven subparsers are built at most once; later calls reuse them."""
+    """The parser, its seven subparsers and the six parents of their shared options are built at most once.
+
+    Later calls reuse them.
+    """
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -707,8 +719,87 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
         assert run_cli("generate", "--kind", "hs-sharpness", "--n", "6", "--r", "3",
                        "--out", str(tmp_path / name)) == 0
         per_call.append(len(built) - before)
-    assert per_call[0] in (0, 8) and per_call[1] == 0
+    assert per_call[0] in (0, 14) and per_call[1] == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+R_T = {"--r": ("r", "int", None, True), "--t": ("t", "_rational", None, True)}
+# subcommand -> {flag: (dest, type name, default, required)}, `-h` aside
+OPTION_SETS = {
+    "generate": {
+        "--kind": ("kind", None, None, True),
+        "--n": ("n", "int", None, True),
+        "--r": ("r", "int", None, False),
+        "--t": ("t", "_rational", None, False),
+        "--seed": ("seed", "int", None, False),
+        "--grid": ("grid", "int", None, False),
+        "--min-degree": ("min_degree", "_rational", None, False),
+        "--scale": ("scale", "_rational", None, False),
+        "--out": ("out", None, None, True),
+        "--descriptor": ("descriptor", None, None, False),
+    },
+    "solve": {
+        "--input": ("input", None, None, True), **R_T,
+        "--strict": ("strict", None, False, False),
+        "--out": ("out", None, None, False),
+    },
+    "scheme2": {
+        "--input": ("input", None, None, True), **R_T,
+        "--seed": ("seed", "int", 0, False),
+        "--epsilon": ("epsilon", "_rational", Fraction(1, 10), False),
+        "--retries": ("retries", "int", DEFAULT_RETRY_BUDGET, False),
+        "--out": ("out", None, None, False),
+    },
+    "localsearch": {
+        "--input": ("input", None, None, True), **R_T,
+        "--seed": ("seed", "int", 0, False),
+        "--restarts": ("restarts", "int", 4, False),
+        "--out": ("out", None, None, False),
+    },
+    "estimate": {
+        **R_T,
+        "--n": ("n", "int", None, True),
+        "--seed": ("seed", "int", 0, False),
+        "--grid": ("grid", "int", 12, False),
+        "--budget": ("budget", "int", 0, False),
+        "--solver-cap": ("solver_cap", "int", DEFAULT_SOLVER_CAP, False),
+        "--out": ("out", None, None, False),
+        "--weighting-out": ("weighting_out", None, None, False),
+    },
+    "scan": {
+        "--r": ("r", "_int_list", None, True),
+        "--t": ("t", "_rational_list", None, True),
+        "--n": ("n", "int", None, True),
+        "--solver-cap": ("solver_cap", "int", DEFAULT_SOLVER_CAP, False),
+        "--out": ("out", None, None, False),
+    },
+    "verify": {
+        **R_T,
+        "--n": ("n", "int", None, True),
+        "--trials": ("trials", "int", 50, False),
+        "--seed": ("seed", "int", 0, False),
+        "--margin": ("margin", "_rational", Fraction(1, 10), False),
+        "--grid": ("grid", "int", 20, False),
+        "--out": ("out", None, None, False),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_option_set():
+    """Each subcommand's flags, with dest, type, default and required-ness, wherever the option is declared.
+
+    Moving an option into a parent parser that several subcommands share must
+    leave every subcommand's set as it was.
+    """
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    declared = {
+        name: {flag: (action.dest, getattr(action.type, "__name__", None), action.default, action.required)
+               for action in command._actions if not isinstance(action, argparse._HelpAction)
+               for flag in action.option_strings}
+        for name, command in commands.items()
+    }
+    assert declared == OPTION_SETS
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -568,6 +568,12 @@ def test_public_constructors_refuse_a_count_grid_or_seed_that_is_not_an_integer(
     assert str(err.value) == message
 
 
+def test_random_weighting_needs_two_vertices():
+    with pytest.raises(ValueError) as err:
+        random_weighting(1, 4, 0)
+    assert str(err.value) == "need n >= 2, got n=1"
+
+
 PROP2_DOC = build(KIND_PROP2, n=9, r=3, t=Fraction(2, 3))[1].to_json()
 HS_DOC = build(KIND_HS, n=8, r=4)[1].to_json()
 RANDOM_DOC = build(KIND_RANDOM, n=6, seed=1)[1].to_json()

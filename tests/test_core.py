@@ -144,6 +144,12 @@ def test_constant_graph_degrees_and_total():
     assert g.total_weight() == Fraction(15, 2)
 
 
+def test_min_weighted_degree_needs_two_vertices():
+    with pytest.raises(ValueError) as err:
+        WeightedCompleteGraph(1).min_weighted_degree()
+    assert str(err.value) == "min weighted degree needs at least two vertices"
+
+
 def test_weight_is_symmetric_and_validated():
     g = WeightedCompleteGraph(4, {(0, 1): Fraction(1, 3), (2, 3): Fraction(1)})
     assert g.weight(0, 1) == g.weight(1, 0) == Fraction(1, 3)

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
 JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
 input rule is raised from one home, rational text is read where it enters, `cli` holds no table of
-construction kinds, the annealer has one way in, `hfl solve` has one decider, and no module reads the
-environment."""
+construction kinds, the annealer has one way in, `hfl solve` has one decider, `hfl` reads a graph input
+and refuses a clash with --out in one place each, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -154,9 +154,7 @@ RULE_HOMES = {
     "does not divide": ["core._check_block_shape"],
     "overlaps": ["core._disjoint_blocks"],
     "even vertex count": ["matching.perfect_matching"],
-    # the annealer refuses its grid before the seed record is built, which no
-    # function it shares with the sampler does; its copy goes with the annealer
-    "must be >= 1": ["constructions._sample_grid_floor", "lab.adversarial_search"],
+    "must be >= 1": ["constructions._grid_denominator"],
     "need r >= 2": ["core._check_block_shape"],
     "need n >= r": ["solver.lemma1_bound"],
     "does not read": ["constructions._checked_descriptor"],
@@ -206,6 +204,15 @@ def test_the_annealer_has_one_way_in():
     """
     assert callers("adversarial_search") == ["cli._cmd_estimate"]
     assert callers("evaluate_lower_bounds") == ["lab.adversarial_search", "lab.scan_report"]
+
+
+def test_cli_reads_its_graph_input_and_checks_its_paths_in_one_place():
+    """Only `cli._graph_input` loads a graph; it and `cli._sidecar` alone check a path against --out.
+
+    A new graph command or sidecar file then takes the --out refusal with it.
+    """
+    assert callers("load_graph") == ["cli._graph_input"]
+    assert callers("_refuse_same_file") == ["cli._graph_input", "cli._sidecar"]
 
 
 def test_no_module_reads_the_environment():

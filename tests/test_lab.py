@@ -234,6 +234,28 @@ def test_degree_sampling_validates_inputs():
                                         grid_denominator=grid)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: verify_theorem3_empirically(3, Fraction(1, 3), 1, 12, "x"), "seed must be an integer, got 'x'"),
+    (lambda: verify_theorem3_empirically("3", Fraction(1, 3), 1, 12, 0), "r must be an integer, got '3'"),
+    (lambda: verify_theorem3_empirically(3, Fraction(1, 3), 1, 12.0, 0), "vertex count must be an integer, got 12.0"),
+    (lambda: verify_theorem3_empirically(3, Fraction(1, 3), 1.5, 12, 0), "trials must be an integer, got 1.5"),
+    (lambda: adversarial_search(3, Fraction(1, 3), 6, "x", 3, 5), "seed must be an integer, got 'x'"),
+    (lambda: adversarial_search(3, Fraction(1, 3), 6, 0, True, 5), "grid denominator must be an integer, got True"),
+    (lambda: adversarial_search(3, Fraction(1, 3), 6, 0, 2.5, 5), "grid denominator must be an integer, got 2.5"),
+    (lambda: adversarial_search(3, Fraction(1, 3), 6, 0, 3, 2.5), "budget must be an integer, got 2.5"),
+], ids=["verify-seed", "verify-r", "verify-n", "verify-trials", "adversary-seed", "adversary-grid-bool", "adversary-grid-float",
+        "adversary-budget"])
+def test_lab_entries_refuse_a_count_grid_or_seed_that_is_not_an_integer(call, message):
+    """verify's r, n, trials and seed and the annealer's seed, grid and budget go through `core._integer`.
+
+    A string seed used to seed a sample or an annealing run, and a bool grid
+    to anneal on the grid {0, 1}.
+    """
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_trial_report_json_shape():
     report = verify_theorem3_empirically(3, Fraction(1, 3), trials=2, n=9, seed=0)
     doc = report.to_json()
@@ -353,7 +375,7 @@ def test_scan_validates_the_grid():
 
 @pytest.mark.parametrize("budget", [0, 5])
 @pytest.mark.parametrize("r_values", [[3], [4]])
-def test_scan_rejects_a_zero_grid_like_the_adversary(budget, r_values):
+def test_adversary_rejects_a_zero_grid_before_the_record(budget, r_values):
     """Checked before the record is built, so also at budget 0 and for r = 4, which does not divide n = 6."""
     with pytest.raises(ValueError) as adversary:
         adversarial_search(r_values[0], Fraction(1, 2), 6, seed=0, grid_denominator=0, budget=budget)

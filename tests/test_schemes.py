@@ -121,6 +121,14 @@ def test_quotient_validates_the_base_factor():
         scheme1_quotient(g, CliqueFactor(blocks=()))
 
 
+def test_quotient_refuses_singleton_blocks_with_the_block_shape_rule():
+    """Blocks of one vertex fail `validate`'s r >= 2 check, the one home of that rule."""
+    with pytest.raises(ValueError) as err:
+        scheme1_quotient(WeightedCompleteGraph.constant(4, Fraction(1)),
+                         CliqueFactor.from_blocks([[0], [1], [2], [3]]))
+    assert str(err.value) == "need r >= 2, got r=1"
+
+
 def test_quotient_degree_floor_on_random_graphs():
     """Averaged contraction keeps min degree above (delta - (p-1)) / p."""
     rng = Random(83)
