@@ -403,9 +403,6 @@ class CliqueFactor:
         # n/r disjoint r-sets hold n distinct vertices, so they cover range(n) unless one is out of range
         _vertex_set(_disjoint_blocks(self.blocks, r), n, "factor")
 
-    def block_weights(self, graph: WeightedCompleteGraph) -> tuple[Fraction, ...]:
-        return tuple(graph.clique_weight(b) for b in self.blocks)
-
 
 def _weight_texts(graph: WeightedCompleteGraph) -> dict[int, str]:
     """Each distinct numerator of `graph.rows` -> its weight in lowest terms, as `format_rational` writes it."""

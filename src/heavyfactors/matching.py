@@ -1,10 +1,16 @@
 """Maximum matching, general and bipartite.
 
 The general matcher is the classic augmenting-path search with blossom
-contraction (BFS forest, `base[]` tracking contracted odd cycles), O(n^3) and
-entirely adequate for the graph sizes this package touches.  It backs the
-pair base case of the factor schemes, where a perfect matching on a threshold
-subgraph is exactly a heavy 2-block factor.
+contraction (Edmonds 1965: BFS tree per root, `base[]` tracking contracted
+odd cycles), O(n^3) in the worst case and entirely adequate for the graph
+sizes this package touches.  It backs the pair base case of the factor
+schemes, where a perfect matching on a threshold subgraph is exactly a heavy
+2-block factor.  Before it grows a tree, it pairs an exposed root with its
+first exposed neighbour: the tree search from that root would dequeue the
+root first and augment at that same neighbour, and the blossoms it would
+contract on the way change no `match` entry, so the match vector is the one
+the tree search gives.  On the dense threshold graphs of the pair base case
+nearly every root takes this step.
 
 The bipartite matcher is Kuhn's algorithm; the factor schemes use it to marry
 merged cliques to leftover vertices through an averaged weight matrix.
@@ -15,16 +21,30 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
+from .core import _integer, _nonnegative
+
 
 def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Maximum matching on an n-vertex simple graph.
 
     Returns match[v] = partner of v, or -1 when v is exposed.  Edges may be
-    given in either orientation; loops are rejected.
+    given in either orientation; loops, and an end that is not an `int` in
+    range(n), are rejected.
+
+    An exposed root with an exposed neighbour is paired with the first one in
+    its adjacency list, and a tree is grown only from a root with none.  The
+    tree search would match the same pair, since it scans the root's list
+    first; the blossoms it contracts before then touch only `parent` and
+    `base`, which every search resets.  The worst case stays O(n^3).
     """
+    _nonnegative(_integer(n, "vertex count"), "vertex count")
     adj = [[] for _ in range(n)]
     seen_edges = set()
     for u, v in edges:
+        if type(u) is not int:  # an all-int edge pays two type tests, not a call
+            _integer(u, f"edge {(u, v)}: vertex")
+        if type(v) is not int:
+            _integer(v, f"edge {(u, v)}: vertex")
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"invalid edge ({u}, {v}) for n={n}")
         key = (u, v) if u < v else (v, u)
@@ -106,13 +126,19 @@ def maximum_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
     for v in range(n):
         if match[v] == -1:
-            find_augmenting_path(v)
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v] = to
+                    match[to] = v
+                    break
+            else:
+                find_augmenting_path(v)
     return match
 
 
 def perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]] | None:
     """Perfect matching as sorted vertex pairs, or None when none exists."""
-    if n % 2 != 0:
+    if _integer(n, "vertex count") % 2 != 0:
         raise ValueError(f"perfect matching needs an even vertex count, got n={n}")
     match = maximum_matching(n, edges)
     if any(p == -1 for p in match):
@@ -122,11 +148,18 @@ def perfect_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int
 
 def bipartite_maximum_matching(n_left: int, n_right: int,
                                adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Kuhn's algorithm; returns match_left[i] = right index or -1."""
+    """Kuhn's algorithm; returns match_left[i] = right index or -1.
+
+    Both sizes, and each neighbour, must be an `int`; a neighbour must lie in range(n_right).
+    """
+    _nonnegative(_integer(n_left, "left side size"), "left side size")
+    _nonnegative(_integer(n_right, "right side size"), "right side size")
     if len(adjacency) != n_left:
         raise ValueError("adjacency must list neighbors for every left vertex")
-    for row in adjacency:
+    for u, row in enumerate(adjacency):
         for v in row:
+            if type(v) is not int:
+                _integer(v, f"adjacency[{u}]: right vertex")
             if not 0 <= v < n_right:
                 raise ValueError(f"right vertex {v} out of range")
     match_left = [-1] * n_left

@@ -591,12 +591,6 @@ def test_clique_factor_canonical_order_and_validation():
         CliqueFactor.from_blocks([[0, 1, 2]]).validate(6, 3)
 
 
-def test_block_weights_report_per_block_totals():
-    g = WeightedCompleteGraph.constant(6, Fraction(1, 3))
-    f = CliqueFactor.from_blocks([[0, 1, 2], [3, 4, 5]])
-    assert f.block_weights(g) == (Fraction(1), Fraction(1))
-
-
 # ------------------------------------------------------------------- JSON
 
 

@@ -89,6 +89,32 @@ def test_maximum_matching_rejects_loops_and_range_errors():
         maximum_matching(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: maximum_matching(3, [(True, 2)]), "edge (True, 2): vertex must be an integer, got True"),
+    (lambda: maximum_matching(3, [(0.0, 1)]), "edge (0.0, 1): vertex must be an integer, got 0.0"),
+    (lambda: maximum_matching(3, [(0, 1), (2, 1.0)]), "edge (2, 1.0): vertex must be an integer, got 1.0"),
+    (lambda: maximum_matching(-1, []), "vertex count must be nonnegative, got -1"),
+    (lambda: maximum_matching(2.0, []), "vertex count must be an integer, got 2.0"),
+    (lambda: perfect_matching(True, []), "vertex count must be an integer, got True"),
+    (lambda: bipartite_maximum_matching(2, 2, [[True], [0]]), "adjacency[0]: right vertex must be an integer, got True"),
+    (lambda: bipartite_maximum_matching(2, 2, [[0], [1.0]]), "adjacency[1]: right vertex must be an integer, got 1.0"),
+    (lambda: bipartite_maximum_matching(-1, 2, []), "left side size must be nonnegative, got -1"),
+    (lambda: bipartite_maximum_matching(0, -1, []), "right side size must be nonnegative, got -1"),
+    (lambda: bipartite_maximum_matching(1.0, 1, [[0]]), "left side size must be an integer, got 1.0"),
+    (lambda: bipartite_maximum_matching(1, True, [[0]]), "right side size must be an integer, got True"),
+], ids=["edge-bool", "edge-float", "later-edge-float", "n-negative", "n-float", "perfect-n-bool", "neighbour-bool",
+        "neighbour-float", "left-negative", "right-negative", "left-float", "right-bool"])
+def test_matchers_read_vertices_and_sizes_by_the_integer_rule(call, message):
+    """Each edge end, neighbour and size goes through `core._integer`, and each size through `core._nonnegative`.
+
+    Unchecked, a bool end is matched as vertex 0 or 1, a float one fails on a list index, and a negative
+    n gives an empty match vector.
+    """
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_duplicate_and_reversed_edges_are_tolerated():
     match = maximum_matching(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
     assert matching_size(match) == 2
@@ -164,6 +190,8 @@ def test_bipartite_random_sweep_agrees_with_brute_force():
 
 def reference_maximum_matching(n, edges):
     """The blossom matcher as it was before its resets became slice assignments, kept as the oracle.
+
+    It grows a tree from every exposed root, even one with an exposed neighbour.
 
     Same adjacency order, BFS order and contraction, so it returns the same
     match vector, not only a matching of the same size.
@@ -253,7 +281,7 @@ def reference_maximum_matching(n, edges):
     return match
 
 
-@pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 0.9, 1.0])
 def test_maximum_matching_returns_the_reference_match_vector(density):
     """Random graphs on up to 40 vertices, listed in a shuffled order with reversed and repeated edges."""
     rng = Random(int(density * 100))
@@ -266,3 +294,13 @@ def test_maximum_matching_returns_the_reference_match_vector(density):
         match = maximum_matching(n, edges)
         assert match == reference_maximum_matching(n, edges), (n, edges)
         check_valid(match, edges, n)
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    # root 2's exposed neighbour 3 comes after 0 and 1, which close a blossom with 2 in the tree search
+    (4, [(0, 1), (2, 0), (2, 1), (2, 3)], [1, 0, 3, 2]),
+    # root 2 has no exposed neighbour, so it augments through the tree 2-1-0-3
+    (4, [(1, 2), (0, 1), (0, 3)], [3, 2, 1, 0]),
+])
+def test_a_root_pairs_with_its_first_exposed_neighbour_or_grows_a_tree(n, edges, expected):
+    assert maximum_matching(n, edges) == expected == reference_maximum_matching(n, edges)
