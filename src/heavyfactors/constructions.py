@@ -83,7 +83,7 @@ class ConstructionDescriptor:
 
 def _seed_shape(r: int, n: int) -> int:
     """n / r, by the shape rule of both seeds: integers r >= 2 dividing n, and n > r leaving n/r - 1 short."""
-    _check_block_shape(_integer(r, "r"), _integer(n, "vertex count"))
+    _check_block_shape(r, n)
     if n <= r:
         raise ValueError(f"need n > r so the short side is nonempty, got n={n}, r={r}")
     return n // r
@@ -113,9 +113,12 @@ def prop2_construction(r: int, t, n: int) -> tuple[WeightedCompleteGraph, Constr
 
 
 def prop2_min_degree(r: int, t, n: int) -> Fraction:
-    """Closed form min{n - 1, k - 1 + t (n - k)} for the two-class weighting."""
-    k = n // r
-    return min(Fraction(n - 1), Fraction(k - 1) + _exact(t, "t") * (n - k))
+    """Closed form min{n - 1, k - 1 + t (n - k)} for the two-class weighting.
+
+    r, t and n are refused where `prop2_construction` refuses them.
+    """
+    k = _seed_shape(r, n)
+    return min(Fraction(n - 1), Fraction(k - 1) + _unit(t, "level t") * (n - k))
 
 
 def hs_sharpness_parts(r: int, n: int) -> tuple[tuple[int, ...], ...]:

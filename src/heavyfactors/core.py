@@ -319,7 +319,7 @@ class FactorParams:
     heavy_threshold: Fraction = field(init=False)
 
     def __post_init__(self):
-        _check_block_shape(_integer(self.r, "r"), self.r)  # r divides itself, so only r < 2 is refused
+        _check_block_shape(self.r, self.r)  # r divides itself, so only a non-integer or r < 2 is refused
         t = _unit(self.t, "level t")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "heavy_threshold", t * comb(self.r, 2))
@@ -355,7 +355,9 @@ def is_overweight_edge(graph: WeightedCompleteGraph, edge: tuple[int, int], para
 
 
 def _check_block_shape(r: int, n: int) -> None:
-    """Raise ValueError unless {0..n-1} splits into blocks of r >= 2 vertices."""
+    """Raise ValueError unless r and n are integers and {0..n-1} splits into blocks of r >= 2 vertices."""
+    _integer(r, "r")
+    _integer(n, "vertex count")
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     if n % r != 0:
@@ -387,13 +389,6 @@ class CliqueFactor:
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "CliqueFactor":
         canon = tuple(sorted((frozenset(b) for b in blocks), key=min))
         return cls(canon)
-
-    @property
-    def covered(self) -> frozenset:
-        out = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
 
     def validate(self, n: int, r: int) -> None:
         """Raise unless the blocks partition {0..n-1} into n/r sets of size r."""

@@ -249,7 +249,7 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
     the report carries no verdict beyond the list.
     """
     tt = _exact(t, "t")
-    _check_block_shape(_integer(r, "r"), _integer(n, "vertex count"))
+    _check_block_shape(r, n)
     if _integer(trials, "trials") < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     delta = Fraction(1, 2) + tt / 2 + _exact(margin, "margin")

@@ -4,14 +4,16 @@ Three ways to build factors without exhaustive search:
 
 * the pair base case: a perfect matching on the threshold graph at level t
   is exactly a heavy 2-block factor, and enough weighted minimum degree
-  ((1+t)/2 of n) forces one;
+  ((1+t)/2 of n) forces one; it is exact, so no search runs after it;
 * a product scheme: contract the blocks of a factor into a quotient weighting
   (pairwise averaged cross weights), factor the quotient, and lift; the lift
   identity is checked exactly on every run;
 * a split scheme: randomly split off an n/r-vertex side B with degree targets
-  on both sides, factor the other side into (r-1)-blocks recursively, then
-  marry blocks to B-vertices through a bipartite graph of averaged weights
-  thresholded at t. A clique that is heavy at level t for r-1 vertices plus a
+  on both sides, factor the other side into (r-1)-blocks recursively (from
+  r - 1 >= 3, by the exact search on a side of at most DEFAULT_SOLVER_CAP
+  vertices that the recursion left unfactored), then marry blocks to
+  B-vertices through a bipartite graph of averaged weights thresholded at
+  t. A clique that is heavy at level t for r-1 vertices plus a
   partner of averaged weight at least t is heavy at level t for r vertices,
   with no slack; the merge checks it.  Each draw is the split that
   `Random.sample` would draw, made with the same `getrandbits` calls.  When
@@ -29,7 +31,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterator
@@ -43,8 +44,10 @@ from .core import (
     _check_block_shape,
     _disjoint_blocks,
     _exact,
+    _integer,
     _nonnegative,
     _require,
+    _unit,
     _vertex_set,
     is_heavy,
 )
@@ -59,35 +62,28 @@ DEFAULT_RETRY_BUDGET = 16
 def matching_base_case(graph: WeightedCompleteGraph, t) -> CliqueFactor | None:
     """Heavy 2-block factor via a perfect matching on the level-t threshold graph.
 
-    An odd n is refused by `perfect_matching`.
+    t is read as `FactorParams` reads it, and an odd n is refused by
+    `perfect_matching`.
     """
     n = graph.n
-    tt = _exact(t, "t")
-    masks = graph.threshold_masks(tt)
+    params = FactorParams(2, t)
+    masks = graph.threshold_masks(params.t)
     pairs = perfect_matching(n, [(i, j) for i, mask in enumerate(masks)
                                  for j in range(i + 1, n) if mask >> j & 1])
     if pairs is None:
         return None
-    _require(all(graph.weight(a, b) >= tt for a, b in pairs),
+    _require(all(is_heavy(graph, pair, params) for pair in pairs),
              "matching base case paired an edge below level t")
     return CliqueFactor.from_blocks(pairs)
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Averaged contraction of a base factor: one vertex per block.
+def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> WeightedCompleteGraph:
+    """Contract the blocks of `base` into an averaged quotient weighting: one vertex per block.
 
     Quotient weight between blocks is the average of the p*p cross weights,
     so it lands in [0, 1] again.  Block order is the canonical factor order
     (sorted by smallest member), which fixes the vertex numbering.
     """
-
-    base: CliqueFactor
-    graph: WeightedCompleteGraph
-
-
-def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> QuotientGraph:
-    """Contract the blocks of `base` into an averaged quotient weighting."""
     if not base.blocks:
         raise ValueError("base factor has no blocks")
     p = len(base.blocks[0])
@@ -103,7 +99,7 @@ def scheme1_quotient(graph: WeightedCompleteGraph, base: CliqueFactor) -> Quotie
         floor = (graph.min_weighted_degree() - (p - 1)) / p
         _require(quotient.min_weighted_degree() >= floor,
                  "quotient min degree fell below (min degree - (p - 1)) / p")
-    return QuotientGraph(base=base, graph=quotient)
+    return quotient
 
 
 def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
@@ -116,10 +112,9 @@ def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
     lower bound t_q C(q,2) p^2 + t_p C(p,2) q, where t_p and t_q are the
     minimum average block weights of the base and quotient factors.
     """
-    contraction = scheme1_quotient(graph, base)
+    quotient = scheme1_quotient(graph, base)
     blocks = base.blocks
     p = len(blocks[0])
-    quotient = contraction.graph
     if not quotient_factor.blocks:
         raise ValueError("quotient factor has no blocks")
     q = len(quotient_factor.blocks[0])
@@ -148,21 +143,16 @@ def scheme1_lift(graph: WeightedCompleteGraph, base: CliqueFactor,
 class BipartiteAverageGraph:
     """Cliques on the left, single vertices on the right, averaged weights.
 
-    weights[i][j] is the average weight from clique i to vertex j, so a
-    matched pair at average >= t merges into a block heavy at level t one
-    size up.  It is Fraction(numerators[i][j], den): the integer sum of the
-    clique's rows at vertex j over p times the graph's denominator.
+    Fraction(numerators[i][j], den) is the average weight from clique i to
+    vertex j, so a matched pair at average >= t merges into a block heavy at
+    level t one size up: numerators[i][j] is the integer sum of the clique's
+    rows at vertex j, and den is p times the graph's denominator.
     """
 
     cliques: tuple
     vertices: tuple
     numerators: tuple  # numerators[i][j]
     den: int
-
-    @cached_property
-    def weights(self) -> tuple:
-        """weights[i][j] = Fraction(numerators[i][j], den)."""
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.numerators)
 
 
 def build_bipartite_average(graph: WeightedCompleteGraph, cliques,
@@ -194,8 +184,7 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
         raise ValueError(
             f"need equal sides, got {k} cliques and {len(avg.vertices)} vertices"
         )
-    tt = _exact(t, "t")
-    cut = _ceil_numerator(tt, avg.den)
+    cut = _ceil_numerator(_unit(t, "level t"), avg.den)
     adjacency = [[j for j, x in enumerate(row) if x >= cut] for row in avg.numerators]
     match = bipartite_maximum_matching(k, k, adjacency)
     if any(m == -1 for m in match):
@@ -289,6 +278,7 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
     """
     n = graph.n
     _check_block_shape(r, n)
+    _integer(seed, "seed")
     need_a = graph.least_numerator(target_a)
     need_b = graph.least_numerator(target_b)
     rows, degrees = graph.rows, graph.degrees
@@ -318,17 +308,20 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
     """Randomized recursive factor search; None after the retry budget.
 
     Splits off B, factors A at size r-1 (recursively, with an exact-search
-    fallback on sides of at most DEFAULT_SOLVER_CAP vertices), then matches
-    blocks to B-vertices at averaged weight >= t.  A returned factor is
+    fallback on sides of at most DEFAULT_SOLVER_CAP vertices when r - 1 >= 3;
+    at r - 1 = 2 the exact pair base case has decided), then matches blocks
+    to B-vertices at averaged weight >= t.  A returned factor is
     always verified heavy block by block.
     A None is only a failure of this randomized strategy, never a proof that
     no factor exists.  Every retry splits at the same targets, so once the
     partition proves that no split exists the remaining retries are skipped.
-    A negative retry budget or epsilon is rejected at any r.
+    A seed or retry budget that is not an integer, a negative retry budget
+    and a negative epsilon are rejected at any r.
     """
     n, r, t = graph.n, params.r, params.t
     _check_block_shape(r, n)
-    _nonnegative(retries, "retries")
+    _integer(seed, "seed")
+    _nonnegative(_integer(retries, "retries"), "retries")
     eps = _nonnegative(_exact(epsilon, "epsilon"), "epsilon")
     if r == 2:
         return matching_base_case(graph, t)
@@ -348,7 +341,8 @@ def scheme2_factor(graph: WeightedCompleteGraph, params: FactorParams, seed: int
         sub_graph, vmap = graph.induced(a_side)
         sub_params = FactorParams(r - 1, t)
         sub = scheme2_factor(sub_graph, sub_params, rng.getrandbits(32), eps, retries=retries)
-        if sub is None and sub_graph.n <= DEFAULT_SOLVER_CAP:
+        # the pair base case is exact, so only a side of (r-1)-blocks with r - 1 >= 3 falls back
+        if sub is None and r > 3 and sub_graph.n <= DEFAULT_SOLVER_CAP:
             sub = find_heavy_factor(sub_graph, sub_params, strict=False).factor
         if sub is None:
             continue

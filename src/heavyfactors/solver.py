@@ -98,7 +98,7 @@ from .core import (
     WeightedCompleteGraph,
     _check_block_shape,
     _disjoint_blocks,
-    _nonnegative,
+    _integer,
     _unit,
     _vertex_set,
     format_rational,
@@ -144,23 +144,22 @@ class SolveCertificate:
         return doc
 
 
-def enumerate_all_factors(n: int, r: int, cap: int = DEFAULT_SOLVER_CAP) -> Iterator[tuple]:
+def enumerate_all_factors(n: int, r: int) -> Iterator[tuple]:
     """Stream every partition of {0..n-1} into blocks of size r, exactly once.
 
     Canonical form: each block is a sorted tuple led by the smallest vertex
     not in any earlier block.  This is the independent oracle the backtracking
     search is tested against, so it deliberately shares no code with it.
     The count for n, r is (n)! / ((r!)^(n/r) (n/r)!), so `_enumeration_cap`
-    raises for n above `cap` instead of silently enumerating forever.
+    raises for n above DEFAULT_SOLVER_CAP instead of silently enumerating forever.
     """
     _check_block_shape(r, n)
-    _enumeration_cap(n, cap)
+    _enumeration_cap(n, DEFAULT_SOLVER_CAP)
     return _partitions(tuple(range(n)), r)
 
 
 def _enumeration_cap(n: int, cap: int) -> None:
-    """Refuse a negative cap, and raise CapExceededError for n above it: the one cap check of both enumerations."""
-    _nonnegative(cap, "enumeration cap")
+    """Raise CapExceededError for n above `cap`: the one cap check of both enumerations."""
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
 
@@ -420,8 +419,8 @@ def lemma1_bound(delta, t, r: int, n: int) -> Fraction:
     Valid whenever the graph's minimum weighted degree is at least delta * n;
     t = 1 would divide by zero and is rejected.
     """
-    t_r_threshold(r)  # refuses r < 3
-    if n < r:
+    t_r_threshold(r)  # refuses a non-integer r and r < 3
+    if _integer(n, "vertex count") < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     dd = _unit(delta, "delta")
     tt = _unit(t, "t")
@@ -463,13 +462,6 @@ class HeavyCollection:
         return cls(canon, overweight_count)
 
     @property
-    def covered(self) -> frozenset:
-        out = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
-
-    @property
     def size(self) -> int:
         return len(self.blocks)
 
@@ -479,15 +471,15 @@ def _overweight_count(over: tuple[int, ...], block: int) -> int:
     return sum((over[v] & block).bit_count() for v in _vertices(block)) // 2
 
 
-def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph, params: FactorParams,
-                                        cap: int = DEFAULT_ENUMERATION_CAP) -> list[HeavyCollection]:
+def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph,
+                                        params: FactorParams) -> list[HeavyCollection]:
     """All collections maximizing (size, within-block overweight edges).
 
     Complete enumeration over subsets of disjoint heavy blocks, refused by
-    `_enumeration_cap` for n above `cap`.  When no heavy block exists at all,
-    the unique maximum is the empty collection.
+    `_enumeration_cap` for n above DEFAULT_ENUMERATION_CAP.  When no heavy
+    block exists at all, the unique maximum is the empty collection.
     """
-    _enumeration_cap(graph.n, cap)
+    _enumeration_cap(graph.n, DEFAULT_ENUMERATION_CAP)
     index, _, heavy = _heavy_family(graph, params, strict=False)
     masks = _heavy_masks(index, heavy)
     over = graph.threshold_masks(params.heavy_threshold)
@@ -531,7 +523,8 @@ def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorPa
     the best (ties to earliest) wins.
     """
     n = graph.n
-    if restarts < 1:
+    _integer(seed, "seed")
+    if _integer(restarts, "restarts") < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     index, _, heavy = _heavy_family(graph, params, strict=False)
     masks = _heavy_masks(index, heavy)
@@ -597,16 +590,16 @@ class StructureViolation:
 class StructureReport:
     """Result of the maximum-collection structure checks.
 
-    `saturated_blocks` are the blocks with at least r-1 overweight edges into
-    the designated uncovered r-set L; each has a unique `anchor` vertex that
-    all its overweight edges meet.  `spare_vertices` are the non-anchor
-    vertices of saturated blocks.  An empty violation list is the expected
-    outcome on any true maximum.
+    `anchors` holds a (block, anchor) pair for each saturated block, one with
+    at least r-1 overweight edges into the designated uncovered r-set L: the
+    block as a sorted tuple, and the unique vertex that all its overweight
+    edges into L meet.  `spare_vertices` are the non-anchor vertices of
+    saturated blocks.  An empty violation list is the expected outcome on
+    any true maximum.
     """
 
     violations: tuple
-    saturated_blocks: tuple
-    anchors: tuple  # (block, anchor) pairs aligned with saturated_blocks
+    anchors: tuple
     spare_vertices: frozenset
 
     @property
@@ -660,7 +653,6 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
                 witness=(a, b),
             ))
 
-    saturated = []
     anchors = []
     spare = set()
     for block in collection.blocks:
@@ -678,7 +670,6 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
             continue
         anchor = endpoints.pop()
         if len(cross) >= r - 1:
-            saturated.append(block)
             anchors.append((block, anchor))
             spare |= block - {anchor}
             for a, b in combinations(sorted(block), 2):
@@ -699,10 +690,10 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
                         witness=(anchor, u),
                     ))
 
-    saturated_set = {frozenset(b) for b in saturated}
+    saturated = {frozenset(b) for b, _ in anchors}
     for y in sorted(spare):
         for block in collection.blocks:
-            if frozenset(block) in saturated_set:
+            if frozenset(block) in saturated:
                 continue
             hits = [u for u in sorted(block) if overweight(y, u)]
             if len(hits) >= 2:
@@ -726,7 +717,6 @@ def check_facts_at_maximum(graph: WeightedCompleteGraph, params: FactorParams,
 
     return StructureReport(
         violations=tuple(violations),
-        saturated_blocks=tuple(tuple(sorted(b)) for b in saturated),
         anchors=tuple((tuple(sorted(b)), a) for b, a in anchors),
         spare_vertices=frozenset(spare),
     )
@@ -737,6 +727,6 @@ def t_r_threshold(r: int) -> Fraction:
 
     Closed form 4 / (C(r, 2) (r^3 - r^2 - 2r + 4)); defined for r >= 3.
     """
-    if r < 3:
+    if _integer(r, "r") < 3:
         raise ValueError(f"the counting bound needs r >= 3, got r={r}")
     return Fraction(4, comb(r, 2) * (r ** 3 - r ** 2 - 2 * r + 4))

@@ -196,7 +196,7 @@ def test_criterion_6_scheme1_identity():
         g = random_grid_graph(rng, 24, denominator=6)
         lifted = scheme1_lift(g, base, quotient_blocks)
         lifted.validate(24, 6)
-        quotient = scheme1_quotient(g, base).graph
+        quotient = scheme1_quotient(g, base)
         t_p = min(g.clique_weight(b) for b in base.blocks)
         t_q = min(quotient.clique_weight(b) for b in quotient_blocks.blocks) / comb(3, 2)
         for qblock in quotient_blocks.blocks:
@@ -230,7 +230,7 @@ def test_criterion_7_facts_verification():
             continue
         qualified += 1
         for coll in maxima:
-            uncovered = sorted(set(range(7)) - set(coll.covered))
+            uncovered = sorted(set(range(7)) - set().union(*coll.blocks))
             for designated in combinations(uncovered, 3):
                 rep = check_facts_at_maximum(g, params, coll, designated)
                 assert rep.ok, (

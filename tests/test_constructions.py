@@ -175,14 +175,20 @@ def test_hs_rejects_bad_parameters(r, n):
     (1, 4, "need r >= 2, got r=1"),
     (3, 3, "need n > r so the short side is nonempty, got n=3, r=3"),
     (3, 0, "need n > r so the short side is nonempty, got n=0, r=3"),
+    (0, 12, "need r >= 2, got r=0"),
 ])
 def test_both_seeds_refuse_one_shape_with_one_message(r, n, message):
-    """prop2's clique side and the hs-sharpness short part both hold n/r - 1 vertices."""
+    """prop2's clique side and the hs-sharpness short part both hold n/r - 1 vertices.
+
+    prop2's closed-form degree refuses the shapes its weighting refuses.
+    """
     with pytest.raises(ValueError) as prop2:
         prop2_construction(r, Fraction(1, 2), n)
     with pytest.raises(ValueError) as hs:
         hs_sharpness_construction(r, n)
-    assert str(prop2.value) == str(hs.value) == message
+    with pytest.raises(ValueError) as closed_form:
+        prop2_min_degree(r, Fraction(1, 2), n)
+    assert str(prop2.value) == str(hs.value) == str(closed_form.value) == message
 
 
 # --------------------------------------------------- triangle counterexample

@@ -79,9 +79,33 @@ def test_parse_rational_calls_text_decimal_only_when_it_reads_as_a_decimal_numbe
     (lambda: FactorParams("3", Fraction(1, 2)), "r must be an integer, got '3'"),
     (lambda: hf.build("prop2", n=9, r=3, t="0.5"), "decimal notation is not accepted: '0.5'"),
     (lambda: WeightedCompleteGraph.constant(3, True), "constant weight must be an exact rational, not a bool"),
-], ids=["t-decimal-text", "t-bool", "t-none", "r-bool", "r-text", "build-t-decimal-text", "constant-bool"])
+    (lambda: CliqueFactor.from_blocks([(0, 1, 2), (3, 4, 5)]).validate(6.0, 3),
+     "vertex count must be an integer, got 6.0"),
+    (lambda: CliqueFactor.from_blocks([(0, 1), (2, 3)]).validate(4, True), "r must be an integer, got True"),
+    (lambda: hf.enumerate_all_factors(6.0, 3), "vertex count must be an integer, got 6.0"),
+    (lambda: hf.scheme2_partition(ONES, 3.0, 1, 4, 2), "r must be an integer, got 3.0"),
+    (lambda: hf.scheme2_partition(ONES, 3, "x", 4, 2), "seed must be an integer, got 'x'"),
+    (lambda: hf.lemma1_bound(Fraction(9, 10), Fraction(1, 2), 3, 12.0), "vertex count must be an integer, got 12.0"),
+    (lambda: hf.t_r_threshold(3.0), "r must be an integer, got 3.0"),
+    (lambda: hf.scheme2_factor(ONES, HALF, seed="x"), "seed must be an integer, got 'x'"),
+    (lambda: hf.scheme2_factor(ONES, HALF, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: hf.scheme2_factor(ONES, HALF, seed=0, retries=1.5), "retries must be an integer, got 1.5"),
+    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed="x"), "seed must be an integer, got 'x'"),
+    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed=0, restarts=True),
+     "restarts must be an integer, got True"),
+    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed=0, restarts=1.5),
+     "restarts must be an integer, got 1.5"),
+    (lambda: hf.prop2_min_degree(3, Fraction(1, 2), 12.0), "vertex count must be an integer, got 12.0"),
+], ids=["t-decimal-text", "t-bool", "t-none", "r-bool", "r-text", "build-t-decimal-text", "constant-bool",
+        "validate-n-float", "validate-r-bool", "enumerate_all_factors-n-float", "scheme2_partition-r-float",
+        "scheme2_partition-seed-text", "lemma1_bound-n-float", "t_r_threshold-r-float", "scheme2_factor-seed-text",
+        "scheme2_factor-seed-float", "scheme2_factor-retries-float", "local_search-seed-text",
+        "local_search-restarts-bool", "local_search-restarts-float", "prop2_min_degree-n-float"])
 def test_integers_and_rationals_are_read_by_one_check_each(call, message):
-    """Text is read as the command line reads it; a bool or None is a ValueError, never a TypeError or a number."""
+    """Text is read as the command line reads it; a bool or None is a ValueError, never a TypeError or a number.
+
+    The shape rule reads its own r and n, so every entry that checks a block shape refuses them alike.
+    """
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
@@ -504,8 +528,12 @@ def test_every_rational_entry_refuses_floats(call):
     lambda v: hf.prop2_construction(3, v, 9),
     lambda v: hf.random_weighting(6, 4, 0, min_degree=v),
     lambda v: hf.lemma1_bound(v, Fraction(1, 2), 3, 9),
+    lambda v: hf.prop2_min_degree(3, v, 9),
+    lambda v: hf.matching_base_case(WeightedCompleteGraph.constant(4, 1), v),
+    lambda v: hf.bipartite_threshold_matching(hf.build_bipartite_average(ONES, [(0, 1)], [2]), v),
 ], ids=["constructor", "constant", "with_weight", "scale", "FactorParams", "graph_from_json",
-        "prop2_construction", "random_weighting-min_degree", "lemma1_bound-delta"])
+        "prop2_construction", "random_weighting-min_degree", "lemma1_bound-delta", "prop2_min_degree",
+        "matching_base_case", "bipartite_threshold_matching"])
 def test_every_unit_entry_refuses_values_outside_the_unit_interval(call, value):
     """A weight, level, scale or density outside [0, 1] is refused by `_unit`, the only raise with this text."""
     with pytest.raises(ValueError, match=rf"{format_rational(value)} outside \[0, 1\]$"):
@@ -581,7 +609,7 @@ def test_overweight_edge_boundary_and_unreachable_bar():
 def test_clique_factor_canonical_order_and_validation():
     f = CliqueFactor.from_blocks([[5, 3, 4], [2, 0, 1]])
     assert f.blocks == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-    assert f.covered == frozenset(range(6))
+    assert frozenset().union(*f.blocks) == frozenset(range(6))
     f.validate(6, 3)
     with pytest.raises(ValueError):
         f.validate(6, 2)

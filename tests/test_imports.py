@@ -2,9 +2,11 @@
 JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
 input rule is raised from one home, rational text is read where it enters, `cli` holds no table of
 construction kinds, the annealer has one way in, `hfl solve` has one decider, `hfl` reads a graph input
-and refuses a clash with --out in one place each, and no module reads the environment."""
+and refuses a clash with --out in one place each, no module reads the environment, the result types
+carry each value once, and no public function takes an enumeration cap."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import heavyfactors
@@ -114,6 +116,11 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     """
     assert callers("admits") == ["core.is_heavy", "core.is_overweight_edge"]
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
+
+
+def test_schemes_check_blocks_by_the_one_predicate():
+    """No function in `schemes` reads a single edge weight, so each of its block checks is an `is_heavy` call."""
+    assert [owner for owner in callers("weight") if owner.startswith("schemes.")] == []
 
 
 def test_solve_has_one_decider_and_one_node_count_writer():
@@ -227,3 +234,35 @@ def test_no_module_reads_the_environment():
         and any(alias.name in environment for alias in node.names)
     ]
     assert reads == []
+
+
+# result type -> its public surface: dataclass fields, then the properties and methods its class body defines
+RESULT_SURFACES = {
+    "StructureReport": ("violations", "anchors", "spare_vertices", "ok"),
+    "BipartiteAverageGraph": ("cliques", "vertices", "numerators", "den"),
+    "HeavyCollection": ("blocks", "overweight_count", "from_blocks", "size"),
+    "CliqueFactor": ("blocks", "from_blocks", "validate"),
+    "SolveCertificate": ("params", "strict", "factor", "nodes_explored", "outcome", "to_json"),
+}
+
+
+def test_result_types_carry_each_value_once_and_no_public_function_takes_a_cap():
+    """Each result type holds exactly the names above, and no public package function has a `cap` parameter.
+
+    A field or property that copies another, or an enumeration cap that only tests set, then shows here.
+    """
+    surfaces = {}
+    for name in RESULT_SURFACES:
+        cls = getattr(heavyfactors, name)
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        surfaces[name] = fields + tuple(attr for attr in vars(cls)
+                                        if not attr.startswith("_") and attr not in fields)
+    assert surfaces == RESULT_SURFACES
+    takes_cap = [
+        f"{path.stem}.{top.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+        and "cap" in {arg.arg for arg in top.args.args + top.args.kwonlyargs}
+    ]
+    assert takes_cap == []

@@ -16,7 +16,6 @@ from heavyfactors import (
     CertificationError,
     CliqueFactor,
     FactorParams,
-    QuotientGraph,
     WeightedCompleteGraph,
     bipartite_threshold_matching,
     build_bipartite_average,
@@ -86,9 +85,9 @@ def test_quotient_averages_cross_weights():
         (0, 1): Fraction(1), (2, 3): Fraction(1),
     })
     base = CliqueFactor.from_blocks([[0, 1], [2, 3]])
-    contraction = scheme1_quotient(g, base)
-    assert contraction.graph.n == 2
-    assert contraction.graph.weight(0, 1) == Fraction(1, 2)
+    quotient = scheme1_quotient(g, base)
+    assert quotient.n == 2
+    assert quotient.weight(0, 1) == Fraction(1, 2)
 
 
 def test_quotient_is_the_fraction_table():
@@ -103,14 +102,13 @@ def test_quotient_is_the_fraction_table():
             blocks = base.blocks
             table = {(a, b): sum((g.weight(u, v) for u in blocks[a] for v in blocks[b]), Fraction(0)) / (p * p)
                      for a, b in combinations(range(q), 2)}
-            assert_fraction_path(scheme1_quotient(g, base).graph, q, table)
+            assert_fraction_path(scheme1_quotient(g, base), q, table)
 
 
 def test_quotient_of_a_constant_graph_is_constant():
     g = WeightedCompleteGraph.constant(8, Fraction(1, 3))
     base = CliqueFactor.from_blocks([[0, 1], [2, 3], [4, 5], [6, 7]])
-    contraction = scheme1_quotient(g, base)
-    assert contraction.graph == WeightedCompleteGraph.constant(4, Fraction(1, 3))
+    assert scheme1_quotient(g, base) == WeightedCompleteGraph.constant(4, Fraction(1, 3))
 
 
 def test_quotient_validates_the_base_factor():
@@ -135,9 +133,9 @@ def test_quotient_degree_floor_on_random_graphs():
     base = CliqueFactor.from_blocks([[0, 1], [2, 3], [4, 5], [6, 7]])
     for _ in range(15):
         g = random_grid_graph(rng, 8, denominator=5)
-        contraction = scheme1_quotient(g, base)
+        quotient = scheme1_quotient(g, base)
         floor = (g.min_weighted_degree() - 1) / 2
-        assert contraction.graph.min_weighted_degree() >= floor
+        assert quotient.min_weighted_degree() >= floor
 
 
 def test_lift_on_the_all_ones_graph():
@@ -166,7 +164,7 @@ def test_lift_identity_holds_edge_exactly_on_random_graphs():
     for _ in range(15):
         g = random_grid_graph(rng, 8, denominator=6)
         lifted = scheme1_lift(g, base, qf)
-        quotient = scheme1_quotient(g, base).graph
+        quotient = scheme1_quotient(g, base)
         for qblock in qf.blocks:
             members = frozenset().union(*(base.blocks[i] for i in qblock))
             internal = sum(g.clique_weight(base.blocks[i]) for i in qblock)
@@ -197,9 +195,9 @@ def test_bipartite_average_weights():
         (2, 5): Fraction(1, 4),
     })
     avg = build_bipartite_average(g, [[0, 1], [2, 3]], [4, 5])
-    assert avg.weights[0][0] == Fraction(3, 4)   # clique {0,1} to vertex 4
-    assert avg.weights[0][1] == Fraction(0)
-    assert avg.weights[1][1] == Fraction(1, 8)
+    assert Fraction(avg.numerators[0][0], avg.den) == Fraction(3, 4)   # clique {0,1} to vertex 4
+    assert Fraction(avg.numerators[0][1], avg.den) == Fraction(0)
+    assert Fraction(avg.numerators[1][1], avg.den) == Fraction(1, 8)
 
 
 def test_bipartite_average_validation():
@@ -230,7 +228,7 @@ def test_bipartite_average_rejects_vertices_outside_the_graph(cliques, vertices,
 
 
 def test_bipartite_average_is_the_fraction_average():
-    """Numerators over `den` are the weights, and each weight is the plain Fraction mean over the clique."""
+    """Each numerator over `den` is the plain Fraction mean of the weights from the clique to the vertex."""
     rng = Random(71)
     for p, k in [(1, 3), (2, 4), (3, 2), (4, 3)]:
         n = (p + 1) * k
@@ -242,7 +240,7 @@ def test_bipartite_average_is_the_fraction_average():
         for i, c in enumerate(avg.cliques):
             for j, v in enumerate(avg.vertices):
                 mean = sum((g.weight(u, v) for u in c), Fraction(0)) / p
-                assert avg.weights[i][j] == Fraction(avg.numerators[i][j], avg.den) == mean
+                assert Fraction(avg.numerators[i][j], avg.den) == mean
 
 
 def test_threshold_matching_keeps_averages_at_or_above_t():
@@ -470,6 +468,10 @@ def test_scheme2_with_no_retries_returns_none():
     assert scheme2_factor(g, FactorParams(r=3, t=Fraction(1, 2)), seed=0, retries=0) is None
 
 
+# A 16-vertex input on which scheme2 at r = 4, t = 1/2, seed 0 leaves its 12-vertex A side unfactored
+FALLBACK_GRAPH = random_weighting(16, 20, 0, Fraction(17, 20))
+
+
 def test_scheme2_falls_back_to_the_exact_solver_on_a_small_side(monkeypatch):
     """At r = 4 the recursion leaves the 12-vertex A side unfactored, and the exact search factors it."""
     calls = []
@@ -480,27 +482,42 @@ def test_scheme2_falls_back_to_the_exact_solver_on_a_small_side(monkeypatch):
         return cert
 
     monkeypatch.setattr(schemes, "find_heavy_factor", spy)
-    g = random_weighting(16, 20, 0, Fraction(17, 20))
     params = FactorParams(r=4, t=Fraction(1, 2))
-    factor = scheme2_factor(g, params, seed=0, retries=2)
+    factor = scheme2_factor(FALLBACK_GRAPH, params, seed=0, retries=2)
     assert calls == [(12, 3, False, True)]
     factor.validate(16, 4)
-    assert all(is_heavy(g, b, params) for b in factor.blocks)
+    assert all(is_heavy(FALLBACK_GRAPH, b, params) for b in factor.blocks)
 
 
-@pytest.mark.parametrize("failures,calls", [
-    ({"scheme2_factor": None, "find_heavy_factor": SimpleNamespace(factor=None)},
-     ["scheme2_factor", "find_heavy_factor", "scheme2_factor"]),
-    ({"bipartite_threshold_matching": None}, ["bipartite_threshold_matching"] * 2),
-], ids=["sub-factor", "merge"])
-def test_scheme2_spends_one_retry_on_a_failed_sub_factor_or_merge(monkeypatch, failures, calls):
-    """Each named step fails on its first call: a sub-factor still None after the fallback, or a merge with no matching.
+def test_scheme2_runs_no_exact_search_behind_the_pair_base_case(monkeypatch):
+    """At r = 3 the A side's pairs come from the exact base case, so a None there is final and no search follows."""
+    searches = []
+
+    def spy(graph, params, strict=False):
+        searches.append((graph.n, params.r))
+        return find_heavy_factor(graph, params, strict=strict)
+
+    monkeypatch.setattr(schemes, "perfect_matching", lambda n, edges: None)
+    monkeypatch.setattr(schemes, "find_heavy_factor", spy)
+    g = WeightedCompleteGraph.constant(12, Fraction(1))
+    assert scheme2_factor(g, FactorParams(r=3, t=Fraction(1, 2)), seed=1) is None
+    assert searches == []
+
+
+@pytest.mark.parametrize("graph,r,seed,failures,calls", [
+    (WeightedCompleteGraph.constant(12, Fraction(1)), 3, 1, {"scheme2_factor": None}, ["scheme2_factor"] * 2),
+    (FALLBACK_GRAPH, 4, 0, {"scheme2_factor": None, "find_heavy_factor": SimpleNamespace(factor=None)},
+     ["scheme2_factor", "find_heavy_factor"] * 2),
+    (WeightedCompleteGraph.constant(12, Fraction(1)), 3, 1, {"bipartite_threshold_matching": None},
+     ["bipartite_threshold_matching"] * 2),
+], ids=["sub-factor", "sub-factor-and-fallback", "merge"])
+def test_scheme2_spends_one_retry_on_a_failed_sub_factor_or_merge(monkeypatch, graph, r, seed, failures, calls):
+    """Each named step fails on its first call: a sub-factor None (at r = 4 also after the exact fallback), or a merge with no matching.
 
     The next retry returns a validated factor; with one retry the call returns None.
     """
     real = {name: getattr(schemes, name) for name in failures}
-    g = WeightedCompleteGraph.constant(12, Fraction(1))
-    params = FactorParams(r=3, t=Fraction(1, 2))
+    params = FactorParams(r=r, t=Fraction(1, 2))
 
     def run(retries):
         seen = []
@@ -509,12 +526,12 @@ def test_scheme2_spends_one_retry_on_a_failed_sub_factor_or_merge(monkeypatch, f
                 seen.append(name)
                 return failure if seen.count(name) == 1 else real[name](*args, **kwargs)
             monkeypatch.setattr(schemes, name, spy)
-        return scheme2_factor(g, params, seed=1, retries=retries), seen
+        return scheme2_factor(graph, params, seed=seed, retries=retries), seen
 
     factor, seen = run(2)
     assert seen == calls
-    factor.validate(12, 3)
-    assert all(is_heavy(g, b, params) for b in factor.blocks)
+    factor.validate(graph.n, r)
+    assert all(is_heavy(graph, b, params) for b in factor.blocks)
     assert run(1) == (None, list(failures))
 
 
@@ -577,7 +594,7 @@ def worst_threshold_matching(avg, t):
     """A perfect matching that ignores t: the one whose lightest pair is lightest."""
     k = len(avg.cliques)
     return min(permutations(range(k)),
-               key=lambda m: min(avg.weights[i][m[i]] for i in range(k)))
+               key=lambda m: min(Fraction(avg.numerators[i][m[i]], avg.den) for i in range(k)))
 
 
 def test_scheme_checks_raise_certification_errors(monkeypatch):
@@ -596,7 +613,7 @@ def test_scheme_checks_raise_certification_errors(monkeypatch):
 
     g = WeightedCompleteGraph.constant(8, Fraction(1))
     base = CliqueFactor.from_blocks([[0, 1], [2, 3], [4, 5], [6, 7]])
-    zero_quotient = QuotientGraph(base=base, graph=WeightedCompleteGraph.constant(4, Fraction(0)))
+    zero_quotient = WeightedCompleteGraph.constant(4, Fraction(0))
     monkeypatch.setattr(schemes, "scheme1_quotient", lambda graph, b: zero_quotient)
     with pytest.raises(CertificationError, match="lift identity"):
         scheme1_lift(g, base, CliqueFactor.from_blocks([[0, 1], [2, 3]]))
@@ -612,7 +629,7 @@ def test_scheme_checks_survive_optimized_mode():
         "def worst(avg, t):\n"
         "    k = len(avg.cliques)\n"
         "    return min(permutations(range(k)),\n"
-        "               key=lambda m: min(avg.weights[i][m[i]] for i in range(k)))\n"
+        "               key=lambda m: min(Fraction(avg.numerators[i][m[i]], avg.den) for i in range(k)))\n"
         "schemes.bipartite_threshold_matching = worst\n"
         "try:\n"
         "    schemes.scheme2_factor(g, FactorParams(3, Fraction(1, 2)), seed=0)\n"
@@ -631,7 +648,7 @@ def test_local_search_factors_the_all_ones_graph():
     g = WeightedCompleteGraph.constant(6, Fraction(1))
     coll = local_search_heavy_collection(g, FactorParams(r=3, t=Fraction(1)), seed=0)
     assert coll.size == 2
-    assert coll.covered == frozenset(range(6))
+    assert frozenset().union(*coll.blocks) == frozenset(range(6))
 
 
 def test_local_search_returns_empty_on_the_zero_graph():

@@ -75,14 +75,12 @@ def test_enumerate_all_factors_counts(n, r, expected):
 def test_enumerate_all_factors_caps_and_validates():
     with pytest.raises(CapExceededError):
         list(enumerate_all_factors(14, 2))
-    with pytest.raises(CapExceededError):
-        list(enumerate_all_factors(8, 2, cap=6))
+    with pytest.raises(CapExceededError, match="n=14 exceeds enumeration cap 12"):
+        enumerate_all_factors(14, 2)
     with pytest.raises(ValueError):
         list(enumerate_all_factors(6, 1))
     with pytest.raises(ValueError):
         list(enumerate_all_factors(7, 3))
-    with pytest.raises(ValueError, match="enumeration cap must be nonnegative, got -1"):
-        enumerate_all_factors(6, 3, cap=-1)
 
 
 # -------------------------------------------------------------- full search
@@ -1069,7 +1067,7 @@ def test_maximum_collections_on_the_all_ones_graph():
     assert len(maxima) == 10  # C(6,3)/2 block pairings
     for coll in maxima:
         assert coll.size == 2
-        assert coll.covered == frozenset(range(6))
+        assert frozenset().union(*coll.blocks) == frozenset(range(6))
         assert coll.overweight_count == 0  # bar 3 is beyond any single edge
 
 
@@ -1086,7 +1084,7 @@ def test_maximum_collections_on_the_zero_graph():
 def test_maximum_collections_on_the_scaled_two_class_weighting():
     g, _ = prop2_construction(3, Fraction(2, 3), 9)
     s = g.scale(Fraction(999, 1000))
-    maxima = enumerate_maximum_heavy_collections(s, FactorParams(r=3, t=Fraction(2, 3)), cap=12)
+    maxima = enumerate_maximum_heavy_collections(s, FactorParams(r=3, t=Fraction(2, 3)))
     assert len(maxima) == 210
     for coll in maxima:
         assert coll.size == 2
@@ -1098,8 +1096,6 @@ def test_maximum_collections_cap():
     g = WeightedCompleteGraph.constant(12, Fraction(1))
     with pytest.raises(CapExceededError):
         enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1)))
-    with pytest.raises(ValueError, match="enumeration cap must be nonnegative, got -1"):
-        enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1)), cap=-1)
 
 
 def test_secondary_objective_prefers_overweight_edges_inside_blocks():
@@ -1140,7 +1136,7 @@ def test_structure_checks_pass_on_a_trivially_clean_maximum():
     coll = HeavyCollection(blocks=(), overweight_count=0)
     report = check_facts_at_maximum(zeros, params, coll, designated=(0, 1, 2))
     assert report.ok
-    assert report.saturated_blocks == () and report.spare_vertices == frozenset()
+    assert tuple(b for b, _ in report.anchors) == () and report.spare_vertices == frozenset()
 
 
 def test_structure_checks_flag_uncovered_overweight_edges():
@@ -1168,7 +1164,7 @@ def test_structure_checks_inspect_saturated_blocks():
     })
     coll = HeavyCollection(blocks=(frozenset({0, 1, 2}),), overweight_count=1)
     report = check_facts_at_maximum(g, triple_params(), coll, designated=(3, 4, 5))
-    assert report.saturated_blocks == ((0, 1, 2),)
+    assert tuple(b for b, _ in report.anchors) == ((0, 1, 2),)
     assert report.anchors == (((0, 1, 2), 0),)
     assert report.spare_vertices == frozenset({1, 2})
     kinds = sorted(v.kind for v in report.violations)
@@ -1197,7 +1193,7 @@ def test_structure_checks_accept_a_clean_saturated_block():
         designated=(3, 4, 5),
     )
     assert report.ok
-    assert report.saturated_blocks == ((0, 1, 2),)
+    assert tuple(b for b, _ in report.anchors) == ((0, 1, 2),)
 
 
 def test_structure_checks_flag_spare_double_overweight():
@@ -1268,7 +1264,7 @@ def test_structure_checks_pass_on_true_maxima_of_sparse_weightings():
         from itertools import combinations as comb_iter
 
         for coll in maxima:
-            uncovered = sorted(set(range(7)) - set(coll.covered))
+            uncovered = sorted(set(range(7)) - set().union(*coll.blocks))
             for designated in comb_iter(uncovered, 3):
                 report = check_facts_at_maximum(g, params, coll, designated)
                 assert report.ok, report.violations
