@@ -197,7 +197,7 @@ def _cmd_estimate(args) -> int:
     doc = {
         "r": record.r,
         "t": format_rational(record.t),
-        "n": record.n,
+        "n": record.graph.n,
         "value": format_rational(record.value),
         "source": record.source,
         "certified": record.certified,

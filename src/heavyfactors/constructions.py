@@ -33,10 +33,10 @@ from itertools import combinations
 
 from .core import (
     WeightedCompleteGraph,
-    _ceil_numerator,
     _check_block_shape,
     _exact,
     _integer,
+    _least_numerator,
     _require,
     _unit,
     format_rational,
@@ -212,7 +212,7 @@ def _sample_grid_floor(rng: random.Random, n: int, d: int, per_edge: Fraction) -
             f"sampling failure: degree target {format_rational(target)} needs "
             f"per-edge weight {format_rational(per_edge)} > 1 at n={n}"
         )
-    lo = max(0, _ceil_numerator(per_edge, d))
+    lo = max(0, _least_numerator(per_edge, d))
     width = d + 1 - lo
     bits = width.bit_length()
     draw = rng.getrandbits

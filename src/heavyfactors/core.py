@@ -8,8 +8,9 @@ predicates compare them with no floating point anywhere.  For clique size r
 and level t, an r-set is heavy when its total edge weight reaches
 t * C(r, 2); the strict variant demands strictly more.  The boundary
 matters: the two families of weightings that pin the extremal threshold
-differ exactly in whether ties count, so `is_heavy` takes a `strict` flag
-and every caller says which one it means.
+differ exactly in whether ties count, so every caller passes a `strict`
+flag, to `FactorParams.admits` for a Fraction weight and to
+`_least_numerator`, the one integer cut of a rational bar, for integer sums.
 
 Graphs are immutable values.  Derived graphs (scaled, induced, single edge
 replaced) are new objects, which keeps certificates trivially re-checkable.
@@ -25,8 +26,9 @@ which trusts them.
 
 A rational is read by `_exact` (text by `parse_rational`), an integer (a
 vertex count, r, a seed, a vertex) by `_integer`, which takes an `int` and no
-other type, and a vertex set (a pair, a clique, degree targets, an induced set,
-a factor's union) by `_vertex_set`, the one check of distinct vertices in range(n).
+other type, a tie flag by `_flag`, which takes a `bool` and no other type, and
+a vertex set (a pair, a clique, degree targets, an induced set, a factor's
+union) by `_vertex_set`, the one check of distinct vertices in range(n).
 
 A graph file is the canonical JSON text of `graph_to_json`: sorted keys,
 two-space indent, every pair listed.  `save_graph` writes those bytes itself,
@@ -106,9 +108,12 @@ def _exact(value, what: str) -> Fraction:
     raise ValueError(f"{what} must be an exact rational, not a {type(value).__name__}")
 
 
-def _ceil_numerator(x: Fraction, den: int) -> int:
-    """Least integer k with k / den >= x, that is ceil(x * den), in integers."""
-    return -(-x.numerator * den // x.denominator)
+def _least_numerator(x, den: int, strict: bool = False) -> int:
+    """Least integer k with k / den >= x (strict: > x): the one integer cut of a rational bar over `den`."""
+    f = _exact(x, "bar")
+    if _flag(strict, "strict"):
+        return f.numerator * den // f.denominator + 1
+    return -(-f.numerator * den // f.denominator)
 
 
 def _unit(value, what: str) -> Fraction:
@@ -130,6 +135,13 @@ def _integer(value, what: str) -> int:
     """`value`, refused unless its type is `int` (a bool is not): the one integer check of every count, size, seed and vertex."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    """`value`, refused unless its type is `bool`: the one check of every tie flag."""
+    if type(value) is not bool:
+        raise ValueError(f"{what} must be a bool, got {value!r}")
     return value
 
 
@@ -222,13 +234,6 @@ class WeightedCompleteGraph:
         """All unordered pairs (i, j) with i < j in lexicographic order."""
         return combinations(range(self.n), 2)
 
-    def least_numerator(self, x, strict: bool = False) -> int:
-        """Least integer k with k / den >= x (strict: > x): the bar for sums of `rows`."""
-        f = _exact(x, "bar")
-        if strict:
-            return f.numerator * self.den // f.denominator + 1
-        return _ceil_numerator(f, self.den)
-
     def weight(self, i: int, j: int) -> Fraction:
         _vertex_set((i, j), self.n, "edge")
         return Fraction(self.rows[i][j], self.den)
@@ -278,9 +283,9 @@ class WeightedCompleteGraph:
         """The level-s threshold subgraph as adjacency masks.
 
         Bit u of mask v is set when u != v and w(u, v) >= s, decided on the
-        integer rows against `least_numerator(s)`.
+        integer rows against the one cut, `_least_numerator(s, den)`.
         """
-        cut = self.least_numerator(s)
+        cut = _least_numerator(s, self.den)
         return tuple(sum(1 << u for u, w in enumerate(row) if w >= cut and u != v)
                      for v, row in enumerate(self.rows))
 
@@ -327,10 +332,10 @@ class FactorParams:
     def admits(self, weight: Fraction, strict: bool = False) -> bool:
         """True when `weight` meets the bar (strict: exceeds it).
 
-        The one heaviness comparison, called by `is_heavy` for blocks and
-        by `is_overweight_edge` for single edges.
+        The one heaviness comparison of a Fraction, called by `is_heavy` for
+        blocks and by `is_overweight_edge` for single edges.
         """
-        if strict:
+        if _flag(strict, "strict"):
             return weight > self.heavy_threshold
         return weight >= self.heavy_threshold
 

@@ -58,12 +58,11 @@ class BoundRecord:
     `certificate` is set only when the strict exact solver proved on this run
     that every factor of `graph` keeps a block at or below the bar, and
     `certified` says whether it is.  `value` is the minimum weighted degree,
-    absolute (not divided by n).
+    absolute (not divided by `graph.n`).
     """
 
     r: int
     t: Fraction
-    n: int
     value: Fraction
     source: str
     graph: WeightedCompleteGraph
@@ -91,10 +90,10 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
     needs.  The min degree of the scaled graph is checked against the closed
     form before anything else.  Above the solver cap the record is returned
     uncertified with a note; at t=0 no weighting can certify anything (every
-    block is heavy at level 0) and the record is flagged degenerate.  A
-    negative cap is rejected.
+    block is heavy at level 0) and the record is flagged degenerate.  A cap
+    that is not a nonnegative integer is rejected.
     """
-    _nonnegative(solver_cap, "solver cap")
+    _nonnegative(_integer(solver_cap, "solver cap"), "solver cap")
     tt = _exact(t, "t")
     graph, _desc = prop2_construction(r, tt, n)
     scaled = graph.scale(DEFAULT_SCALE)
@@ -111,10 +110,8 @@ def evaluate_lower_bounds(r: int, t, n: int, *,
         _require_exhausted(certificate, "prop2 seed")
     else:
         note = f"uncertified: n={n} above solver cap {solver_cap}"
-    return BoundRecord(
-        r=r, t=tt, n=n, value=value, source="prop2", graph=scaled,
-        certificate=certificate, note=note,
-    )
+    return BoundRecord(r=r, t=tt, value=value, source="prop2", graph=scaled,
+                       certificate=certificate, note=note)
 
 
 def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
@@ -174,10 +171,8 @@ def adversarial_search(r: int, t, n: int, seed: int, grid_denominator: int = 12,
         return seed_record
     certificate = find_heavy_factor(best, params, strict=True)
     _require_exhausted(certificate, f"adversarial(seed={seed}) best")
-    return BoundRecord(
-        r=r, t=tt, n=n, value=best_val, source=f"adversarial(seed={seed})",
-        graph=best, certificate=certificate,
-    )
+    return BoundRecord(r=r, t=tt, value=best_val, source=f"adversarial(seed={seed})",
+                       graph=best, certificate=certificate)
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,6 @@ def verify_theorem3_empirically(r: int, t, trials: int, n: int, seed: int, *,
 class ScanCell:
     r: int
     t: Fraction
-    n: int
     prop2_value: Fraction
     conjecture: Fraction
     upper_bound: Fraction
@@ -292,7 +286,7 @@ class ScanCell:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Grid of seed records against the conjectured and proven lines."""
+    """Grid of seed records at n vertices against the conjectured and proven lines."""
 
     n: int
     cells: tuple
@@ -303,19 +297,19 @@ def scan_report(r_values, t_values, n: int, *,
                 solver_cap: int = DEFAULT_SOLVER_CAP) -> ConjectureReport:
     """Tabulate the seed record of every (r, t) pair.
 
-    Every refusal comes before the first cell: a negative solver cap, an
-    n below 1, an r that `FactorParams` refuses (not an integer, or below 2)
-    and a t outside [0, 1].  Pairs the seed has no weighting for are skipped
-    and flagged with the seed's own refusal: r does not divide n, or r >= n,
-    which leaves its short side empty.  Each computed cell is
-    `evaluate_lower_bounds(r, t, n, solver_cap=...)`: its prop2 column is
-    the record's value, which the record has checked against the scaled
-    closed form, and it is certified when n is within the cap.  Flags also
-    call out any non-monotone trend in r (for fixed t the normalized bound
-    should not grow) and any cell whose normalized bound exceeds the
-    conjectured line.
+    Every refusal comes before the first cell: a solver cap that is not a
+    nonnegative integer, an n below 1, an r that `FactorParams` refuses (not
+    an integer, or below 2) and a t outside [0, 1].  Pairs the seed has no
+    weighting for are skipped and flagged with the seed's own refusal: r
+    does not divide n, or r >= n, which leaves its short side empty.  Each
+    computed cell is `evaluate_lower_bounds(r, t, n, solver_cap=...)`: its
+    prop2 column is the record's value, which the record has checked
+    against the scaled closed form, and it is certified when n is within
+    the cap.  Flags also call out any non-monotone trend in r (for fixed t
+    the normalized bound should not grow) and any cell whose normalized
+    bound exceeds the conjectured line.
     """
-    _nonnegative(solver_cap, "solver cap")
+    _nonnegative(_integer(solver_cap, "solver cap"), "solver cap")
     _vertex_count(n)
     rs = sorted({FactorParams(r, 0).r for r in r_values})
     ts = sorted({_unit(t, "level t") for t in t_values})
@@ -333,13 +327,8 @@ def scan_report(r_values, t_values, n: int, *,
                 continue
             record = evaluate_lower_bounds(r, t, n, solver_cap=solver_cap)
             conjecture = Fraction(1, r) + (1 - Fraction(1, r)) * t
-            cells.append(ScanCell(
-                r=r, t=t, n=n,
-                prop2_value=record.value,
-                conjecture=conjecture,
-                upper_bound=Fraction(1, 2) + t / 2,
-                certified=record.certified,
-            ))
+            cells.append(ScanCell(r=r, t=t, prop2_value=record.value, conjecture=conjecture,
+                                  upper_bound=Fraction(1, 2) + t / 2, certified=record.certified))
             if record.value / n > conjecture:
                 flags.append(
                     f"{label}: normalized bound {format_rational(record.value / n)} "
@@ -366,7 +355,7 @@ def conjecture_report_csv(report: ConjectureReport) -> str:
         lines.append(",".join([
             str(c.r),
             format_rational(c.t),
-            str(c.n),
+            str(report.n),
             format_rational(c.prop2_value),
             format_rational(c.conjecture),
             format_rational(c.upper_bound),

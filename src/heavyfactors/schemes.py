@@ -40,11 +40,11 @@ from .core import (
     CliqueFactor,
     FactorParams,
     WeightedCompleteGraph,
-    _ceil_numerator,
     _check_block_shape,
     _disjoint_blocks,
     _exact,
     _integer,
+    _least_numerator,
     _nonnegative,
     _require,
     _unit,
@@ -184,7 +184,7 @@ def bipartite_threshold_matching(avg: BipartiteAverageGraph, t) -> tuple | None:
         raise ValueError(
             f"need equal sides, got {k} cliques and {len(avg.vertices)} vertices"
         )
-    cut = _ceil_numerator(_unit(t, "level t"), avg.den)
+    cut = _least_numerator(_unit(t, "level t"), avg.den)
     adjacency = [[j for j, x in enumerate(row) if x >= cut] for row in avg.numerators]
     match = bipartite_maximum_matching(k, k, adjacency)
     if any(m == -1 for m in match):
@@ -279,8 +279,8 @@ def scheme2_partition(graph: WeightedCompleteGraph, r: int, seed: int,
     n = graph.n
     _check_block_shape(r, n)
     _integer(seed, "seed")
-    need_a = graph.least_numerator(target_a)
-    need_b = graph.least_numerator(target_b)
+    need_a = _least_numerator(target_a, graph.den)
+    need_b = _least_numerator(target_b, graph.den)
     rows, degrees = graph.rows, graph.degrees
     size_b = n // r
     sides = comb(n, size_b)

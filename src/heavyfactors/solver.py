@@ -99,6 +99,7 @@ from .core import (
     _check_block_shape,
     _disjoint_blocks,
     _integer,
+    _least_numerator,
     _unit,
     _vertex_set,
     format_rational,
@@ -208,20 +209,20 @@ def _heavy_family(graph: WeightedCompleteGraph, params: FactorParams,
     `masks` and `through` are `_r_sets(n, r)`, built once by Pascal's rule
     and shared by every graph of that size, so no mask or per-vertex bitmap
     is made per graph.  Bit i of `heavy` is set when `masks[i]` is heavy.
-    Sums of the graph's integer rows meet the bar put over its denominator,
-    so each comparison is between integers and decides exactly what
-    `is_heavy(graph, s, params, strict)` decides.  `heavy` is the bitmap
-    of the root of `_prefix_bits`, whose walk ORs in a whole index interval
-    at once when its weight bounds lie on one side of the bar.
+    Sums of the graph's integer rows meet `_least_numerator`'s cut of the
+    bar over its denominator, so each comparison is between integers and
+    decides exactly what `is_heavy(graph, s, params, strict)` decides.
+    `heavy` is the root bitmap of `_prefix_bits`, whose walk ORs in a whole
+    index interval at once when its weight bounds lie on one side of the bar.
     `lightest[s]` and `heaviest[s]` are the extreme edge weights inside
     range(s, n), built once from the top vertex down.
     """
     n, r = graph.n, params.r
     masks, through = _r_sets(n, r)
+    need = _least_numerator(params.heavy_threshold, graph.den, strict)
     if n < r:
         return masks, through, 0
     rows = graph.rows
-    need = graph.least_numerator(params.heavy_threshold, strict)
     lightest = [0] * (n - 1)
     heaviest = [0] * (n - 1)
     low = high = rows[n - 2][n - 1]

@@ -96,11 +96,21 @@ def test_parse_rational_calls_text_decimal_only_when_it_reads_as_a_decimal_numbe
     (lambda: hf.local_search_heavy_collection(ONES, HALF, seed=0, restarts=1.5),
      "restarts must be an integer, got 1.5"),
     (lambda: hf.prop2_min_degree(3, Fraction(1, 2), 12.0), "vertex count must be an integer, got 12.0"),
+    (lambda: hf.evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap="x"), "solver cap must be an integer, got 'x'"),
+    (lambda: hf.evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=12.5),
+     "solver cap must be an integer, got 12.5"),
+    (lambda: hf.evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=True),
+     "solver cap must be an integer, got True"),
+    (lambda: hf.scan_report([3], [Fraction(1, 2)], 6, solver_cap=1.5), "solver cap must be an integer, got 1.5"),
+    (lambda: hf.adversarial_search(3, Fraction(1, 2), 6, 0, solver_cap=None),
+     "solver cap must be an integer, got None"),
 ], ids=["t-decimal-text", "t-bool", "t-none", "r-bool", "r-text", "build-t-decimal-text", "constant-bool",
         "validate-n-float", "validate-r-bool", "enumerate_all_factors-n-float", "scheme2_partition-r-float",
         "scheme2_partition-seed-text", "lemma1_bound-n-float", "t_r_threshold-r-float", "scheme2_factor-seed-text",
         "scheme2_factor-seed-float", "scheme2_factor-retries-float", "local_search-seed-text",
-        "local_search-restarts-bool", "local_search-restarts-float", "prop2_min_degree-n-float"])
+        "local_search-restarts-bool", "local_search-restarts-float", "prop2_min_degree-n-float",
+        "evaluate_lower_bounds-cap-text", "evaluate_lower_bounds-cap-float", "evaluate_lower_bounds-cap-bool",
+        "scan_report-cap-float", "adversarial_search-cap-none"])
 def test_integers_and_rationals_are_read_by_one_check_each(call, message):
     """Text is read as the command line reads it; a bool or None is a ValueError, never a TypeError or a number.
 
@@ -486,7 +496,6 @@ HALF = FactorParams(3, Fraction(1, 2))
 @pytest.mark.parametrize("call", [
     lambda: ONES.scale(0.1),
     lambda: ONES.threshold_masks(0.3),
-    lambda: ONES.least_numerator(0.5),
     lambda: hf.prop2_construction(3, 0.5, 9),
     lambda: hf.prop2_min_degree(3, 0.5, 9),
     lambda: hf.random_weighting(6, 4, 0, min_degree=0.5),
@@ -503,7 +512,7 @@ HALF = FactorParams(3, Fraction(1, 2))
     lambda: hf.lemma1_bound(0.9, 0.5, 3, 9),
     lambda: hf.format_rational(0.1),
     lambda: hf.scan_report([3.7], [Fraction(1, 2)], 9),
-], ids=["scale", "threshold_masks", "least_numerator", "prop2_construction",
+], ids=["scale", "threshold_masks", "prop2_construction",
         "prop2_min_degree", "random_weighting", "build-min_degree", "build-scale",
         "evaluate_lower_bounds", "scan_report", "verify-margin", "scheme2_factor-epsilon",
         "scheme2_partition", "matching_base_case", "bipartite_threshold_matching", "lemma1_bound",
@@ -584,6 +593,49 @@ def test_every_vertex_set_entry_refuses_a_vertex_out_of_range_and_a_repeat(call,
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: hf.find_heavy_factor(ONES, HALF, strict="yes"), "strict must be a bool, got 'yes'"),
+    (lambda: hf.find_heavy_factor(ONES, HALF, strict=0), "strict must be a bool, got 0"),
+    (lambda: is_heavy(ONES, (0, 1, 2), HALF, strict=1), "strict must be a bool, got 1"),
+    (lambda: hf.daykin_haggkvist_check(ONES, HALF, strict="x"), "strict must be a bool, got 'x'"),
+    (lambda: hf.heavy_cliques_containing(WeightedCompleteGraph.constant(2, 1), 0, HALF, strict=None),
+     "strict must be a bool, got None"),
+    (lambda: core._least_numerator(Fraction(1, 2), 4, strict=1), "strict must be a bool, got 1"),
+], ids=["solve-text", "solve-int", "is_heavy-int", "daykin_haggkvist-text", "heavy_cliques-n-below-r-none",
+        "least_numerator-int"])
+def test_the_tie_flag_is_a_bool(call, message):
+    """A flag that is not a bool is refused before any search, and never written into a certificate."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def bars(den):
+    """Rational bars on the grid k/den and off it, negative and above 1 included."""
+    return st.one_of(st.builds(Fraction, st.integers(-3 * den, 3 * den), st.just(den)),
+                     st.fractions(-3, 3, max_denominator=4 * den))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), den=st.integers(1, 60), strict=st.booleans(),
+       r=st.integers(2, 6), t=st.fractions(0, 1, max_denominator=12))
+def test_the_integer_cut_and_the_heaviness_comparison_agree(data, den, strict, r, t):
+    """`_least_numerator` is the least k past the bar, and `admits` holds exactly from that k on.
+
+    These are the two homes of the tie rule: every integer sum is cut by the
+    first, every Fraction weight is compared by the second.
+    """
+    x = data.draw(bars(den))
+    k = core._least_numerator(x, den, strict)
+    meets = Fraction.__gt__ if strict else Fraction.__ge__
+    assert meets(Fraction(k, den), x) and not meets(Fraction(k - 1, den), x)
+
+    params = FactorParams(r, t)
+    cut = core._least_numerator(params.heavy_threshold, den, strict)
+    for j in range(cut - den - 1, cut + den + 1):
+        assert params.admits(Fraction(j, den), strict) == (j >= cut)
 
 
 def test_heavy_boundary_separates_the_two_predicates():

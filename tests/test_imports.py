@@ -1,9 +1,10 @@
 """Source hygiene: every module-level import in the package is used, every private helper is called,
-JSON text and graph files each have one writer, heaviness and budget errors each have one home, each
-input rule is raised from one home, rational text is read where it enters, `cli` holds no table of
-construction kinds, the annealer has one way in, `hfl solve` has one decider, `hfl` reads a graph input
-and refuses a clash with --out in one place each, no module reads the environment, the result types
-carry each value once, and no public function takes an enumeration cap."""
+JSON text and graph files each have one writer, a rational bar becomes an integer cut in one place,
+heaviness and budget errors each have one home, each input rule is raised from one home, rational text
+is read where it enters, `cli` holds no table of construction kinds, the annealer has one way in, `hfl
+solve` has one decider, `hfl` reads a graph input and refuses a clash with --out in one place each, no
+module reads the environment, the result types carry each value once, and no public function takes an
+enumeration cap."""
 
 import ast
 import dataclasses
@@ -118,6 +119,24 @@ def test_heaviness_and_budget_errors_each_have_one_home():
     assert {owner.split(".")[0] for owner in callers("BudgetExceededError")} == {"schemes"}
 
 
+def test_every_bar_is_cut_to_an_integer_in_one_place():
+    """`core._least_numerator` turns each rational bar into an integer cut over its reader's denominator.
+
+    No module keeps a second spelling of the cut, so the tie rule on integer
+    sums lives there and the one on Fraction weights in `FactorParams.admits`.
+    """
+    assert callers("_least_numerator") == [
+        "constructions._sample_grid_floor", "core.WeightedCompleteGraph", "schemes.bipartite_threshold_matching",
+        "schemes.scheme2_partition", "schemes.scheme2_partition", "solver._heavy_family",
+    ]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None
+        for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+    }
+    assert names & {"least_numerator", "_ceil_numerator"} == set()
+
+
 def test_schemes_check_blocks_by_the_one_predicate():
     """No function in `schemes` reads a single edge weight, so each of its block checks is an `is_heavy` call."""
     assert [owner for owner in callers("weight") if owner.startswith("schemes.")] == []
@@ -166,6 +185,7 @@ RULE_HOMES = {
     "need n >= r": ["solver.lemma1_bound"],
     "does not read": ["constructions._checked_descriptor"],
     "must be an integer": ["core._integer"],
+    "must be a bool": ["core._flag"],
     "must be an exact rational": ["core._exact"],
     "decimal notation": ["core.parse_rational"],
     "exceeds enumeration cap": ["solver._enumeration_cap"],
@@ -243,6 +263,9 @@ RESULT_SURFACES = {
     "HeavyCollection": ("blocks", "overweight_count", "from_blocks", "size"),
     "CliqueFactor": ("blocks", "from_blocks", "validate"),
     "SolveCertificate": ("params", "strict", "factor", "nodes_explored", "outcome", "to_json"),
+    "BoundRecord": ("r", "t", "value", "source", "graph", "certificate", "note", "certified"),
+    "ScanCell": ("r", "t", "prop2_value", "conjecture", "upper_bound", "certified"),
+    "ConjectureReport": ("n", "cells", "flags"),
 }
 
 
