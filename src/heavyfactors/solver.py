@@ -66,10 +66,13 @@ reported count is therefore the size of the uncached search tree, the same
 number the plain search would have counted.
 
 The cache is keyed by runs of adjacent twins.  u and v are twins when
-w(u, x) = w(v, x) for every other x; a run is a maximal block of
-consecutive vertices, each a twin of the one before it.  Every vertex of a
-run is then a twin of every other, and the edges inside a run all weigh the
-same.
+swapping them maps every heavy r-set to a heavy r-set.  The test reads the
+heavy family, never a weight: vertices with the same weight to every other
+vertex are twins, and so are many whose weights differ a little.  A run is
+a maximal block of consecutive vertices, each a twin of the one before it.
+The swaps of adjacent run-mates generate every permutation of the run, so
+every permutation that keeps each run in place maps the heavy family onto
+itself.
 The key of a covered set is the number of covered vertices in each run,
 the count of the run starting at vertex p held in bits p onwards; a run of
 z vertices needs at most z bits, so no count carries into the next run.
@@ -77,8 +80,9 @@ Each r-set's key step is the sum of its vertices' units, 1 << (start of the
 vertex's run), and a child's key is its parent's plus the step.  Two
 covered sets with the same key leave the same number of uncovered vertices
 in each run, and `_search` explains why their subtrees then fail alike with
-the same node count.  On a twin-free graph every run is one vertex, the
-steps are the masks themselves and the key is the covered mask.
+the same node count.  With no twins every run is one vertex, the steps are
+the masks themselves and the key is the covered mask; so it is for a
+complete or an empty heavy family, whose search meets no failed state twice.
 """
 
 from __future__ import annotations
@@ -116,8 +120,9 @@ class SolveCertificate:
     """Outcome of a complete search: a factor, or a proof of exhaustion.
 
     `nodes_explored` counts the nodes of the uncached search tree (root
-    included): a failed state the search meets again, or a twin swap of one,
-    adds the node count of its recorded subtree instead of exploring it.  Re-running the solver on
+    included): a failed state the search meets again, or its image under a
+    permutation of twins that keeps the heavy family, adds the node count of
+    its recorded subtree instead of exploring it.  Re-running the solver on
     the same input reproduces the certificate exactly.
     """
 
@@ -284,22 +289,41 @@ def _heavy_masks(masks: tuple[int, ...], heavy: int) -> list[int]:
     return [m for m, bit in zip(masks, bin(heavy)[:1:-1]) if bit == "1"]
 
 
-def _key_steps(graph: WeightedCompleteGraph, masks: tuple[int, ...], r: int) -> tuple[int, ...] | list[int]:
+def _key_steps(masks: tuple[int, ...], through: tuple[int, ...], heavy: int,
+               r: int) -> tuple[int, ...] | list[int]:
     """Each r-set's step of the failed-state key, in index order.
 
     Vertex v's unit is 1 << (start of its run of adjacent twins), and a set's
-    step is the sum of its vertices' units.  v - 1 and v are twins when their
-    integer rows agree outside positions v - 1 and v; twins have equal
-    degrees, so the degrees are compared first.  The steps are built by the
-    Pascal's rule of `_r_sets`.  With no twins every unit is 1 << v, and
-    `masks` itself is returned.
+    step is the sum of its vertices' units.  v - 1 and v are twins when
+    swapping them maps every heavy set to a heavy set.  The swap moves only
+    the sets through v - 1 and not v, and their images.  Those with k
+    vertices in range(v) are `below[k] & through[v - 1] & ~through[v]`,
+    and that bitmap shifted by C(n - v - 1, r - k) is their images, in
+    order: a set and its image share the k - 1 vertices below v - 1 and the
+    r - k above v, and in lexicographic order the sets through v - 1 and
+    not v with a given head lie that far before those through v.  So r
+    shifts compare the heaviness of the moved sets with that of their
+    images.  `below[k]`, the sets with k vertices in range(v), follows
+    Pascal's rule as v advances, and the steps are built by the Pascal's
+    rule of `_r_sets`.  With no twins every unit is 1 << v, and `masks`
+    itself is returned; so it is for a complete or an empty family.
     """
-    n, rows, degrees = graph.n, graph.rows, graph.degrees
+    n, every = len(through), (1 << len(masks)) - 1
+    if heavy in (0, every):
+        return masks
+    below = [every] + [0] * r
     units = [1]
     for v in range(1, n):
-        a, b = rows[v - 1], rows[v]
-        twins = degrees[v - 1] == degrees[v] and a[:v - 1] == b[:v - 1] and a[v + 1:] == b[v + 1:]
-        units.append(units[-1] if twins else 1 << v)
+        into, out = through[v - 1], every ^ through[v - 1]
+        below = [below[0] & out] + [below[k] & out | below[k - 1] & into for k in range(1, r + 1)]
+        moved = into & ~through[v]
+        for k in range(1, r + 1):
+            sets, shift = below[k] & moved, comb(n - v - 1, r - k)
+            if (heavy & sets) << shift != heavy & sets << shift:
+                units.append(1 << v)
+                break
+        else:
+            units.append(units[-1])
     if len(set(units)) == n:
         return masks
     level = [[0]] + [[]] * r
@@ -333,18 +357,19 @@ def _search(covered: int, key: int, full: int, masks: list[int], steps: list[int
     its subtree's node count; a child whose key is found there is not
     entered.
 
-    This is sound.  The weight of an edge depends only on the runs of its
-    ends, since run-mates are twins and the edges inside a run weigh alike.
+    This is sound.  A permutation that keeps each run in place maps heavy
+    sets to heavy sets, since it is a product of swaps of adjacent twins.
     Two covered sets with one key leave the same number of uncovered
     vertices in each run, so their uncovered vertices read the same sequence
-    of runs in index order, and the order-preserving bijection between them
-    keeps every weight.  It maps heavy sets to heavy sets, live candidates
-    to live candidates and so anchors to anchors (ties break by index, which
-    it keeps), candidate order to candidate order, and children to children
-    with one key.  So the two uncached subtrees are isomorphic: the same
-    outcome and the same node count.  Only failed states are kept, so the
-    first cover found, and with it the factor, is the one an exact-mask
-    memo would find.
+    of runs in index order.  Within each run, send the covered vertices of
+    the one onto those of the other and the uncovered ones in order: this
+    keeps the heavy family, and between the uncovered vertices it is the
+    order-preserving bijection.  It maps live candidates to live candidates
+    and so anchors to anchors (ties break by index, which it keeps),
+    candidate order to candidate order, and children to children with one
+    key.  So the two uncached subtrees are isomorphic: the same outcome and
+    the same node count.  Only failed states are kept, so the first cover
+    found, and with it the factor, is the one an exact-mask memo would find.
     """
     if covered == full:
         return True, 1
@@ -395,7 +420,7 @@ def find_heavy_factor(graph: WeightedCompleteGraph, params: FactorParams,
     n, r = graph.n, params.r
     _check_block_shape(r, n)
     masks, through, heavy = _heavy_family(graph, params, strict)
-    steps = _key_steps(graph, masks, r)
+    steps = _key_steps(masks, through, heavy, r)
     chosen: list[int] = []
     found, nodes = _search(0, 0, (1 << n) - 1, masks, steps, through, heavy, chosen, {})
     factor = None

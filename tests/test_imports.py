@@ -3,8 +3,8 @@ JSON text and graph files each have one writer, a rational bar becomes an intege
 heaviness and budget errors each have one home, each input rule is raised from one home, rational text
 is read where it enters, `cli` holds no table of construction kinds, the annealer has one way in, `hfl
 solve` has one decider, `hfl` reads a graph input and refuses a clash with --out in one place each, no
-module reads the environment, the result types carry each value once, and no public function takes an
-enumeration cap."""
+module reads the environment, the result types carry each value once, no public function takes an
+enumeration cap, and the search's failed-state key is read off the heavy family, never off a weight."""
 
 import ast
 import dataclasses
@@ -135,6 +135,21 @@ def test_every_bar_is_cut_to_an_integer_in_one_place():
         for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
     }
     assert names & {"least_numerator", "_ceil_numerator"} == set()
+
+
+def test_the_failed_state_key_reads_the_heavy_family_only():
+    """`_key_steps` is called only by `solver.find_heavy_factor` and reads no graph, `rows`, `degrees` or `weight`.
+
+    Its twins are those of the heavy family, so the search tree and its node
+    count depend on a graph only through which of its r-sets are heavy.
+    """
+    assert callers("_key_steps") == ["solver.find_heavy_factor"]
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    body = next(top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "_key_steps")
+    read = {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.arg
+            for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute, ast.arg))}
+    assert "heavy" in read
+    assert read & {"graph", "rows", "degrees", "weight"} == set()
 
 
 def test_schemes_check_blocks_by_the_one_predicate():

@@ -287,14 +287,29 @@ def bitmap_search(graph, params, strict):
     key steps).
     """
     masks, through, heavy = _heavy_family(graph, params, strict)
-    steps = _key_steps(graph, masks, params.r)
+    steps = _key_steps(masks, through, heavy, params.r)
     chosen, failed = [], {}
     found, nodes = _search(0, 0, (1 << graph.n) - 1, masks, steps, through, heavy, chosen, failed)
     return heavy_masks(masks, heavy), (chosen if found else None), nodes, failed, steps
 
 
-def plain_units(graph):
-    """Each vertex's key unit, 1 << (start of its run), from the full Fraction twin test per adjacent pair."""
+def plain_units(n, heavy_sets):
+    """Each vertex's key unit, 1 << (start of its run), from a swap test per adjacent pair.
+
+    v - 1 and v are twins when swapping them sends every set of `heavy_sets`
+    (sorted vertex tuples) to one of them; each image is looked up in a set.
+    """
+    heavy = set(heavy_sets)
+    units = [1]
+    for v in range(1, n):
+        swap = {v - 1: v, v: v - 1}
+        twins = all(tuple(sorted(swap.get(x, x) for x in s)) in heavy for s in heavy)
+        units.append(units[-1] if twins else 1 << v)
+    return units
+
+
+def weight_units(graph):
+    """Each vertex's unit from the Fraction weight-twin test: v - 1 and v weigh alike to every other vertex."""
     n = graph.n
     units = [1]
     for v in range(1, n):
@@ -324,6 +339,14 @@ def assert_cache_is_invisible(graph, params, strict):
 def scaled_prop2(r, t, n):
     g, _ = prop2_construction(r, t, n)
     return g.scale(Fraction(999, 1000))
+
+
+def jittered_prop2(r, t, n, rng):
+    """Scaled prop2 with every edge times a random factor in 990..1000 / 1000: no two vertices weigh alike."""
+    g = scaled_prop2(r, t, n)
+    for i, j in g.pairs():
+        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(990, 1000), 1000))
+    return g
 
 
 def lower_edges(graph, rng, count):
@@ -772,22 +795,23 @@ def test_cached_search_matches_the_plain_search_on_hs_sharpness(r, n):
 def assert_bitmaps_are_the_lists(graph, params, strict):
     """Same blocks and node count as the list-based cached search, and its failed states under the run key.
 
-    The reference memoises exact covered masks.  Mapped through the run key
-    they must give exactly the solver's failed states, and every exact state
-    under one key must carry that key's count.  On a twin-free graph the
-    steps are the masks, and the two memos are the same dict.
+    The steps must be the plain ones of the family searched.  The reference
+    memoises exact covered masks.  Mapped through the run key they must give
+    exactly the solver's failed states, and every exact state under one key
+    must carry that key's count.  When the steps are the masks, the two memos
+    are the same dict.
     """
     n = graph.n
     masks, chosen, nodes, failed, steps = bitmap_search(graph, params, strict)
     ref_chosen, ref_nodes, ref_failed = list_cached_search(n, masks)
     assert (chosen, nodes) == (ref_chosen, ref_nodes)
-    units = plain_units(graph)
+    sets = [tuple(v for v in range(n) if m >> v & 1) for m in masks]
+    units = assert_steps_are_the_plain_ones(n, params.r, sets, steps)
     keyed = {}
     for state, count in ref_failed.items():
         assert keyed.setdefault(run_key(state, units), count) == count
     assert keyed == failed
-    if units == [1 << v for v in range(n)]:
-        assert steps is _r_sets(n, params.r)[0]
+    if steps is _r_sets(n, params.r)[0]:
         assert failed == ref_failed
 
 
@@ -830,13 +854,17 @@ def test_bitmap_search_matches_the_list_search_on_scaled_prop2(r, n):
     (scaled_prop2(4, Fraction(2, 3), 24), FactorParams(4, Fraction(2, 3)), True, 75_418_405_646),
     (scaled_prop2(5, Fraction(2, 3), 20), FactorParams(5, Fraction(2, 3)), True, 42_350_297),
     (hs_sharpness_construction(3, 30)[0], FactorParams(3, Fraction(1)), False, 2_094_580_743_211),
+    (jittered_prop2(3, Fraction(2, 3), 24, Random(1)), FactorParams(3, Fraction(2, 3)), True, 35_942_667_167),
 ], ids=["prop2-r3-n18-strict", "prop2-r4-n16-strict", "hs-r3-n18", "prop2-r3-n24-strict",
-        "prop2-r3-n27-strict", "prop2-r4-n24-strict", "prop2-r5-n20-strict", "hs-r3-n30"])
+        "prop2-r3-n27-strict", "prop2-r4-n24-strict", "prop2-r5-n20-strict", "hs-r3-n30",
+        "prop2-jittered-r3-n24-strict"])
 def test_node_counts_of_large_exhaustions_are_pinned(graph, params, strict, nodes):
     """Counts of the plain search tree.
 
-    The first three were recorded before the cache existed, the rest with
-    the exact-mask memo, before the memo was keyed by runs of twins.
+    The first three were recorded before the cache existed, the next five
+    with the exact-mask memo, before the memo was keyed by runs of twins,
+    and the jittered prop2 with the memo keyed by runs of weight twins,
+    which are single vertices there.
     """
     cert = find_heavy_factor(graph, params, strict=strict)
     assert cert.outcome == "exhausted"
@@ -862,11 +890,24 @@ def planted_twins(rng, n, classes, lowered, t):
     return lower_edges(WeightedCompleteGraph.from_flat(n, flat), rng, lowered)
 
 
-def assert_steps_are_the_plain_ones(graph, r):
-    """Each set's step is the sum of its vertices' units from the full twin test."""
-    masks = _r_sets(graph.n, r)[0]
-    units = plain_units(graph)
-    assert list(_key_steps(graph, masks, r)) == [run_key(m, units) for m in masks]
+def key_steps(graph, params, strict):
+    """The solver's key steps for the graph's heavy family."""
+    return _key_steps(*_heavy_family(graph, params, strict), params.r)
+
+
+def assert_steps_are_the_plain_ones(n, r, sets, steps):
+    """Each r-set's step is the sum of its vertices' units from the swap test on the heavy `sets`.
+
+    Returns the units.  Without twins, and for a complete or an empty family,
+    the steps are the masks themselves, the same object.
+    """
+    masks = _r_sets(n, r)[0]
+    units = plain_units(n, sets)
+    if units == [1 << v for v in range(n)] or len(sets) in (0, len(masks)):
+        assert steps is masks
+    else:
+        assert list(steps) == [run_key(m, units) for m in masks]
+    return units
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -876,8 +917,10 @@ def assert_steps_are_the_plain_ones(graph, r):
 def test_run_keyed_search_matches_the_plain_search_on_planted_twins(seed, box, classes, lowered, t, strict):
     n, r = box
     g = planted_twins(Random(seed), n, classes, lowered, t)
-    assert_steps_are_the_plain_ones(g, r)
-    assert_cache_is_invisible(g, FactorParams(r=r, t=t), strict)
+    params = FactorParams(r=r, t=t)
+    assert_steps_are_the_plain_ones(n, r, plain_heavy_sets(n, graph_table(g), params, strict),
+                                    key_steps(g, params, strict))
+    assert_cache_is_invisible(g, params, strict)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -886,20 +929,73 @@ def test_run_keyed_search_matches_the_plain_search_on_planted_twins(seed, box, c
 def test_run_keyed_search_matches_the_list_search_on_planted_twins(seed, box, classes, lowered, t, strict):
     n, r = box
     g = planted_twins(Random(seed), n, classes, lowered, t)
-    assert_steps_are_the_plain_ones(g, r)
     assert_bitmaps_are_the_lists(g, FactorParams(r=r, t=t), strict)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), box=st.sampled_from([(3, 9), (3, 12), (3, 15), (4, 12), (5, 10), (5, 15)]),
+       jitter=st.booleans(), strict=st.booleans())
+def test_heavy_runs_are_coarser_than_weight_runs_on_perturbed_prop2(seed, box, jitter, strict):
+    """Scaled prop2 at n = 9-15 with every edge jittered, or with 2-6 edges lowered.
+
+    The search matches the list search.  Vertices that weigh alike are twins
+    of the heavy family, so its runs give at most as many distinct steps as
+    the runs of weight twins.  The jitter leaves no two vertices weighing
+    alike and keeps prop2's family, so there the steps are fewer, as they
+    are after a lowering that keeps the family.
+    """
+    r, n = box
+    params = FactorParams(r, Fraction(2, 3))
+    plain = scaled_prop2(r, Fraction(2, 3), n)
+    rng = Random(seed)
+    g = jittered_prop2(r, Fraction(2, 3), n, rng) if jitter else lower_edges(plain, rng, rng.randint(2, 6))
+    assert_bitmaps_are_the_lists(g, params, strict)
+    units = weight_units(g)
+    by_weight = len({run_key(m, units) for m in _r_sets(n, r)[0]})
+    by_heavy = len(set(key_steps(g, params, strict)))
+    same = _heavy_family(g, params, strict)[2] == _heavy_family(plain, params, strict)[2]
+    assert same or not jitter
+    assert by_heavy < by_weight if same else by_heavy <= by_weight
+
+
+def test_moved_sets_lie_a_binomial_shift_before_their_images():
+    """Every n <= 12, r, v and k: the swap of v - 1 and v sends the i-th r-set to the (i + C(n - v - 1, r - k))-th.
+
+    This holds for each set through v - 1 and not v with k vertices in
+    range(v), the sets `_key_steps` compares with their images by one shift.
+    """
+    for n in range(2, 13):
+        for r in range(2, n + 1):
+            masks = _r_sets(n, r)[0]
+            index = {m: i for i, m in enumerate(masks)}
+            for v in range(1, n):
+                for i, m in enumerate(masks):
+                    if m >> (v - 1) & 1 and not m >> v & 1:
+                        k = (m & (1 << v) - 1).bit_count()
+                        assert index[m ^ 3 << (v - 1)] == i + comb(n - v - 1, r - k), (n, r, v, m)
+
+
 def test_key_steps_on_extremal_and_twin_free_graphs():
-    """prop2's classes are two runs; a twin-free graph gets its masks back, the same object."""
-    g = scaled_prop2(3, Fraction(2, 3), 9)
-    assert plain_units(g) == [1, 1, 4, 4, 4, 4, 4, 4, 4]
-    assert_steps_are_the_plain_ones(g, 3)
+    """prop2's classes are two runs; a twin-free family, and a complete or an empty one, get the masks back, the same object.
+
+    A family that one run covers is kept by every permutation, so it is
+    complete or empty, and its search meets no failed state twice.
+    """
+    g, params = scaled_prop2(3, Fraction(2, 3), 9), FactorParams(3, Fraction(2, 3))
+    sets = plain_heavy_sets(9, graph_table(g), params, True)
+    units = assert_steps_are_the_plain_ones(9, 3, sets, key_steps(g, params, True))
+    assert units == weight_units(g) == [1, 1, 4, 4, 4, 4, 4, 4, 4]
     masks = _r_sets(6, 3)[0]
-    twin_free = WeightedCompleteGraph.from_flat(6, [Fraction(k, 15) for k in range(15)])
-    assert _key_steps(twin_free, masks, 3) is masks
-    # a constant graph is one run: every step is r
-    assert set(_key_steps(WeightedCompleteGraph.constant(6, Fraction(1, 2)), masks, 3)) == {3}
+    twin_free, half = random_grid_graph(Random(1), 6), FactorParams(3, Fraction(1, 2))
+    assert 0 < _heavy_family(twin_free, half, False)[2].bit_count() < len(masks)
+    assert key_steps(twin_free, half, False) is masks
+    sets = plain_heavy_sets(6, graph_table(twin_free), half, False)
+    assert assert_steps_are_the_plain_ones(6, 3, sets, masks) == [1 << v for v in range(6)]
+    constant = WeightedCompleteGraph.constant(6, Fraction(1, 2))
+    assert weight_units(constant) == [1] * 6
+    for strict in (False, True):
+        assert key_steps(constant, half, strict) is masks
+        assert_steps_are_the_plain_ones(6, 3, plain_heavy_sets(6, graph_table(constant), half, strict), masks)
 
 
 # ------------------------------------------------------------ memory release
