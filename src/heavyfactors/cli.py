@@ -2,10 +2,9 @@
 
 Subcommands: generate (construction families to JSON), solve (the one exact
 search on a graph file; its certificate, with the blocks' weights and n),
-scheme2 (randomized recursive factoring), localsearch (hill-climbed heavy
-collections), estimate (seed + adversarial lower bounds), scan (CSV table of
-seed records across a parameter grid), verify (sampling check at the proven
-degree line).
+scheme2 (randomized recursive factoring), estimate (seed + adversarial lower
+bounds), scan (CSV table of seed records across a parameter grid), verify
+(sampling check at the proven degree line).
 
 Options that several subcommands share (--r/--t, the graph file --input,
 --seed, --n, --solver-cap, and --out with stdout as its default) are declared
@@ -46,11 +45,7 @@ from .lab import (
     verify_theorem3_empirically,
 )
 from .schemes import DEFAULT_RETRY_BUDGET, scheme2_factor
-from .solver import (
-    DEFAULT_SOLVER_CAP,
-    find_heavy_factor,
-    local_search_heavy_collection,
-)
+from .solver import DEFAULT_SOLVER_CAP, find_heavy_factor
 
 # the --kind spellings that are not a construction kind's own name
 KIND_ALIASES = {"random": KIND_RANDOM}
@@ -107,7 +102,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _factor_doc(graph, found) -> dict:
-    """The blocks of `found`, a factor or a heavy collection, each sorted, and their weights; both None without one."""
+    """The blocks of the factor `found`, each sorted, and their weights; both None without a factor."""
     if found is None:
         return {"blocks": None, "block_weights": None}
     return {
@@ -165,25 +160,6 @@ def _cmd_scheme2(args) -> int:
     doc.update(_factor_doc(graph, factor))
     _write_text(args.out, dumps_canonical(doc))
     return 0 if factor is not None else 1
-
-
-def _cmd_localsearch(args) -> int:
-    graph, params = _graph_input(args)
-    collection = local_search_heavy_collection(
-        graph, params, args.seed, restarts=args.restarts
-    )
-    doc = {
-        "r": params.r,
-        "t": format_rational(params.t),
-        "n": graph.n,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "size": collection.size,
-        "overweight_count": collection.overweight_count,
-        **_factor_doc(graph, collection),
-    }
-    _write_text(args.out, dumps_canonical(doc))
-    return 0
 
 
 def _cmd_estimate(args) -> int:
@@ -282,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=DEFAULT_RETRY_BUDGET,
                    help=f"retry budget (default {DEFAULT_RETRY_BUDGET})")
     p.set_defaults(func=_cmd_scheme2)
-
-    p = sub.add_parser("localsearch", parents=[graph_input, r_t, seed, out],
-                       help="hill-climb a maximum-ish heavy collection")
-    p.add_argument("--restarts", type=int, default=4)
-    p.set_defaults(func=_cmd_localsearch)
 
     p = sub.add_parser("estimate", parents=[r_t, n, seed, solver_cap, out],
                        help="seed + adversarial lower-bound record")

@@ -19,12 +19,6 @@ graph's threshold masks at the bar t * C(r, 2), a mask per vertex of its
 overweight neighbours; the structure checks keep the Fraction predicates, so
 they stay independent of the enumerator whose output they check.
 
-Beside the exhaustive enumerator sits a seeded hill-climb over heavy
-collections (add a block, or swap one vertex to raise the within-block
-overweight count), used to probe instances too big for exhaustive
-enumeration.  It climbs on the same masks; all random choices flow from one
-seed.
-
 Every r-set of range(n) is numbered once per (n, r), by its place in
 lexicographic order, and the index is cached: `masks[i]` is the bitmask of
 set i, and bit i of `through[v]` is set when v lies in set i.  It is built
@@ -42,10 +36,10 @@ index: when the bar lies outside a prefix's bounds, its whole interval is
 one run of set bits or none, shifted to its offset and ORed in, and
 otherwise the walk descends, each set of a pair-level prefix then costing
 one addition, one comparison and, when heavy, one OR.  The search and the
-per-vertex counts read the bitmaps; the collection enumerator and the
-hill-climb read the masks of the set bits of `heavy`.  Sorted vertex tuples
-are decoded only where a block leaves the solver.  Fractions stay at the
-edges: input graphs, certificates and block weights.
+per-vertex counts read the bitmaps; the collection enumerator reads the
+masks of the set bits of `heavy`.  Sorted vertex tuples are decoded only
+where a block leaves the solver.  Fractions stay at the edges: input
+graphs, certificates and block weights.
 
 The backtracking search carries `alive`, the bitmap of the heavy sets
 disjoint from the covered vertices; it starts as `heavy`.  The live
@@ -87,7 +81,6 @@ complete or an empty heavy family, whose search meets no failed state twice.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -278,15 +271,6 @@ def _prefix_bits(rows, need: int, lightest: list[int], heaviest: list[int],
                              [g + w for g, w in zip(gain, rows[a])]) << offset
         offset += comb(n - a - 1, k - 1)
     return bits
-
-
-def _heavy_masks(masks: tuple[int, ...], heavy: int) -> list[int]:
-    """The masks whose index is a set bit of `heavy`, in index order.
-
-    The binary numeral of `heavy` is read lowest bit first, one character
-    per set, in time linear in the index.
-    """
-    return [m for m, bit in zip(masks, bin(heavy)[:1:-1]) if bit == "1"]
 
 
 def _key_steps(masks: tuple[int, ...], through: tuple[int, ...], heavy: int,
@@ -507,7 +491,10 @@ def enumerate_maximum_heavy_collections(graph: WeightedCompleteGraph,
     """
     _enumeration_cap(graph.n, DEFAULT_ENUMERATION_CAP)
     index, _, heavy = _heavy_family(graph, params, strict=False)
-    masks = _heavy_masks(index, heavy)
+    # The masks of the heavy sets in index order: the binary numeral of
+    # `heavy` is read lowest bit first, one character per set, in time
+    # linear in the index.
+    masks = [m for m, bit in zip(index, bin(heavy)[:1:-1]) if bit == "1"]
     over = graph.threshold_masks(params.heavy_threshold)
     owc = [_overweight_count(over, m) for m in masks]
     best_key, best = _maximum_collections(0, 0, (0, 0), (), masks, owc)
@@ -534,75 +521,6 @@ def _maximum_collections(start: int, covered: int, key: tuple[int, int], chosen:
         elif sub_key == best_key:
             best.extend(sub)
     return best_key, best
-
-
-def local_search_heavy_collection(graph: WeightedCompleteGraph, params: FactorParams,
-                                  seed: int, restarts: int = 4) -> HeavyCollection:
-    """Seeded hill-climb maximizing (size, within-block overweight edges).
-
-    Moves, tried in order until none applies: add the first fully uncovered
-    heavy block; swap one block vertex for an uncovered vertex when the block
-    stays heavy and its internal overweight count strictly rises.  Both
-    objectives are bounded and every move raises the pair lexicographically,
-    so each climb terminates.  Restart 0 climbs from the empty collection;
-    later restarts climb from a greedy pass over a shuffled block order, and
-    the best (ties to earliest) wins.
-    """
-    n = graph.n
-    _integer(seed, "seed")
-    if _integer(restarts, "restarts") < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    index, _, heavy = _heavy_family(graph, params, strict=False)
-    masks = _heavy_masks(index, heavy)
-    heavy_set = set(masks)
-    over = graph.threshold_masks(params.heavy_threshold)
-
-    def improving_swap(blocks: list[int], free: int) -> tuple[int, int] | None:
-        """The first (index, swapped block) that stays heavy and gains overweight edges."""
-        incoming = _vertices(free)
-        for i in sorted(range(len(blocks)), key=lambda j: _vertices(blocks[j])):
-            old = blocks[i]
-            old_count = _overweight_count(over, old)
-            for u in _vertices(old):
-                for w in incoming:
-                    candidate = old ^ 1 << u | 1 << w
-                    if candidate in heavy_set and _overweight_count(over, candidate) > old_count:
-                        return i, candidate
-        return None
-
-    def climb(blocks: list[int]) -> list[int]:
-        while True:
-            free = (1 << n) - 1
-            for b in blocks:
-                free &= ~b
-            fit = next((m for m in masks if m & free == m), None)
-            if fit is not None:
-                blocks.append(fit)
-                continue
-            swap = improving_swap(blocks, free)
-            if swap is None:
-                return blocks
-            blocks[swap[0]] = swap[1]
-
-    rng = random.Random(seed)
-    best_blocks: list[int] = []
-    best_key = (-1, -1)
-    for restart in range(restarts):
-        start: list[int] = []
-        if restart > 0:
-            shuffled = list(masks)
-            rng.shuffle(shuffled)
-            taken = 0
-            for m in shuffled:
-                if not taken & m:
-                    start.append(m)
-                    taken |= m
-        blocks = climb(start)
-        key = (len(blocks), sum(_overweight_count(over, b) for b in blocks))
-        if key > best_key:
-            best_key = key
-            best_blocks = blocks
-    return HeavyCollection.from_blocks([_vertices(b) for b in best_blocks], best_key[1])
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,7 @@ def test_solve_missing_file_is_an_input_error(capsys):
     assert code == 2
 
 
-# ----------------------------------------------------- scheme2 / localsearch
+# ------------------------------------------------------------------ scheme2
 
 
 def test_scheme2_command_round_trip(tmp_path):
@@ -379,7 +379,7 @@ def test_scheme2_negative_epsilon_is_a_usage_error(tmp_path, capsys, r):
     assert captured.err == "error: epsilon must be nonnegative, got -1/10\n"
 
 
-@pytest.mark.parametrize("command", ["solve", "scheme2", "localsearch"])
+@pytest.mark.parametrize("command", ["solve", "scheme2"])
 def test_commands_refuse_an_out_path_naming_the_input_file(tmp_path, capsys, command):
     """Exit 2 before anything is read or written; the input graph keeps its bytes."""
     graph_path = tmp_path / "g.json"
@@ -400,19 +400,6 @@ def test_commands_refuse_an_out_path_naming_the_input_file(tmp_path, capsys, com
                    "--out", str(graph_path)) == 2
     assert capsys.readouterr().err == f"error: --out and --input name the same file: {tmp_path / 'link.json'}\n"
     assert graph_path.read_bytes() == before
-
-
-def test_localsearch_command(tmp_path, capsys):
-    graph_path = tmp_path / "g.json"
-    run_cli("generate", "--kind", "random", "--n", "9", "--grid", "4",
-            "--seed", "3", "--out", str(graph_path))
-    capsys.readouterr()
-    code = run_cli("localsearch", "--input", str(graph_path), "--r", "3",
-                   "--t", "1/4", "--seed", "0")
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["size"] == len(doc["blocks"])
-    assert doc["restarts"] == 4
 
 
 # ------------------------------------------------------------ estimate / scan
@@ -701,7 +688,7 @@ def test_module_entry_point_runs_in_a_clean_interpreter(tmp_path):
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
-    """The parser, its seven subparsers and the six parents of their shared options are built at most once.
+    """The parser, its six subparsers and the six parents of their shared options are built at most once.
 
     Later calls reuse them.
     """
@@ -712,6 +699,7 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
         built.append(self)
         init(self, *args, **kwargs)
 
+    build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     per_call = []
     for name in ("a.json", "b.json"):
@@ -719,7 +707,7 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
         assert run_cli("generate", "--kind", "hs-sharpness", "--n", "6", "--r", "3",
                        "--out", str(tmp_path / name)) == 0
         per_call.append(len(built) - before)
-    assert per_call[0] in (0, 14) and per_call[1] == 0
+    assert per_call == [13, 0]
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
@@ -748,12 +736,6 @@ OPTION_SETS = {
         "--seed": ("seed", "int", 0, False),
         "--epsilon": ("epsilon", "_rational", Fraction(1, 10), False),
         "--retries": ("retries", "int", DEFAULT_RETRY_BUDGET, False),
-        "--out": ("out", None, None, False),
-    },
-    "localsearch": {
-        "--input": ("input", None, None, True), **R_T,
-        "--seed": ("seed", "int", 0, False),
-        "--restarts": ("restarts", "int", 4, False),
         "--out": ("out", None, None, False),
     },
     "estimate": {
@@ -807,6 +789,17 @@ def test_missing_subcommand_is_a_usage_error():
     assert proc.returncode == 2
 
 
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    """A name that is none of the six subcommands, `localsearch` among them, exits 2 before any file is read."""
+    with pytest.raises(SystemExit) as exited:
+        run_cli("localsearch", "--input", "missing.json", "--r", "3", "--t", "1/3")
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    choices = captured.err.split("invalid choice: 'localsearch'")[1]
+    assert [name for name in OPTION_SETS if name in choices] == list(OPTION_SETS)
+
+
 # ------------------------------------------------------------ pinned outputs
 
 PINNED_INPUTS = {
@@ -822,13 +815,19 @@ PINNED_CASES = {
                                      "b634ed157cf90c3e9a9fd9db84d1654520e469eaa5e641eada13a4e77654413b"),
     "solve-feasible": (["solve", "--input", "dense.json", "--r", "3", "--t", "1/2"], 0,
                        "a97884e33f3b7222a9acad8ab9bd445a5bffa1768ad6c7e22f9dbf28e61f9822"),
+    "solve-prop2-exhausted": (["solve", "--input", "p2s.json", "--r", "3", "--t", "2/3"], 1,
+                              "206f79f6e0e429e6224fb625623cbbcf64dcb29377aab5be11ef639d78f97813"),
+    "solve-feasible-r2": (["solve", "--input", "rnd.json", "--r", "2", "--t", "1/2"], 0,
+                          "2ff51ff369474dc92994f469d203654eed5a7d03741cebd44b109f69ad879477"),
+    "solve-feasible-r4": (["solve", "--input", "rnd.json", "--r", "4", "--t", "1/3"], 0,
+                          "5cb8aeb84afeed19cff6ab4761458312743168ce1b9746554b8cf4a93729dbc5"),
     "scheme2-factor": (["scheme2", "--input", "dense.json", "--r", "3", "--t", "1/3", "--seed", "0"], 0,
                        "860068683ef550d045a64da8b49096dd225a44213f51354ebe8ab350f470eb91"),
+    "scheme2-factor-r2": (["scheme2", "--input", "dense.json", "--r", "2", "--t", "1/2", "--seed", "0"], 0,
+                          "9f0a536b96824e24bca80c6efc667f3f1e8900c3a80c37a51860172ab5df347c"),
     "scheme2-none-found": (["scheme2", "--input", "rnd.json", "--r", "3", "--t", "1/2", "--seed", "0",
                             "--retries", "3"], 1,
                            "6024b6b37236e639ef02664771400f5cba3c6233345845b7a5fe9219a12ab871"),
-    "localsearch": (["localsearch", "--input", "rnd.json", "--r", "3", "--t", "1/3", "--seed", "1"], 0,
-                    "189e8cbc44d435e9ae3242f5465715ae9f172fb46d4ea869ad415984d5134060"),
     "estimate-adversarial": (["estimate", "--r", "3", "--t", "1/3", "--n", "6", "--grid", "3", "--budget", "300"], 0,
                              "11e63418d78f06ab836d583a6e72fd70546518296607106397827fca69896ab9"),
     "scan-record-grid": (["scan", "--r", "2,3", "--t", "1/3,1/2,2/3", "--n", "6"], 0,

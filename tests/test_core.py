@@ -90,11 +90,9 @@ def test_parse_rational_calls_text_decimal_only_when_it_reads_as_a_decimal_numbe
     (lambda: hf.scheme2_factor(ONES, HALF, seed="x"), "seed must be an integer, got 'x'"),
     (lambda: hf.scheme2_factor(ONES, HALF, seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: hf.scheme2_factor(ONES, HALF, seed=0, retries=1.5), "retries must be an integer, got 1.5"),
-    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed="x"), "seed must be an integer, got 'x'"),
-    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed=0, restarts=True),
-     "restarts must be an integer, got True"),
-    (lambda: hf.local_search_heavy_collection(ONES, HALF, seed=0, restarts=1.5),
-     "restarts must be an integer, got 1.5"),
+    (lambda: hf.random_weighting(6, 4, seed="x"), "seed must be an integer, got 'x'"),
+    (lambda: hf.adversarial_search(3, Fraction(1, 2), 6, True), "seed must be an integer, got True"),
+    (lambda: hf.verify_theorem3_empirically(3, Fraction(1, 3), 4, 6, seed=1.5), "seed must be an integer, got 1.5"),
     (lambda: hf.prop2_min_degree(3, Fraction(1, 2), 12.0), "vertex count must be an integer, got 12.0"),
     (lambda: hf.evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap="x"), "solver cap must be an integer, got 'x'"),
     (lambda: hf.evaluate_lower_bounds(3, Fraction(1, 2), 6, solver_cap=12.5),
@@ -107,8 +105,8 @@ def test_parse_rational_calls_text_decimal_only_when_it_reads_as_a_decimal_numbe
 ], ids=["t-decimal-text", "t-bool", "t-none", "r-bool", "r-text", "build-t-decimal-text", "constant-bool",
         "validate-n-float", "validate-r-bool", "enumerate_all_factors-n-float", "scheme2_partition-r-float",
         "scheme2_partition-seed-text", "lemma1_bound-n-float", "t_r_threshold-r-float", "scheme2_factor-seed-text",
-        "scheme2_factor-seed-float", "scheme2_factor-retries-float", "local_search-seed-text",
-        "local_search-restarts-bool", "local_search-restarts-float", "prop2_min_degree-n-float",
+        "scheme2_factor-seed-float", "scheme2_factor-retries-float", "random_weighting-seed-text",
+        "adversarial_search-seed-bool", "verify_theorem3-seed-float", "prop2_min_degree-n-float",
         "evaluate_lower_bounds-cap-text", "evaluate_lower_bounds-cap-float", "evaluate_lower_bounds-cap-bool",
         "scan_report-cap-float", "adversarial_search-cap-none"])
 def test_integers_and_rationals_are_read_by_one_check_each(call, message):

@@ -4,7 +4,8 @@ heaviness and budget errors each have one home, each input rule is raised from o
 is read where it enters, `cli` holds no table of construction kinds, the annealer has one way in, `hfl
 solve` has one decider, `hfl` reads a graph input and refuses a clash with --out in one place each, no
 module reads the environment, the result types carry each value once, no public function takes an
-enumeration cap, and the search's failed-state key is read off the heavy family, never off a weight."""
+enumeration cap, the search's failed-state key is read off the heavy family, never off a weight, and
+only the seeded modules import `random`."""
 
 import ast
 import dataclasses
@@ -150,6 +151,16 @@ def test_the_failed_state_key_reads_the_heavy_family_only():
             for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute, ast.arg))}
     assert "heavy" in read
     assert read & {"graph", "rows", "degrees", "weight"} == set()
+
+
+def test_only_the_seeded_modules_import_random():
+    """`random` is imported only by `constructions`, `lab` and `schemes`, so the exact solver keeps no seeded heuristic."""
+    importers = {
+        path.stem for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "random" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    }
+    assert sorted(importers) == ["constructions", "lab", "schemes"]
 
 
 def test_schemes_check_blocks_by_the_one_predicate():

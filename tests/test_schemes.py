@@ -1,4 +1,4 @@
-"""Base case, quotient lifting, randomized split scheme, local search."""
+"""Base case, quotient lifting, randomized split scheme."""
 
 import subprocess
 import sys
@@ -9,7 +9,6 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from heavyfactors import (
     BudgetExceededError,
@@ -19,14 +18,10 @@ from heavyfactors import (
     WeightedCompleteGraph,
     bipartite_threshold_matching,
     build_bipartite_average,
-    enumerate_maximum_heavy_collections,
     find_heavy_factor,
     hs_sharpness_construction,
     is_heavy,
-    is_overweight_edge,
-    local_search_heavy_collection,
     matching_base_case,
-    prop2_construction,
     random_weighting,
     scheme1_lift,
     scheme1_quotient,
@@ -36,7 +31,7 @@ from heavyfactors import (
 from heavyfactors import schemes
 
 from conftest import (
-    assert_fraction_path, eroded_graph, pair_table, random_grid_graph, random_grid_weights, sparse_grid_graph,
+    assert_fraction_path, eroded_graph, pair_table, random_grid_graph, random_grid_weights,
 )
 
 
@@ -640,154 +635,3 @@ def test_scheme_checks_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
-
-# --------------------------------------------------------------- local search
-
-
-def test_local_search_factors_the_all_ones_graph():
-    g = WeightedCompleteGraph.constant(6, Fraction(1))
-    coll = local_search_heavy_collection(g, FactorParams(r=3, t=Fraction(1)), seed=0)
-    assert coll.size == 2
-    assert frozenset().union(*coll.blocks) == frozenset(range(6))
-
-
-def test_local_search_returns_empty_on_the_zero_graph():
-    zeros = WeightedCompleteGraph.constant(6, Fraction(0))
-    coll = local_search_heavy_collection(zeros, FactorParams(r=3, t=Fraction(1, 2)), seed=0)
-    assert coll.size == 0 and coll.overweight_count == 0
-
-
-def test_local_search_swap_move_collects_overweight_edges():
-    """The greedy first block misses both heavy edges; one swap fixes it.
-
-    At bar 1 the heavy triples all contain vertex 0, so the maximum size is 1
-    and the unique best block is {0, 1, 3} holding both overweight edges.
-    The first add takes {0, 1, 2}; only the swap move can reach the optimum.
-    """
-    g = WeightedCompleteGraph(7, {
-        (0, 1): Fraction(1),
-        (0, 3): Fraction(1),
-        (3, 4): Fraction(1, 2),
-    })
-    params = FactorParams(r=3, t=Fraction(1, 3))
-    coll = local_search_heavy_collection(g, params, seed=0, restarts=1)
-    assert coll.blocks == (frozenset({0, 1, 3}),)
-    assert coll.overweight_count == 2
-    exhaustive = enumerate_maximum_heavy_collections(g, params)
-    assert coll in exhaustive
-
-
-def test_local_search_never_beats_exhaustive_enumeration():
-    rng = Random(20250816)
-    params = FactorParams(r=3, t=Fraction(1, 4))
-    for trial in range(25):
-        g = random_grid_graph(rng, 8, denominator=4)
-        maxima = enumerate_maximum_heavy_collections(g, params)
-        best = maxima[0]
-        best_key = (best.size, best.overweight_count)
-        coll = local_search_heavy_collection(g, params, seed=trial)
-        key = (coll.size, coll.overweight_count)
-        assert key <= best_key, f"trial {trial}"
-        if best.size > 0:
-            assert coll.size > 0, "hill climbing always reaches a maximal family"
-        for b in coll.blocks:
-            assert is_heavy(g, b, params)
-
-
-def test_local_search_is_deterministic_and_validates_restarts():
-    rng = Random(101)
-    g = random_grid_graph(rng, 8, denominator=4)
-    params = FactorParams(r=3, t=Fraction(1, 2))
-    a = local_search_heavy_collection(g, params, seed=3)
-    b = local_search_heavy_collection(g, params, seed=3)
-    assert a == b
-    with pytest.raises(ValueError):
-        local_search_heavy_collection(g, params, seed=0, restarts=0)
-
-
-def plain_local_search(graph, params, seed, restarts):
-    """The frozenset and Fraction hill-climb, kept as the reference for the mask climb.
-
-    Same moves, visiting order and rng draws; returns (blocks, overweight count).
-    """
-    n = graph.n
-    heavy = [frozenset(s) for s in combinations(range(n), params.r) if is_heavy(graph, s, params)]
-
-    def block_owc(block):
-        return sum(1 for e in combinations(sorted(block), 2) if is_overweight_edge(graph, e, params))
-
-    def climb(blocks):
-        while True:
-            covered = set()
-            for b in blocks:
-                covered |= b
-            uncovered = [v for v in range(n) if v not in covered]
-            fit = next((s for s in heavy if not s & covered), None)
-            if fit is not None:
-                blocks.append(fit)
-                continue
-            swapped = False
-            for bi in sorted(range(len(blocks)), key=lambda i: sorted(blocks[i])):
-                old = blocks[bi]
-                old_count = block_owc(old)
-                for u in sorted(old):
-                    for w in uncovered:
-                        candidate = (old - {u}) | {w}
-                        if params.admits(graph.clique_weight(candidate)) and block_owc(candidate) > old_count:
-                            blocks[bi] = candidate
-                            swapped = True
-                            break
-                    if swapped:
-                        break
-                if swapped:
-                    break
-            if not swapped:
-                return blocks
-
-    rng = Random(seed)
-    best_blocks, best_key = [], (-1, -1)
-    for restart in range(restarts):
-        start = []
-        if restart > 0:
-            shuffled = list(heavy)
-            rng.shuffle(shuffled)
-            taken = set()
-            for s in shuffled:
-                if not taken & s:
-                    start.append(s)
-                    taken |= s
-        blocks = climb(start)
-        key = (len(blocks), sum(block_owc(b) for b in blocks))
-        if key > best_key:
-            best_blocks, best_key = blocks, key
-    return sorted(best_blocks, key=sorted), best_key[1]
-
-
-LOCAL_SEARCH_LEVELS = [Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 6), Fraction(1, 4),
-                       Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32), n=st.integers(4, 11), r=st.integers(2, 5),
-       t=st.sampled_from(LOCAL_SEARCH_LEVELS), sparse=st.booleans(), restarts=st.integers(1, 4))
-def test_local_search_matches_the_plain_climb(seed, n, r, t, sparse, restarts):
-    """Blocks and overweight count as the plain climb, at t = 0 and at the bar t * C(r, 2) = 1."""
-    rng = Random(seed)
-    g = sparse_grid_graph(rng, n, denominator=6, zero_prob=0.4) if sparse else random_grid_graph(rng, n, 6)
-    params = FactorParams(r=min(r, n), t=t)
-    coll = local_search_heavy_collection(g, params, seed=seed, restarts=restarts)
-    assert (list(coll.blocks), coll.overweight_count) == plain_local_search(g, params, seed, restarts)
-
-
-@pytest.mark.parametrize("r,t,n", [(3, Fraction(1, 3), 9), (3, Fraction(1, 6), 10), (4, Fraction(1, 6), 9),
-                                   (2, Fraction(1, 2), 8), (5, Fraction(1, 10), 11)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_local_search_matches_the_plain_climb_on_lowered_prop2(r, t, n, seed):
-    rng = Random(seed)
-    g, _ = prop2_construction(r, t, n - n % r)
-    for i, j in rng.sample(list(g.pairs()), 4):
-        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
-    params = FactorParams(r=r, t=t)
-    for restarts in (1, 4):
-        coll = local_search_heavy_collection(g, params, seed=seed, restarts=restarts)
-        assert (list(coll.blocks), coll.overweight_count) == plain_local_search(g, params, seed, restarts)

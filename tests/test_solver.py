@@ -25,7 +25,6 @@ from heavyfactors import (
     is_heavy,
     is_overweight_edge,
     lemma1_bound,
-    local_search_heavy_collection,
     prop2_construction,
     random_weighting,
     t_r_threshold,
@@ -672,7 +671,7 @@ def plain_bitmap_in_the_solver():
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(3, 9), r=st.integers(2, 4), t=st.sampled_from(LEVELS),
        tied=st.booleans(), offset=st.sampled_from([Fraction(-1, 3), Fraction(-1, 12), Fraction(0)]))
 def test_collections_are_the_ones_the_plain_flags_give(seed, n, r, t, tied, offset):
-    """The maximum-collection enumerator and the hill-climb read the walk's bitmap; the plain bitmap gives the same result.
+    """The maximum-collection enumerator reads the walk's bitmap; the plain bitmap gives the same collections.
 
     The inputs are grid-floor samples and tied two-class blow-ups at n <= 9;
     a tie needs r <= n, so below that the input is a grid-floor sample.
@@ -687,11 +686,9 @@ def test_collections_are_the_ones_the_plain_flags_give(seed, n, r, t, tied, offs
     else:
         graph = _sample_grid_floor(rng, n, 12, min(Fraction(1), max(Fraction(0), t + offset)))
     params = FactorParams(r=r, t=t)
-    walked = (enumerate_maximum_heavy_collections(graph, params),
-              local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
+    walked = enumerate_maximum_heavy_collections(graph, params)
     with plain_bitmap_in_the_solver():
-        plain = (enumerate_maximum_heavy_collections(graph, params),
-                 local_search_heavy_collection(graph, params, seed=seed % 97, restarts=3))
+        plain = enumerate_maximum_heavy_collections(graph, params)
     assert walked == plain
 
 
@@ -1194,29 +1191,90 @@ def test_maximum_collections_cap():
         enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1)))
 
 
-def test_secondary_objective_prefers_overweight_edges_inside_blocks():
-    """Two disjoint heavy triples exist, but only one contains the heavy edge.
+@pytest.mark.parametrize("n,weights,maximum", [
+    (6, {(0, 1): Fraction(1), (3, 4): Fraction(1, 2), (3, 5): Fraction(1, 2), (4, 5): Fraction(1, 2)},
+     HeavyCollection((frozenset({0, 1, 2}), frozenset({3, 4, 5})), 1)),
+    (7, {(0, 1): Fraction(1), (0, 3): Fraction(1), (3, 4): Fraction(1, 2)},
+     HeavyCollection((frozenset({0, 1, 3}),), 2)),
+], ids=["two-halves", "one-block"])
+def test_secondary_objective_prefers_overweight_edges_inside_blocks(n, weights, maximum):
+    """Among the collections of largest size, the unique maximum holds the most overweight edges.
 
-    At r = 3, t = 1/3 the bar is 1.  Weights: edge (0,1) carries 1, edges
-    (3,4), (3,5), (4,5) carry 1/2 each, everything else carries enough dust
-    to make {0,1,2} and {3,4,5} both heavy however arranged.  A size-2
-    collection is forced; among them the maxima must include the (0,1) edge
-    inside a block.
+    At r = 3, t = 1/3 the bar is 1, and an edge of weight 1 is overweight.
+    On six vertices {0,1,2} and {3,4,5} are the only disjoint pair of heavy
+    triples, and the maximum keeps the (0,1) edge inside a block.  On seven
+    vertices every heavy triple contains vertex 0, so the maximum size is 1,
+    and of the heavy triples only {0,1,3} holds both overweight edges; the
+    first heavy triple in lexicographic order, {0,1,2}, holds one.
     """
-    w = {
-        (0, 1): Fraction(1),
-        (3, 4): Fraction(1, 2),
-        (3, 5): Fraction(1, 2),
-        (4, 5): Fraction(1, 2),
-    }
-    g = WeightedCompleteGraph(6, w)
-    params = FactorParams(r=3, t=Fraction(1, 3))
-    maxima = enumerate_maximum_heavy_collections(g, params)
-    assert maxima, "both halves are heavy so a size-2 collection exists"
-    for coll in maxima:
-        assert coll.size == 2
-        assert coll.overweight_count == 1
-        assert any({0, 1} <= b for b in coll.blocks)
+    g = WeightedCompleteGraph(n, weights)
+    assert enumerate_maximum_heavy_collections(g, FactorParams(r=3, t=Fraction(1, 3))) == [maximum]
+
+
+def plain_maximum_collections(graph, params):
+    """Every packing of disjoint heavy r-sets, as frozensets under the Fraction predicates, keeping the best keys.
+
+    Kept as the reference for the mask enumerator: the key is (size, overweight edges inside the blocks).
+    """
+    heavy = [frozenset(s) for s in combinations(range(graph.n), params.r) if is_heavy(graph, s, params)]
+
+    def packings(start, covered, chosen):
+        yield chosen
+        for i in range(start, len(heavy)):
+            if not heavy[i] & covered:
+                yield from packings(i + 1, covered | heavy[i], chosen + (heavy[i],))
+
+    def overweight_inside(blocks):
+        return sum(is_overweight_edge(graph, e, params) for b in blocks for e in combinations(sorted(b), 2))
+
+    keyed = [((len(blocks), overweight_inside(blocks)), blocks) for blocks in packings(0, frozenset(), ())]
+    best = max(key for key, _ in keyed)
+    return sorted((HeavyCollection.from_blocks(blocks, best[1]) for key, blocks in keyed if key == best),
+                  key=lambda c: [sorted(b) for b in c.blocks])
+
+
+COLLECTION_LEVELS = [Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 6), Fraction(1, 4),
+                     Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(4, 9), r=st.integers(2, 5),
+       t=st.sampled_from(COLLECTION_LEVELS), sparse=st.booleans())
+def test_maximum_collections_match_the_plain_packings(seed, n, r, t, sparse):
+    """The same maxima, in the same order, as the plain packings give, at t = 0 and at the bar t * C(r, 2) = 1."""
+    rng = Random(seed)
+    g = sparse_grid_graph(rng, n, denominator=6, zero_prob=0.4) if sparse else random_grid_graph(rng, n, 6)
+    params = FactorParams(r=min(r, n), t=t)
+    assert enumerate_maximum_heavy_collections(g, params) == plain_maximum_collections(g, params)
+
+
+@pytest.mark.parametrize("r,t,n", [(3, Fraction(1, 3), 9), (3, Fraction(1, 6), 10), (4, Fraction(1, 6), 9),
+                                   (2, Fraction(1, 2), 8), (5, Fraction(1, 10), 11)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximum_collections_match_the_plain_packings_on_lowered_prop2(r, t, n, seed):
+    """Four edges of the two-class weighting lowered by k/10: up to 180 maxima, all tied in size and overweight count."""
+    rng = Random(seed)
+    g, _ = prop2_construction(r, t, n - n % r)
+    for i, j in rng.sample(list(g.pairs()), 4):
+        g = g.with_weight(i, j, g.weight(i, j) * Fraction(rng.randint(0, 9), 10))
+    params = FactorParams(r=r, t=t)
+    assert enumerate_maximum_heavy_collections(g, params) == plain_maximum_collections(g, params)
+
+
+def test_maximum_collections_are_maximal_packings_of_one_key():
+    """Each maximum is a packing of heavy r-sets that no heavy r-set extends, and all maxima share one key."""
+    rng = Random(20250816)
+    params = FactorParams(r=3, t=Fraction(1, 4))
+    for trial in range(25):
+        g = random_grid_graph(rng, 8, denominator=4)
+        maxima = enumerate_maximum_heavy_collections(g, params)
+        assert maxima and len(set(maxima)) == len(maxima), f"trial {trial}"
+        assert len({(c.size, c.overweight_count) for c in maxima}) == 1, f"trial {trial}"
+        for coll in maxima:
+            covered = frozenset().union(*coll.blocks)
+            assert len(covered) == 3 * coll.size
+            assert all(is_heavy(g, b, params) for b in coll.blocks)
+            assert not any(is_heavy(g, s, params) for s in combinations(sorted(set(range(8)) - covered), 3))
 
 
 # ------------------------------------------------------- structure checking
